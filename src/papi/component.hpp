@@ -66,6 +66,9 @@ struct SlotRequest {
   int user_event_index = -1;
   /// Non-null when sampling: stable pointer into the owning EventSet.
   const OverflowCallback* overflow = nullptr;
+  /// Non-null when sampling: the Library-owned names every sample and
+  /// overflow event of this slot points into.
+  const SampleSource* sample_source = nullptr;
 };
 
 /// Per-EventSet state a component keeps (its slots, fds, groups, read

@@ -16,18 +16,20 @@ Status PerfBackedComponent::install_handler(const Slot& slot) const {
     return Status::ok();
   }
   // Capture what the callback needs; the EventSet (which owns the
-  // callback the pointer refers to) outlives the fd.
+  // callback the pointer refers to) outlives the fd, and the Library
+  // (which owns the sample source) outlives both. Nothing captured
+  // allocates per crossing.
   const int set_id = slot.request.eventset_id;
   const int user_index = slot.request.user_event_index;
-  const std::string native_name = slot.request.enc.canonical_name;
+  const SampleSource* source = slot.request.sample_source;
   const OverflowCallback* callback = slot.request.overflow;
   return env_.backend->perf_set_overflow_handler(
-      slot.fd, [set_id, user_index, native_name, callback](
+      slot.fd, [set_id, user_index, source, callback](
                    int, std::uint64_t value, std::uint64_t periods) {
         OverflowEvent event;
         event.eventset = set_id;
         event.user_event_index = user_index;
-        event.native_name = native_name;
+        event.native_name = source->native_name;
         event.value = value;
         event.periods = periods;
         (*callback)(event);
@@ -50,6 +52,9 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
                                       const MeasureTarget& target) {
   PerfState& ps = perf_state(state);
   ps.read_plan_valid = false;
+  if (request.sample_period > 0 && request.sample_source == nullptr) {
+    return make_error(StatusCode::kBug, "sampling slot without a source");
+  }
   const pfm::ActivePmu* pmu = env_.pfm->find_pmu(request.enc.pmu_name);
   if (pmu == nullptr) {
     return make_error(StatusCode::kBug, "unknown PMU at open time");
@@ -164,6 +169,7 @@ Status PerfBackedComponent::close_all(ComponentState& state) {
   }
   ps.groups.clear();
   ps.slots.clear();
+  ps.enabled = false;
   return first_error;
 }
 
@@ -189,6 +195,7 @@ Status PerfBackedComponent::start(ComponentState& state) {
       return s;
     }
   }
+  ps.enabled = true;
   return Status::ok();
 }
 
@@ -204,6 +211,7 @@ Status PerfBackedComponent::stop(ComponentState& state) {
                                       retries);
     if (!s.is_ok() && first_error.is_ok()) first_error = s;
   }
+  ps.enabled = false;
   return first_error;
 }
 
@@ -332,6 +340,54 @@ int PerfBackedComponent::group_count(const ComponentState& state) const {
   return static_cast<int>(perf_state(state).groups.size());
 }
 
+void PerfBackedComponent::drain_ring(const Slot& slot, SampleBatch& batch) {
+  // Every SAMPLE record spans at least record_size bytes, so this bounds
+  // the pass's samples: one reservation, none on a reused batch.
+  const std::uint64_t record_size =
+      simkernel::perf_sample_record_size(slot.ring.sample_type);
+  const std::uint64_t queued =
+      slot.ring.page->data_head - slot.ring.page->data_tail;
+  batch.samples.reserve(batch.samples.size() +
+                        static_cast<std::size_t>(queued / record_size));
+
+  const SampleSource& source = *slot.request.sample_source;
+  simkernel::PerfRingCursor cursor(slot.ring);
+  simkernel::PerfEventHeader header;
+  std::uint8_t body[64];
+  while (cursor.next(&header, body, sizeof body)) {
+    const std::size_t body_size = header.size - sizeof(header);
+    if (header.type == simkernel::kPerfRecordSample) {
+      simkernel::PerfSampleParsed parsed;
+      if (!simkernel::perf_parse_sample(slot.ring.sample_type, body,
+                                        body_size, &parsed)) {
+        ++batch.malformed;
+        continue;
+      }
+      Sample& sample = batch.samples.emplace_back();
+      sample.eventset = slot.request.eventset_id;
+      sample.user_event_index = slot.request.user_event_index;
+      sample.native_name = source.native_name;
+      sample.pmu_name = source.pmu_name;
+      sample.core_type = source.core_type;
+      sample.ip = parsed.ip;
+      sample.tid = parsed.tid;
+      sample.time_ns = parsed.time;
+      sample.cpu = static_cast<int>(parsed.cpu);
+      sample.period = parsed.period;
+    } else if (header.type == simkernel::kPerfRecordLost) {
+      simkernel::PerfLostParsed lost;
+      if (simkernel::perf_parse_lost(body, body_size, &lost)) {
+        batch.lost += lost.lost;
+      } else {
+        ++batch.malformed;
+      }
+    }
+    // Unknown record types are skipped: forward ABI compatibility.
+  }
+  if (cursor.malformed()) ++batch.malformed;
+  cursor.commit();
+}
+
 Status PerfBackedComponent::drain_samples(ComponentState& state,
                                           SampleBatch& batch) {
   PerfState& ps = perf_state(state);
@@ -348,25 +404,11 @@ Status PerfBackedComponent::drain_samples(ComponentState& state,
     // The wakeup surface is an advisory hint, never ground truth: the
     // drain trusts the ring's head/tail cursors. A transiently failing
     // poll retries within the budget; a persistent stall skips the slot
-    // for this pass only — its records stay queued in the ring.
-    bool wakeup = false;
-    bool poll_answered = false;
-    bool stalled = false;
-    for (int attempt = 0; attempt < retries; ++attempt) {
-      auto fired = env_.backend->perf_ring_poll(slot.fd);
-      if (fired) {
-        wakeup = *fired;
-        poll_answered = true;
-        break;
-      }
-      if (fired.status().code() != StatusCode::kInterrupted) {
-        // Hard poll failure (e.g. a backend without a poll surface):
-        // proceed straight to the ring, which is the source of truth.
-        break;
-      }
-      stalled = true;
-    }
-    if (stalled && !poll_answered) {
+    // for this pass only — its records stay queued in the ring. A hard
+    // poll failure (e.g. a backend without a poll surface) proceeds
+    // straight to the ring, which is the source of truth.
+    const auto fired = poll_with_retry(*env_.backend, slot.fd, retries);
+    if (!fired && fired.status().code() == StatusCode::kInterrupted) {
       ++batch.drains_stalled;
       continue;
     }
@@ -374,48 +416,30 @@ Status PerfBackedComponent::drain_samples(ComponentState& state,
     const std::uint64_t queued =
         slot.ring.page->data_head - slot.ring.page->data_tail;
     if (queued == 0) continue;
-    if (poll_answered && !wakeup) {
+    if (fired && !*fired) {
       // Dropped wakeup: the hint said "nothing", the ring disagrees.
       // Drain anyway — only a reader that trusts poll over head/tail
       // can lose data here.
       ++batch.wakeups_missed;
     }
 
-    simkernel::PerfRingCursor cursor(slot.ring);
-    simkernel::PerfEventHeader header;
-    std::uint8_t body[64];
-    while (cursor.next(&header, body, sizeof body)) {
-      const std::size_t body_size = header.size - sizeof(header);
-      if (header.type == simkernel::kPerfRecordSample) {
-        simkernel::PerfSampleParsed parsed;
-        if (!simkernel::perf_parse_sample(slot.ring.sample_type, body,
-                                          body_size, &parsed)) {
-          ++batch.malformed;
-          continue;
-        }
-        Sample sample;
-        sample.eventset = slot.request.eventset_id;
-        sample.user_event_index = slot.request.user_event_index;
-        sample.native_name = slot.request.enc.canonical_name;
-        sample.pmu_name = slot.request.enc.pmu_name;
-        sample.ip = parsed.ip;
-        sample.tid = parsed.tid;
-        sample.time_ns = parsed.time;
-        sample.cpu = static_cast<int>(parsed.cpu);
-        sample.period = parsed.period;
-        batch.samples.push_back(std::move(sample));
-      } else if (header.type == simkernel::kPerfRecordLost) {
-        simkernel::PerfLostParsed lost;
-        if (simkernel::perf_parse_lost(body, body_size, &lost)) {
-          batch.lost += lost.lost;
-        } else {
-          ++batch.malformed;
-        }
-      }
-      // Unknown record types are skipped: forward ABI compatibility.
+    // A ring with less room than a LOST record plus a SAMPLE record may
+    // hold back a LOST record the kernel could not write. While the
+    // counters run, the next sample write publishes it in-band for a
+    // later pass. Once stopped no write comes, so poll again after this
+    // pass frees the space — the poll publishes it — and drain once
+    // more: one read_samples after stop() returns every record and
+    // every LOST count. Roomier rings skip the extra backend call.
+    const bool maybe_lost_pending =
+        !ps.enabled &&
+        slot.ring.size - queued <
+            simkernel::kPerfLostRecordSize +
+                simkernel::perf_sample_record_size(slot.ring.sample_type);
+    drain_ring(slot, batch);
+    if (maybe_lost_pending) {
+      (void)poll_with_retry(*env_.backend, slot.fd, retries);
+      drain_ring(slot, batch);
     }
-    if (cursor.malformed()) ++batch.malformed;
-    cursor.commit();
   }
   return Status::ok();
 }

@@ -97,6 +97,9 @@ class PerfBackedComponent : public Component {
     /// plan_members order; populated at plan build, pointers live until
     /// the fds close (which also invalidates the plan).
     mutable std::vector<const simkernel::PerfUserPage*> plan_pages;
+    /// Between a successful start() and the next stop(): the kernel may
+    /// still write into the sample rings.
+    bool enabled = false;
   };
 
   static PerfState& perf_state(ComponentState& state) {
@@ -107,6 +110,9 @@ class PerfBackedComponent : public Component {
   }
 
   Status install_handler(const Slot& slot) const;
+  /// Decode the slot's unread ring span into `batch` and advance
+  /// data_tail (one PerfRingCursor pass).
+  static void drain_ring(const Slot& slot, SampleBatch& batch);
   /// Map the sample ring of a freshly opened sampling slot. Denial is
   /// absorbed (ring_denied), never surfaced: ISSUE-10 graceful
   /// degradation to counting mode.

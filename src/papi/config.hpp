@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "papi/presets.hpp"
@@ -116,13 +117,29 @@ struct QualifiedReading {
   bool degraded = false;
 };
 
+/// The names a sampled native event stamps on every OverflowEvent and
+/// Sample it produces. The Library interns one per native event the
+/// first time the event is armed for sampling and never frees it while
+/// the Library lives, so the string_views in those structs stay valid
+/// until the Library is destroyed — past destroy_eventset and re-arming.
+struct SampleSource {
+  std::string native_name;  // canonical, e.g. "adl_glc::INST_RETIRED:ANY"
+  std::string pmu_name;     // pfm table name, e.g. "adl_glc"
+  /// Detected core-type label serving the PMU ("intel_core",
+  /// "capacity-1024", ...) via the core_type_for_pmu ladder; empty for
+  /// non-core PMUs.
+  std::string core_type;
+};
+
 /// PAPI_overflow delivery: which user event of which EventSet crossed
 /// its threshold, attributed to the constituent native event that fired
 /// (so hybrid callers can split samples per core type).
 struct OverflowEvent {
   int eventset = -1;
   int user_event_index = -1;
-  std::string native_name;  // constituent that crossed the threshold
+  /// Constituent that crossed the threshold; a view into the Library's
+  /// SampleSource table.
+  std::string_view native_name;
   std::uint64_t value = 0;
   std::uint64_t periods = 1;
 };
@@ -131,15 +148,14 @@ using OverflowCallback = std::function<void(const OverflowEvent&)>;
 /// One decoded PERF_RECORD_SAMPLE, attributed back to the user event
 /// whose constituent native event wrote it — what the drain loop
 /// (Library::read_samples) returns after walking each slot's mmap ring.
+/// The three names are views into the Library's SampleSource table:
+/// valid for the Library's lifetime, whatever happens to the EventSet.
 struct Sample {
   int eventset = -1;
   int user_event_index = -1;
-  std::string native_name;  // constituent whose ring carried the record
-  std::string pmu_name;     // pfm table name, e.g. "adl_glc"
-  /// Detected core-type label serving the PMU ("intel_core",
-  /// "capacity-1024", ...) via the core_type_for_pmu ladder; empty for
-  /// non-core PMUs.
-  std::string core_type;
+  std::string_view native_name;  // constituent whose ring carried the record
+  std::string_view pmu_name;     // pfm table name, e.g. "adl_glc"
+  std::string_view core_type;    // see SampleSource::core_type
   std::uint64_t ip = 0;       // sampled instruction pointer
   std::uint32_t tid = 0;      // sampled thread
   std::uint64_t time_ns = 0;  // sample timestamp

@@ -43,6 +43,9 @@ Status EventSetCore::open_slot(std::size_t native_idx) {
   request.eventset_id = id_;
   request.user_event_index = slot.user_event_index;
   request.overflow = overflow_callback_ ? &overflow_callback_ : nullptr;
+  if (slot.sample_period > 0 && sample_source_resolver_) {
+    request.sample_source = sample_source_resolver_(slot.enc);
+  }
   ComponentUse& use = use_for(slot.component);
   return slot.component->open_slot(*use.state, request, target());
 }

@@ -94,6 +94,13 @@ class EventSetCore {
       std::function<std::string(std::string_view)> resolver) {
     core_type_resolver_ = std::move(resolver);
   }
+  /// Interner from a native event to its Library-owned SampleSource,
+  /// installed by the Library facade; consulted when a slot opens in
+  /// sampling mode.
+  void set_sample_source_resolver(
+      std::function<const SampleSource*(const pfm::Encoding&)> resolver) {
+    sample_source_resolver_ = std::move(resolver);
+  }
   /// read() plus per-slot degradation tags, collected tolerantly: a
   /// counter that cannot deliver (dead fd, retry budget exhausted)
   /// degrades its slot to a partial sum instead of failing the call.
@@ -227,6 +234,8 @@ class EventSetCore {
   /// Per-native validity scratch for the tolerant collection paths.
   mutable std::vector<std::uint8_t> valid_scratch_;
   std::function<std::string(std::string_view)> core_type_resolver_;
+  std::function<const SampleSource*(const pfm::Encoding&)>
+      sample_source_resolver_;
 };
 
 }  // namespace hetpapi::papi

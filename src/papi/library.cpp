@@ -107,6 +107,8 @@ Expected<int> Library::create_eventset() {
                                             &registry_, &locks_);
   set->set_core_type_resolver(
       [this](std::string_view pmu) { return core_type_for_pmu(pmu); });
+  set->set_sample_source_resolver(
+      [this](const pfm::Encoding& enc) { return sample_source(enc); });
   sets_.push_back(std::move(set));
   return id;
 }
@@ -336,20 +338,38 @@ Status Library::set_overflow(int eventset, int user_event_index,
   return set->set_overflow(user_event_index, threshold, std::move(callback));
 }
 
+const SampleSource* Library::sample_source(const pfm::Encoding& enc) {
+  const std::lock_guard<std::mutex> lock(sample_sources_mutex_);
+  auto it = sample_sources_.find(enc.canonical_name);
+  if (it == sample_sources_.end()) {
+    // The core-type label is resolved once here, not per record — the
+    // same ladder read_qualified uses (§V-2).
+    it = sample_sources_
+             .emplace(enc.canonical_name,
+                      SampleSource{enc.canonical_name, enc.pmu_name,
+                                   core_type_for_pmu(enc.pmu_name)})
+             .first;
+  }
+  return &it->second;
+}
+
 Expected<SampleBatch> Library::read_samples(int eventset) {
+  SampleBatch batch;
+  HETPAPI_RETURN_IF_ERROR(read_samples_into(eventset, batch));
+  return batch;
+}
+
+Status Library::read_samples_into(int eventset, SampleBatch& batch) {
   EventSetCore* set = find_set(eventset);
   if (set == nullptr) {
     return make_error(StatusCode::kNoEventSet, "no such EventSet");
   }
-  SampleBatch batch;
-  HETPAPI_RETURN_IF_ERROR(set->drain_samples(batch));
-  // The component layer labels samples by PMU; the facade owns the
-  // core-type detection, so attribution happens here — the same ladder
-  // read_qualified uses (§V-2).
-  for (Sample& sample : batch.samples) {
-    sample.core_type = core_type_for_pmu(sample.pmu_name);
-  }
-  return batch;
+  // Reset every counter but keep the samples' capacity.
+  std::vector<Sample> samples = std::move(batch.samples);
+  samples.clear();
+  batch = SampleBatch{};
+  batch.samples = std::move(samples);
+  return set->drain_samples(batch);
 }
 
 // --- run control -------------------------------------------------------------

@@ -18,7 +18,9 @@
 //    (§V-3; the historical exclusive uncore component is retired).
 #pragma once
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -140,9 +142,15 @@ class Library {
   /// ladder), summing PERF_RECORD_LOST drops, and reporting the
   /// degradation counters (denied rings, stalled drains, dropped
   /// wakeups). Callable while running or after stop; each record is
-  /// returned exactly once. kInvalidArgument when the set has no event
-  /// in overflow mode.
+  /// returned exactly once, and one call after stop() returns every
+  /// record and every LOST count. A sample's names are views into
+  /// Library-owned storage, valid until the Library is destroyed.
+  /// kInvalidArgument when the set has no event in overflow mode.
   Expected<SampleBatch> read_samples(int eventset);
+  /// read_samples() into a caller-owned batch: `batch` is cleared but
+  /// keeps its capacity, so a steady-state drain loop reusing one batch
+  /// does not allocate.
+  Status read_samples_into(int eventset, SampleBatch& batch);
 
   Status start(int eventset);
   /// Stop counting; returns the final values (one per added event, in
@@ -207,6 +215,9 @@ class Library {
   /// Expand a custom (file-defined) preset into the set.
   Status add_custom_preset(EventSetCore& set, std::string_view name);
 
+  /// The interned SampleSource for a native event, created on first use.
+  const SampleSource* sample_source(const pfm::Encoding& enc);
+
   Backend* backend_;
   LibraryConfig config_;
   pfm::PfmLibrary pfm_;
@@ -216,6 +227,11 @@ class Library {
   ComponentLocks locks_;
   std::vector<std::unique_ptr<EventSetCore>> sets_;
   int next_set_id_ = 0;
+  /// Keyed by canonical native name. Map nodes never move and entries
+  /// are never erased, so views handed out in samples stay valid for
+  /// the Library's lifetime.
+  std::mutex sample_sources_mutex_;
+  std::map<std::string, SampleSource, std::less<>> sample_sources_;
 };
 
 }  // namespace hetpapi::papi

@@ -48,6 +48,17 @@ inline Expected<PerfValue> read_with_retry(Backend& backend, int fd,
   }
 }
 
+inline Expected<bool> poll_with_retry(Backend& backend, int fd,
+                                     int max_attempts) {
+  for (int attempt = 1;; ++attempt) {
+    auto fired = backend.perf_ring_poll(fd);
+    if (fired || fired.status().code() != StatusCode::kInterrupted ||
+        attempt >= max_attempts) {
+      return fired;
+    }
+  }
+}
+
 inline Expected<std::vector<PerfValue>> read_group_with_retry(
     Backend& backend, int fd, int max_attempts) {
   for (int attempt = 1;; ++attempt) {

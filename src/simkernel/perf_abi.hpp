@@ -14,8 +14,11 @@
 //    by rotation and reads report time_enabled/time_running for scaling.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "base/units.hpp"
 
@@ -257,6 +260,16 @@ inline constexpr std::uint64_t perf_sample_body_size(
   return size;
 }
 
+/// Bytes a whole SAMPLE record (header + body) occupies.
+inline constexpr std::uint64_t perf_sample_record_size(
+    std::uint64_t sample_type) {
+  return sizeof(PerfEventHeader) + perf_sample_body_size(sample_type);
+}
+
+/// Bytes a whole LOST record (header + u64 id + u64 lost) occupies.
+inline constexpr std::uint64_t kPerfLostRecordSize =
+    sizeof(PerfEventHeader) + 16;
+
 /// A mapped sample ring: the control page plus the data area. On the
 /// simulated backend `data` points at the kernel-owned ring allocation;
 /// on LinuxBackend it is `page + data_offset` inside one mmap.
@@ -268,6 +281,33 @@ struct PerfRingView {
   /// recorded at mmap time so decoders need no fd round-trip.
   std::uint64_t sample_type = kSampleTypeDefault;
 };
+
+/// The writer half of the ring protocol: append one record of `size`
+/// bytes at data_head, then publish the new head. Returns false (and
+/// writes nothing) when the unread span leaves too little room. At most
+/// two copies, split where the record wraps past the end of the data
+/// area, so records may straddle it whatever the area's size.
+inline bool perf_ring_write(PerfUserPage& page, std::uint8_t* data,
+                            std::uint64_t data_size, const void* record,
+                            std::size_t size) {
+  // data_head/data_tail are free-running; the unread span is their
+  // difference (unsigned wrap math, kernel-style).
+  if (data_size == 0 || page.data_head - page.data_tail + size > data_size) {
+    return false;
+  }
+  const auto* src = static_cast<const std::uint8_t*>(record);
+  const std::uint64_t at = page.data_head % data_size;
+  const std::size_t first =
+      static_cast<std::size_t>(std::min<std::uint64_t>(size, data_size - at));
+  std::memcpy(data + at, src, first);
+  std::memcpy(data, src + first, size - first);
+  // Publish the head only after the record bytes — the release half of
+  // the head/tail protocol (a signal fence suffices for the
+  // single-threaded simulated writer, mirroring the user page's seqlock).
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  page.data_head += size;
+  return true;
+}
 
 /// The safe drain loop over a PerfRingView, shared by every reader (the
 /// sim kernel's own read_samples, the PAPI drain, tools): walks
@@ -289,7 +329,8 @@ class PerfRingCursor {
   /// cannot wedge the ring forever.
   bool next(PerfEventHeader* header, std::uint8_t* body,
             std::size_t body_capacity) {
-    if (view_.page == nullptr || view_.data == nullptr || view_.size == 0) {
+    if (view_.page == nullptr || view_.data == nullptr ||
+        view_.size < sizeof(PerfEventHeader)) {
       return false;
     }
     if (malformed_ || head_ - pos_ < sizeof(PerfEventHeader)) return false;
@@ -321,11 +362,16 @@ class PerfRingCursor {
   }
 
  private:
+  /// Copy `n` bytes starting at free-running position `from`: at most
+  /// two memcpys, split where the span wraps past the end of the data
+  /// area (records may straddle it).
   void copy_wrapped(std::uint64_t from, std::uint8_t* out,
                     std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = view_.data[(from + i) % view_.size];
-    }
+    const std::uint64_t at = from % view_.size;
+    const std::size_t first =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n, view_.size - at));
+    std::memcpy(out, view_.data + at, first);
+    std::memcpy(out + first, view_.data, n - first);
   }
 
   PerfRingView view_;

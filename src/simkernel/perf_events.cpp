@@ -196,10 +196,11 @@ Expected<int> PerfSubsystem::open(const PerfEventAttr& attr, Tid tid, int cpu,
     if (attr.sample_period > 0) {
       // The sample ring: capacity counts records of this event's layout
       // (the sim relaxes the kernel's power-of-two page constraint; the
-      // cursor's modulo walk handles any size).
-      const std::uint64_t record = sizeof(PerfEventHeader) +
-                                   perf_sample_body_size(ev.attr.sample_type);
-      ev.ring_data.assign(config_.sample_ring_capacity * record, 0);
+      // writer and the cursor split their copies at the wrap point, so
+      // any size works).
+      ev.ring_data.assign(config_.sample_ring_capacity *
+                              perf_sample_record_size(ev.attr.sample_type),
+                          0);
       ev.user_page->data_offset = 4096;  // ABI shape: data follows the page
       ev.user_page->data_size = ev.ring_data.size();
     }
@@ -549,21 +550,9 @@ PerfRingView PerfSubsystem::ring_view(EventObj& ev) {
 bool PerfSubsystem::ring_write(EventObj& ev, const void* bytes,
                                std::size_t size) {
   PerfUserPage* page = ev.user_page.get();
-  const std::uint64_t ring = ev.ring_data.size();
-  if (page == nullptr || ring == 0) return false;
-  // data_head/data_tail are free-running; unread span is their
-  // difference (unsigned wrap math, kernel-style).
-  if (page->data_head - page->data_tail + size > ring) return false;
-  const auto* src = static_cast<const std::uint8_t*>(bytes);
-  for (std::size_t i = 0; i < size; ++i) {
-    ev.ring_data[(page->data_head + i) % ring] = src[i];
-  }
-  // Publish the head only after the record bytes — the release half of
-  // the head/tail protocol (signal fences suffice in the deterministic
-  // sim, mirroring publish_user_page's seqlock writer).
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-  page->data_head += size;
-  return true;
+  if (page == nullptr) return false;
+  return perf_ring_write(*page, ev.ring_data.data(), ev.ring_data.size(),
+                         bytes, size);
 }
 
 bool PerfSubsystem::ring_flush_lost(EventObj& ev) {
@@ -575,6 +564,7 @@ bool PerfSubsystem::ring_flush_lost(EventObj& ev) {
   } lost_rec{};
   lost_rec.hdr.type = kPerfRecordLost;
   lost_rec.hdr.misc = kPerfRecordMiscUser;
+  static_assert(sizeof(lost_rec) == kPerfLostRecordSize);
   lost_rec.hdr.size = sizeof(lost_rec);
   lost_rec.id = static_cast<std::uint64_t>(ev.fd);
   lost_rec.lost = ev.pending_lost;
@@ -598,8 +588,7 @@ void PerfSubsystem::ring_emit_sample(EventObj& ev, std::uint64_t ip, Tid tid,
   PerfEventHeader hdr;
   hdr.type = kPerfRecordSample;
   hdr.misc = kPerfRecordMiscUser;
-  hdr.size = static_cast<std::uint16_t>(sizeof(hdr) +
-                                        perf_sample_body_size(sample_type));
+  hdr.size = static_cast<std::uint16_t>(perf_sample_record_size(sample_type));
   std::memcpy(buf, &hdr, sizeof(hdr));
   std::size_t at = sizeof(hdr);
   const auto put64 = [&](std::uint64_t v) {

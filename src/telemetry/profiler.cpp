@@ -112,7 +112,7 @@ Expected<ProfileReport> run_simplemoc_profile(const ProfileOptions& options) {
     if (label.empty()) label = pmu->sysfs_name;
     label_by_type[static_cast<std::size_t>(pmu->core_type)] = label;
   }
-  std::map<std::string, int> column_of;
+  std::map<std::string, int, std::less<>> column_of;
   for (int t = 0; t < num_types; ++t) {
     column_of[label_by_type[static_cast<std::size_t>(t)]] = t;
   }
@@ -121,18 +121,19 @@ Expected<ProfileReport> run_simplemoc_profile(const ProfileOptions& options) {
   report.core_type_labels = label_by_type;
 
   std::map<std::string, Row> rows;
+  papi::SampleBatch batch;  // one buffer, reused across workers
   for (int w = 0; w < options.workers; ++w) {
     auto values = (*lib)->stop(sets[static_cast<std::size_t>(w)]);
     if (!values) return values.status();
-    auto batch = (*lib)->read_samples(sets[static_cast<std::size_t>(w)]);
-    if (!batch) return batch.status();
+    HETPAPI_RETURN_IF_ERROR(
+        (*lib)->read_samples_into(sets[static_cast<std::size_t>(w)], batch));
 
     ProfileWorkerStats stats;
     stats.worker = w;
     const int pinned = worker_type[static_cast<std::size_t>(w)];
     stats.core_type = label_by_type[static_cast<std::size_t>(pinned)];
-    stats.samples = batch->samples.size();
-    stats.lost = batch->lost;
+    stats.samples = batch.samples.size();
+    stats.lost = batch.lost;
     stats.counter = static_cast<std::uint64_t>(
         std::max<long long>(0, (*values)[0]));
     const simkernel::ThreadGroundTruth* truth =
@@ -142,7 +143,7 @@ Expected<ProfileReport> run_simplemoc_profile(const ProfileOptions& options) {
           truth->per_type[static_cast<std::size_t>(pinned)].instructions;
     }
 
-    for (const papi::Sample& sample : batch->samples) {
+    for (const papi::Sample& sample : batch.samples) {
       if (sample.core_type != stats.core_type) ++stats.foreign_samples;
       const auto column = column_of.find(sample.core_type);
       const workload::SimpleMocPhase* phase =
@@ -167,21 +168,22 @@ Expected<ProfileReport> run_simplemoc_profile(const ProfileOptions& options) {
     }
 
     report.total_samples += stats.samples;
-    report.lost += batch->lost;
-    report.malformed += batch->malformed;
-    report.rings_denied += batch->rings_denied;
-    report.drains_stalled += batch->drains_stalled;
-    report.wakeups_missed += batch->wakeups_missed;
+    report.lost += batch.lost;
+    report.malformed += batch.malformed;
+    report.rings_denied += batch.rings_denied;
+    report.drains_stalled += batch.drains_stalled;
+    report.wakeups_missed += batch.wakeups_missed;
 
     // Reconcile: every period crossing became exactly one delivered or
-    // lost record, and the delivered count tracks the exact-truth
+    // lost record, and those records together track the exact-truth
     // instruction count within one period.
     const std::uint64_t crossings = stats.counter / options.period;
     bool ok = stats.foreign_samples == 0 &&
               stats.samples + stats.lost == crossings;
     if (sampled_event == "PAPI_TOT_INS") {
       const long long drift =
-          static_cast<long long>(stats.samples * options.period) -
+          static_cast<long long>((stats.samples + stats.lost) *
+                                 options.period) -
           static_cast<long long>(stats.truth_instructions);
       ok = ok && drift <= 0 &&
            -drift <= static_cast<long long>(options.period);

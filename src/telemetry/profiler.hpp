@@ -69,7 +69,7 @@ struct ProfileReport {
   int drains_stalled = 0;
   int wakeups_missed = 0;
   /// Every worker reconciled: delivered + lost == floor(counter/period)
-  /// exactly, |samples x period - counter| <= period, zero foreign
+  /// exactly, |(samples + lost) x period - counter| <= period, zero foreign
   /// samples.
   bool validated = false;
 };

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -237,12 +238,22 @@ TEST_F(ComponentTest, SysinfoRejectsMultiplexAndRaplRejectsOverflow) {
 // Sysinfo readings on a given machine model are a pure function of the
 // simulated schedule: two identical runs agree bit-for-bit, and the cpu
 // time matches the busy time the kernel actually scheduled.
-class SysinfoMachineTest
-    : public ::testing::TestWithParam<cpumodel::MachineSpec (*)()> {};
+struct MachineFamily {
+  const char* name;
+  cpumodel::MachineSpec (*make)();
+};
+
+// Print the family name: ctest puts the printed parameter in the test name,
+// and a function pointer's address changes from build to build.
+void PrintTo(const MachineFamily& family, std::ostream* os) {
+  *os << family.name;
+}
+
+class SysinfoMachineTest : public ::testing::TestWithParam<MachineFamily> {};
 
 TEST_P(SysinfoMachineTest, DeterministicAcrossIdenticalRuns) {
   const auto run_once = [&] {
-    SimKernel kernel(GetParam()());
+    SimKernel kernel(GetParam().make());
     SimBackend backend(&kernel);
     FdLeakGuard leak_guard(&backend);
     PhaseSpec phase;
@@ -276,12 +287,11 @@ TEST_P(SysinfoMachineTest, DeterministicAcrossIdenticalRuns) {
   EXPECT_GT(first[2], 20'000) << "package/SoC temperature in millidegrees";
 }
 
-INSTANTIATE_TEST_SUITE_P(BothFamilies, SysinfoMachineTest,
-                         ::testing::Values(&cpumodel::raptor_lake_i7_13700,
-                                           &cpumodel::orangepi800_rk3399),
-                         [](const auto& param) {
-                           return param.index == 0 ? "intel" : "arm";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    BothFamilies, SysinfoMachineTest,
+    ::testing::Values(MachineFamily{"intel", &cpumodel::raptor_lake_i7_13700},
+                      MachineFamily{"arm", &cpumodel::orangepi800_rk3399}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 }  // namespace
 }  // namespace hetpapi

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cpumodel/machine.hpp"
@@ -125,7 +127,7 @@ TEST(Sampling, PeriodReconciliationIsExactOnHybridPresets) {
         EXPECT_EQ(cpu_set.count(sample.cpu), 1u)
             << "sample landed on a foreign cpu " << sample.cpu;
         EXPECT_FALSE(sample.core_type.empty());
-        my_labels.insert(sample.core_type);
+        my_labels.emplace(sample.core_type);
         EXPECT_EQ(sample.period, kPeriod);
       }
       EXPECT_LE(my_labels.size(), 1u)
@@ -606,6 +608,151 @@ TEST(SamplingChaos, DroppedWakeupsAndStalledDrainsNeverLoseRecords) {
   EXPECT_EQ(injector.open_fd_count(), 0u)
       << "leaked: " << testing::PrintToString(injector.leaked_fds());
   EXPECT_EQ(backend.open_fd_count(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// One drain after stop() returns everything: a ring that filled up holds
+// back its LOST record until the drain frees space, and the same
+// read_samples call must pick it up.
+// ---------------------------------------------------------------------
+
+TEST(Sampling, OneDrainAfterStopReturnsRecordsAndLostCounts) {
+  telemetry::ProfileOptions options;
+  options.period = 100'003;
+  options.moc.segments = 4000;
+  auto report = telemetry::run_simplemoc_profile(options);
+  ASSERT_TRUE(report.has_value());
+  ASSERT_EQ(report->workers.size(), 4u);
+  for (const telemetry::ProfileWorkerStats& worker : report->workers) {
+    SCOPED_TRACE(worker.worker);
+    EXPECT_EQ(worker.samples, 4096u) << "the default ring's capacity";
+    EXPECT_EQ(worker.lost, 3903u);
+    EXPECT_EQ(worker.samples + worker.lost, worker.counter / options.period);
+    EXPECT_EQ(worker.samples + worker.lost, 7999u);
+    EXPECT_TRUE(worker.ok);
+  }
+  EXPECT_TRUE(report->validated);
+  EXPECT_NE(report->table.find("validation: PASS"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Sample names are views into Library-owned storage: they outlive the
+// EventSet, and a reused batch keeps its capacity.
+// ---------------------------------------------------------------------
+
+// A raptorlake library sampling PAPI_TOT_INS (a derived preset over
+// both core PMUs) on one thread retiring `work` instructions pinned to
+// cpu `cpu`.
+struct SamplingWorld {
+  SamplingWorld(int cpu, std::uint64_t work)
+      : kernel(cpumodel::raptor_lake_i7_13700()), backend(&kernel) {
+    PhaseSpec phase;
+    tid = kernel.spawn(std::make_shared<FixedWorkProgram>(phase, work),
+                       CpuSet::of({cpu}));
+    auto initialized = Library::init(&backend);
+    if (initialized) lib = std::move(*initialized);
+  }
+  int arm(std::uint64_t period, Library::OverflowCallback callback) {
+    auto set = lib->create_eventset();
+    EXPECT_TRUE(set.has_value());
+    EXPECT_TRUE(lib->attach(*set, tid).is_ok());
+    EXPECT_TRUE(lib->add_event(*set, "PAPI_TOT_INS").is_ok());
+    EXPECT_TRUE(lib->set_overflow(*set, 0, period, std::move(callback)).is_ok());
+    return *set;
+  }
+  SimKernel kernel;
+  SimBackend backend;
+  Tid tid = simkernel::kInvalidTid;
+  std::unique_ptr<Library> lib;
+};
+
+TEST(SampleViews, NamesOutliveDestroyAndRearm) {
+  SamplingWorld world(/*cpu=*/16, 60'000'000);  // an E core: intel_atom
+  ASSERT_NE(world.lib, nullptr);
+  std::string_view fired_name;
+  int set = world.arm(5'000'000, [&](const Library::OverflowEvent& event) {
+    fired_name = event.native_name;
+  });
+  ASSERT_TRUE(world.lib->start(set).is_ok());
+  world.kernel.run_until_idle(std::chrono::seconds(10));
+  ASSERT_TRUE(world.lib->stop(set).has_value());
+  auto batch = world.lib->read_samples(set);
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->samples.size(), 12u) << "60M instructions / 5M period";
+  const char* interned = batch->samples.front().native_name.data();
+
+  // Destroy the set, then re-arm a new one twice: each set_overflow
+  // re-opens the slots, none may free the names the old batch views.
+  ASSERT_TRUE(world.lib->destroy_eventset(set).is_ok());
+  set = world.arm(7'000'000, [](const Library::OverflowEvent&) {});
+  ASSERT_TRUE(world.lib
+                  ->set_overflow(set, 0, 3'000'000,
+                                 [](const Library::OverflowEvent&) {})
+                  .is_ok());
+
+  for (const papi::Sample& sample : batch->samples) {
+    EXPECT_EQ(sample.native_name, "adl_grt::INST_RETIRED:ANY");
+    EXPECT_EQ(sample.pmu_name, "adl_grt");
+    EXPECT_EQ(sample.core_type, "intel_atom");
+    EXPECT_EQ(sample.native_name.data(), interned)
+        << "one interned copy per native event";
+  }
+  EXPECT_EQ(fired_name, "adl_grt::INST_RETIRED:ANY")
+      << "overflow events view the same table";
+}
+
+TEST(SampleViews, ReadSamplesIntoReusesTheBatchAndMatchesReadSamples) {
+  // Two identical deterministic worlds: one drained with read_samples,
+  // the other with read_samples_into on one reused batch.
+  SamplingWorld fresh(/*cpu=*/0, 2'000'000'000);
+  SamplingWorld reused(/*cpu=*/0, 2'000'000'000);
+  ASSERT_NE(fresh.lib, nullptr);
+  ASSERT_NE(reused.lib, nullptr);
+  const int fresh_set = fresh.arm(1'000'000, [](const Library::OverflowEvent&) {});
+  const int reused_set =
+      reused.arm(1'000'000, [](const Library::OverflowEvent&) {});
+  ASSERT_TRUE(fresh.lib->start(fresh_set).is_ok());
+  ASSERT_TRUE(reused.lib->start(reused_set).is_ok());
+
+  SampleBatch batch;
+  std::size_t first_capacity = 0;
+  const std::uint8_t* first_data = nullptr;
+  // The first drain takes the most records; later ones fit its capacity.
+  for (const auto step : {std::chrono::milliseconds(8),
+                          std::chrono::milliseconds(2),
+                          std::chrono::milliseconds(5)}) {
+    fresh.kernel.run_for(step);
+    reused.kernel.run_for(step);
+    auto expected = fresh.lib->read_samples(fresh_set);
+    ASSERT_TRUE(expected.has_value());
+    ASSERT_TRUE(reused.lib->read_samples_into(reused_set, batch).is_ok());
+    ASSERT_EQ(batch.samples.size(), expected->samples.size())
+        << "cleared, not appended";
+    for (std::size_t i = 0; i < batch.samples.size(); ++i) {
+      const papi::Sample& got = batch.samples[i];
+      const papi::Sample& want = expected->samples[i];
+      EXPECT_EQ(got.native_name, want.native_name);
+      EXPECT_EQ(got.core_type, want.core_type);
+      EXPECT_EQ(got.ip, want.ip);
+      EXPECT_EQ(got.time_ns, want.time_ns);
+      EXPECT_EQ(got.cpu, want.cpu);
+      EXPECT_EQ(got.period, want.period);
+    }
+    EXPECT_EQ(batch.lost, expected->lost);
+    EXPECT_EQ(batch.wakeups_missed, expected->wakeups_missed);
+    if (first_data == nullptr) {
+      ASSERT_GT(batch.samples.size(), 0u);
+      first_capacity = batch.samples.capacity();
+      first_data = reinterpret_cast<const std::uint8_t*>(batch.samples.data());
+    } else {
+      ASSERT_LE(batch.samples.size(), first_capacity);
+      EXPECT_EQ(batch.samples.capacity(), first_capacity)
+          << "capacity kept across drains";
+      EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(batch.samples.data()),
+                first_data)
+          << "no reallocation";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
