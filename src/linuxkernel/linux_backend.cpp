@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -97,12 +98,17 @@ Expected<std::pair<std::uint32_t, std::uint64_t>> translate(
   return std::pair<std::uint32_t, std::uint64_t>{PERF_TYPE_HARDWARE, config};
 }
 
+constexpr std::size_t kGroupReadMaxValues = 64;
+
 struct GroupReadBuffer {
   std::uint64_t nr;
   std::uint64_t time_enabled;
   std::uint64_t time_running;
-  std::uint64_t values[64];
+  std::uint64_t values[kGroupReadMaxValues];
 };
+
+constexpr std::size_t kGroupReadHeaderBytes =
+    offsetof(GroupReadBuffer, values);
 
 }  // namespace
 
@@ -270,24 +276,51 @@ Expected<papi::PerfValue> LinuxBackend::perf_read(int fd) {
   return value;
 }
 
-Expected<std::vector<papi::PerfValue>> LinuxBackend::perf_read_group(int fd) {
+Status LinuxBackend::perf_read_group_into(int fd,
+                                          std::vector<papi::PerfValue>& out) {
+  out.clear();
   GroupReadBuffer buffer;
-  std::memset(&buffer, 0, sizeof(buffer));
   ssize_t n = -1;
   for (int attempt = 0; attempt < kSyscallEintrRetries; ++attempt) {
     n = ::read(fd, &buffer, sizeof(buffer));
     if (n >= 0 || errno != EINTR) break;
   }
   if (n < 0) return errno_status("perf group read");
-  std::vector<papi::PerfValue> out;
-  for (std::uint64_t i = 0; i < buffer.nr && i < 64; ++i) {
+  // The layout is fixed by the read_format every group is opened with
+  // (GROUP | TOTAL_TIME_ENABLED | TOTAL_TIME_RUNNING): a three-word
+  // header, then one value per member. Anything else is a short read or
+  // a group wider than the buffer; neither may turn into zero-filled or
+  // silently dropped values.
+  const auto bytes = static_cast<std::size_t>(n);
+  if (bytes < kGroupReadHeaderBytes) {
+    return make_error(StatusCode::kSystem,
+                      "perf group read: short read of " +
+                          std::to_string(bytes) + " bytes");
+  }
+  if (buffer.nr > kGroupReadMaxValues) {
+    return make_error(StatusCode::kNotSupported,
+                      "perf group read: " + std::to_string(buffer.nr) +
+                          " members exceed the " +
+                          std::to_string(kGroupReadMaxValues) +
+                          "-value read buffer");
+  }
+  const std::size_t expected =
+      kGroupReadHeaderBytes + buffer.nr * sizeof(std::uint64_t);
+  if (bytes != expected) {
+    return make_error(StatusCode::kSystem,
+                      "perf group read: got " + std::to_string(bytes) +
+                          " bytes for " + std::to_string(buffer.nr) +
+                          " members, expected " + std::to_string(expected));
+  }
+  out.reserve(static_cast<std::size_t>(buffer.nr));
+  for (std::uint64_t i = 0; i < buffer.nr; ++i) {
     papi::PerfValue value;
     value.value = buffer.values[i];
     value.time_enabled_ns = buffer.time_enabled;
     value.time_running_ns = buffer.time_running;
     out.push_back(value);
   }
-  return out;
+  return Status::ok();
 }
 
 Expected<std::uint64_t> LinuxBackend::perf_rdpmc(int fd) {

@@ -44,7 +44,12 @@ class LinuxBackend final : public papi::Backend {
                                 std::uint64_t flags) override;
   Status perf_ioctl(int fd, papi::PerfIoctl op, std::uint32_t flags) override;
   Expected<papi::PerfValue> perf_read(int fd) override;
-  Expected<std::vector<papi::PerfValue>> perf_read_group(int fd) override;
+  /// One read(2) of the group layout every group is opened with
+  /// (GROUP | TOTAL_TIME_ENABLED | TOTAL_TIME_RUNNING), decoded straight
+  /// into `out`. A byte count that does not match the member count, or
+  /// a group wider than the 64-value read buffer, is an error.
+  Status perf_read_group_into(int fd,
+                              std::vector<papi::PerfValue>& out) override;
   Expected<std::uint64_t> perf_rdpmc(int fd) override;
   /// mmap the event's real perf_event_mmap_page (read-only, one page).
   /// simkernel::PerfUserPage mirrors the kernel struct bit-for-bit up

@@ -33,7 +33,18 @@ class Backend {
                                         std::uint64_t flags) = 0;
   virtual Status perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags) = 0;
   virtual Expected<PerfValue> perf_read(int fd) = 0;
-  virtual Expected<std::vector<PerfValue>> perf_read_group(int fd) = 0;
+  /// read(2) with PERF_FORMAT_GROUP on a leader fd: leader first, then
+  /// siblings in creation order. `out` is cleared but keeps its
+  /// capacity, so a reused buffer makes the read allocation-free. On
+  /// failure the contents of `out` are unspecified.
+  virtual Status perf_read_group_into(int fd,
+                                      std::vector<PerfValue>& out) = 0;
+  /// Convenience wrapper over perf_read_group_into (one allocation).
+  Expected<std::vector<PerfValue>> perf_read_group(int fd) {
+    std::vector<PerfValue> out;
+    HETPAPI_RETURN_IF_ERROR(perf_read_group_into(fd, out));
+    return out;
+  }
   virtual Expected<std::uint64_t> perf_rdpmc(int fd) = 0;
   virtual Status perf_close(int fd) = 0;
 

@@ -308,17 +308,18 @@ Status PerfBackedComponent::read(const ComponentState& state, bool scale,
       }
       if (served) continue;  // partial writes are overwritten below
     }
-    auto group_values =
-        read_group_with_retry(*env_.backend, entry.leader_fd, retries);
-    if (group_values && group_values->size() != entry.member_count) {
-      group_values = make_error(StatusCode::kBug, "group read size mismatch");
+    std::vector<PerfValue>& group_values = ps.group_scratch;
+    Status read_status = read_group_with_retry(
+        *env_.backend, entry.leader_fd, group_values, retries);
+    if (read_status.is_ok() && group_values.size() != entry.member_count) {
+      read_status = make_error(StatusCode::kBug, "group read size mismatch");
     }
-    if (!group_values) {
+    if (!read_status.is_ok()) {
       // Strict callers abort the collection; tolerant callers degrade
       // this group's slots (value 0, validity cleared) and keep reading
       // the other groups — one dead counter costs one group, not the
       // whole EventSet.
-      if (valid == nullptr) return group_values.status();
+      if (valid == nullptr) return read_status;
       for (std::size_t i = 0; i < entry.member_count; ++i) {
         const std::size_t slot = ps.plan_members[entry.member_begin + i];
         values[slot] = 0.0;
@@ -327,7 +328,7 @@ Status PerfBackedComponent::read(const ComponentState& state, bool scale,
       continue;
     }
     for (std::size_t i = 0; i < entry.member_count; ++i) {
-      const PerfValue& pv = (*group_values)[i];
+      const PerfValue& pv = group_values[i];
       double value = static_cast<double>(pv.value);
       if (scale) value = pv.scaled();
       values[ps.plan_members[entry.member_begin + i]] = value;

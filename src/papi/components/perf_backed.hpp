@@ -93,6 +93,9 @@ class PerfBackedComponent : public Component {
     mutable bool read_plan_valid = false;
     mutable std::vector<ReadPlanEntry> read_plan;
     mutable std::vector<std::size_t> plan_members;
+    /// Reused group-read buffer for the fd path: sized by the first
+    /// read of the largest group, then every read is allocation-free.
+    mutable std::vector<PerfValue> group_scratch;
     /// Per plan-member mmap'd user page (nullptr when unmapped), in
     /// plan_members order; populated at plan build, pointers live until
     /// the fds close (which also invalidates the plan).

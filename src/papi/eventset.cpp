@@ -516,10 +516,9 @@ Status EventSetCore::accum(std::vector<long long>& values) {
     return make_error(StatusCode::kInvalidArgument,
                       "values array must have one slot per event");
   }
-  auto current = collect();
-  if (!current) return current.status();
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] += (*current)[i];
+  HETPAPI_RETURN_IF_ERROR(collect_natives());
+  for (std::size_t u = 0; u < user_events_.size(); ++u) {
+    values[u] += user_event_sum(user_events_[u]);
   }
   return reset();
 }
@@ -596,14 +595,17 @@ Status EventSetCore::collect_natives() const {
 void EventSetCore::fold_user_events(std::vector<long long>& out) const {
   out.resize(user_events_.size());  // no-op (no allocation) once sized
   for (std::size_t u = 0; u < user_events_.size(); ++u) {
-    const UserEvent& user = user_events_[u];
-    double sum = 0.0;
-    for (std::size_t i = 0; i < user.native_indices.size(); ++i) {
-      sum += user.native_signs[i] *
-             native_scratch_[static_cast<std::size_t>(user.native_indices[i])];
-    }
-    out[u] = static_cast<long long>(sum);
+    out[u] = user_event_sum(user_events_[u]);
   }
+}
+
+long long EventSetCore::user_event_sum(const UserEvent& user) const {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < user.native_indices.size(); ++i) {
+    sum += user.native_signs[i] *
+           native_scratch_[static_cast<std::size_t>(user.native_indices[i])];
+  }
+  return static_cast<long long>(sum);
 }
 
 Expected<std::vector<long long>> EventSetCore::collect() const {

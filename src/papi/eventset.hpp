@@ -199,10 +199,12 @@ class EventSetCore {
   /// valid_scratch_, failed slots contribute 0 (see Component::read).
   Status collect_checked() const;
   /// Fan the component reads into native_scratch_ (strict; the shared
-  /// first half of collect() and read_into()).
+  /// first half of collect(), read_into() and accum()).
   Status collect_natives() const;
   /// Fold native_scratch_ into per-user-event sums, reusing `out`.
   void fold_user_events(std::vector<long long>& out) const;
+  /// One user event's signed sum over native_scratch_.
+  long long user_event_sum(const UserEvent& user) const;
   /// Charge the per-call overhead model for one read-shaped call.
   void charge_read_overhead() const;
 

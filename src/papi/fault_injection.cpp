@@ -155,11 +155,11 @@ Expected<PerfValue> FaultInjectingBackend::perf_read(int fd) {
   return inner_->perf_read(fd);
 }
 
-Expected<std::vector<PerfValue>> FaultInjectingBackend::perf_read_group(
-    int fd) {
+Status FaultInjectingBackend::perf_read_group_into(
+    int fd, std::vector<PerfValue>& out) {
   ++stats_.reads_attempted;
   HETPAPI_RETURN_IF_ERROR(read_fault(fd));
-  return inner_->perf_read_group(fd);
+  return inner_->perf_read_group_into(fd, out);
 }
 
 Expected<std::uint64_t> FaultInjectingBackend::perf_rdpmc(int fd) {

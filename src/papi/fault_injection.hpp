@@ -43,7 +43,7 @@ struct FaultProfile {
   int max_open_fds = -1;
 
   /// Transient EINTR/EAGAIN (-> kInterrupted) on perf_read /
-  /// perf_read_group, delivered in bursts of `transient_burst`
+  /// perf_read_group_into, delivered in bursts of `transient_burst`
   /// consecutive failures per trigger so a bounded retry either rides
   /// it out (burst < budget) or genuinely exhausts (burst >= budget).
   double read_transient_prob = 0.0;
@@ -117,7 +117,7 @@ class FaultInjectingBackend final : public Backend {
                                 int group_fd, std::uint64_t flags) override;
   Status perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags) override;
   Expected<PerfValue> perf_read(int fd) override;
-  Expected<std::vector<PerfValue>> perf_read_group(int fd) override;
+  Status perf_read_group_into(int fd, std::vector<PerfValue>& out) override;
   Expected<std::uint64_t> perf_rdpmc(int fd) override;
   Expected<const simkernel::PerfUserPage*> perf_mmap_user_page(
       int fd) override;

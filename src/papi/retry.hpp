@@ -59,13 +59,14 @@ inline Expected<bool> poll_with_retry(Backend& backend, int fd,
   }
 }
 
-inline Expected<std::vector<PerfValue>> read_group_with_retry(
-    Backend& backend, int fd, int max_attempts) {
+inline Status read_group_with_retry(Backend& backend, int fd,
+                                    std::vector<PerfValue>& out,
+                                    int max_attempts) {
   for (int attempt = 1;; ++attempt) {
-    auto values = backend.perf_read_group(fd);
-    if (values || values.status().code() != StatusCode::kInterrupted ||
+    const Status s = backend.perf_read_group_into(fd, out);
+    if (s.is_ok() || s.code() != StatusCode::kInterrupted ||
         attempt >= max_attempts) {
-      return values;
+      return s;
     }
   }
 }

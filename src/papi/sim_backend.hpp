@@ -22,8 +22,8 @@ class SimBackend final : public Backend {
   Expected<PerfValue> perf_read(int fd) override {
     return kernel_->perf_read(fd);
   }
-  Expected<std::vector<PerfValue>> perf_read_group(int fd) override {
-    return kernel_->perf_read_group(fd);
+  Status perf_read_group_into(int fd, std::vector<PerfValue>& out) override {
+    return kernel_->perf_read_group_into(fd, out);
   }
   Expected<std::uint64_t> perf_rdpmc(int fd) override {
     return kernel_->perf_rdpmc(fd);

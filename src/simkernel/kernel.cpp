@@ -308,8 +308,9 @@ Expected<PerfValue> SimKernel::perf_read(int fd) const {
   return perf_.read(fd, package_counters(), now_);
 }
 
-Expected<std::vector<PerfValue>> SimKernel::perf_read_group(int fd) const {
-  return perf_.read_group(fd, package_counters(), now_);
+Status SimKernel::perf_read_group_into(int fd,
+                                       std::vector<PerfValue>& out) const {
+  return perf_.read_group_into(fd, package_counters(), now_, out);
 }
 
 Expected<std::uint64_t> SimKernel::perf_rdpmc(int fd) const {

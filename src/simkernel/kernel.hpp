@@ -85,7 +85,13 @@ class SimKernel {
                                 int group_fd, std::uint64_t flags = 0);
   Status perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags = 0);
   Expected<PerfValue> perf_read(int fd) const;
-  Expected<std::vector<PerfValue>> perf_read_group(int fd) const;
+  /// Group read into a reused buffer (cleared; capacity kept).
+  Status perf_read_group_into(int fd, std::vector<PerfValue>& out) const;
+  Expected<std::vector<PerfValue>> perf_read_group(int fd) const {
+    std::vector<PerfValue> out;
+    HETPAPI_RETURN_IF_ERROR(perf_read_group_into(fd, out));
+    return out;
+  }
   Expected<std::uint64_t> perf_rdpmc(int fd) const;
   Expected<const PerfUserPage*> perf_mmap_user_page(int fd) const {
     return perf_.mmap_user_page(fd);

@@ -35,16 +35,6 @@ void PerfSubsystem::publish_user_page(EventObj& ev) {
 PerfSubsystem::PerfSubsystem(const PmuRegistry* pmus, Config config)
     : pmus_(pmus), config_(config) {}
 
-PerfSubsystem::EventObj* PerfSubsystem::find(int fd) {
-  const auto it = events_.find(fd);
-  return it == events_.end() ? nullptr : &it->second;
-}
-
-const PerfSubsystem::EventObj* PerfSubsystem::find(int fd) const {
-  const auto it = events_.find(fd);
-  return it == events_.end() ? nullptr : &it->second;
-}
-
 PerfSubsystem::Context& PerfSubsystem::context_of(const EventObj& ev) {
   return contexts_[{scope_key(ev.tid, ev.cpu), ev.pmu->type_id}];
 }
@@ -83,7 +73,7 @@ Expected<int> PerfSubsystem::open(const PerfEventAttr& attr, Tid tid, int cpu,
                                   int group_fd, std::uint64_t flags,
                                   const PackageCounters& pkg, SimTime now) {
   (void)flags;  // only FD_CLOEXEC is defined and it is a no-op here
-  if (static_cast<int>(events_.size()) >= config_.max_open_fds) {
+  if (static_cast<int>(live_events_) >= config_.max_open_fds) {
     return make_error(StatusCode::kNoMemory, "fd table full");
   }
   const PmuDesc* pmu = pmus_->find_by_type(attr.type);
@@ -131,7 +121,8 @@ Expected<int> PerfSubsystem::open(const PerfEventAttr& attr, Tid tid, int cpu,
       break;
   }
 
-  EventObj ev;
+  auto owned = std::make_unique<EventObj>();
+  EventObj& ev = *owned;
   ev.attr = attr;
   ev.pmu = pmu;
   ev.kind = kind;
@@ -206,18 +197,19 @@ Expected<int> PerfSubsystem::open(const PerfEventAttr& attr, Tid tid, int cpu,
     }
   }
 
-  auto [it, inserted] = events_.emplace(fd, std::move(ev));
-  EventObj& stored = it->second;
-  if (stored.leader_fd != fd) {
-    EventObj* leader = find(stored.leader_fd);
-    leader->siblings.push_back(fd);
-    leader->sibling_ptrs.push_back(&stored);
+  // fds are monotonic, so the new one is past every slot in use; a
+  // rejected open above may have consumed an fd, leaving a null gap.
+  events_.resize(static_cast<std::size_t>(fd) + 1);
+  events_[static_cast<std::size_t>(fd)] = std::move(owned);
+  ++live_events_;
+  if (ev.leader_fd != fd) {
+    find(ev.leader_fd)->sibling_ptrs.push_back(&ev);
   } else {
-    Context& ctx = context_of(stored);
+    Context& ctx = context_of(ev);
     ctx.group_leaders.push_back(fd);
   }
-  index_event(stored);
-  reschedule(context_of(stored));
+  index_event(ev);
+  reschedule(context_of(ev));
   return fd;
 }
 
@@ -345,11 +337,8 @@ Status PerfSubsystem::ioctl(int fd, PerfIoctl op, std::uint32_t flags,
   }
   HETPAPI_RETURN_IF_ERROR(do_ioctl_one(*ev, op, pkg, now));
   if ((flags & kIocFlagGroup) != 0 && ev->is_leader()) {
-    for (int sib_fd : ev->siblings) {
-      EventObj* sib = find(sib_fd);
-      if (sib != nullptr) {
-        HETPAPI_RETURN_IF_ERROR(do_ioctl_one(*sib, op, pkg, now));
-      }
+    for (EventObj* sib : ev->sibling_ptrs) {
+      HETPAPI_RETURN_IF_ERROR(do_ioctl_one(*sib, op, pkg, now));
     }
   }
   if (op == PerfIoctl::kEnable || op == PerfIoctl::kDisable) {
@@ -386,8 +375,10 @@ Expected<PerfValue> PerfSubsystem::read(int fd, const PackageCounters& pkg,
   return snapshot(*ev, pkg, now);
 }
 
-Expected<std::vector<PerfValue>> PerfSubsystem::read_group(
-    int fd, const PackageCounters& pkg, SimTime now) const {
+Status PerfSubsystem::read_group_into(int fd, const PackageCounters& pkg,
+                                      SimTime now,
+                                      std::vector<PerfValue>& out) const {
+  out.clear();
   const EventObj* leader = find(fd);
   if (leader == nullptr) {
     return make_error(StatusCode::kInvalidArgument, "bad fd");
@@ -397,14 +388,14 @@ Expected<std::vector<PerfValue>> PerfSubsystem::read_group(
                       "group read requires the leader fd");
   }
   // The sibling fan-out uses the cached pointers: no per-sibling fd
-  // lookup on this per-sample hot path.
-  std::vector<PerfValue> out;
+  // lookup on this per-sample hot path, and no allocation once `out`
+  // has grown to the group's size.
   out.reserve(1 + leader->sibling_ptrs.size());
   out.push_back(snapshot(*leader, pkg, now));
   for (const EventObj* sib : leader->sibling_ptrs) {
     out.push_back(snapshot(*sib, pkg, now));
   }
-  return out;
+  return Status::ok();
 }
 
 Expected<std::uint64_t> PerfSubsystem::rdpmc(int fd) const {
@@ -453,18 +444,19 @@ Status PerfSubsystem::close(int fd) {
       sib->leader_fd = sib->fd;
       ctx.group_leaders.push_back(sib->fd);
     }
-    events_.erase(fd);
+    events_[static_cast<std::size_t>(fd)].reset();
+    --live_events_;
     reschedule(ctx);
     return Status::ok();
   }
   // Detach from leader.
   EventObj* leader = find(ev->leader_fd);
   if (leader != nullptr) {
-    std::erase(leader->siblings, fd);
     std::erase(leader->sibling_ptrs, ev);
   }
   Context& ctx = context_of(*ev);
-  events_.erase(fd);
+  events_[static_cast<std::size_t>(fd)].reset();
+  --live_events_;
   reschedule(ctx);
   return Status::ok();
 }

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/status.hpp"
@@ -92,10 +93,10 @@ class PerfSubsystem {
                            SimTime now) const;
 
   /// read(2) with PERF_FORMAT_GROUP on the leader: leader first, then
-  /// siblings in creation order.
-  Expected<std::vector<PerfValue>> read_group(int fd,
-                                              const PackageCounters& pkg,
-                                              SimTime now) const;
+  /// siblings in creation order. `out` is cleared but keeps its
+  /// capacity, so a reused buffer reads without allocating.
+  Status read_group_into(int fd, const PackageCounters& pkg, SimTime now,
+                         std::vector<PerfValue>& out) const;
 
   Status close(int fd);
 
@@ -139,7 +140,7 @@ class PerfSubsystem {
   void rotate(SimTime now);
 
   /// Number of live events (tests / leak checks).
-  std::size_t open_event_count() const { return events_.size(); }
+  std::size_t open_event_count() const { return live_events_; }
 
   /// True if the event is currently scheduled on a counter.
   bool is_scheduled(int fd) const;
@@ -205,10 +206,10 @@ class PerfSubsystem {
     Tid tid = kInvalidTid;  // -1 for cpu scope
     int cpu = -1;           // -1 for any cpu
     int leader_fd = -1;     // == fd for leaders
-    std::vector<int> siblings;  // leader only, creation order
-    /// Cached pointers to the sibling EventObjs (same order as
-    /// `siblings`): std::map nodes are pointer-stable, so group reads
-    /// can fan out without one map lookup per sibling per read.
+    /// Leader only: the sibling EventObjs in creation order. The fd
+    /// table owns each event through a unique_ptr, so addresses are
+    /// stable and group reads and ioctls fan out without one fd lookup
+    /// per sibling.
     std::vector<EventObj*> sibling_ptrs;
     bool enabled = false;
     bool scheduled = false;  // resident on a counter right now
@@ -269,8 +270,17 @@ class PerfSubsystem {
                     : -1000 - static_cast<std::int64_t>(cpu);
   }
 
-  EventObj* find(int fd);
-  const EventObj* find(int fd) const;
+  /// The fd table lookup: a bounds check and an index, as the real
+  /// kernel's fd table is. nullptr for never-opened and closed fds.
+  const EventObj* find(int fd) const {
+    if (fd < 0 || static_cast<std::size_t>(fd) >= events_.size()) {
+      return nullptr;
+    }
+    return events_[static_cast<std::size_t>(fd)].get();
+  }
+  EventObj* find(int fd) {
+    return const_cast<EventObj*>(std::as_const(*this).find(fd));
+  }
   Context& context_of(const EventObj& ev);
 
   /// Re-run counter scheduling for a context: greedily place groups in
@@ -322,7 +332,13 @@ class PerfSubsystem {
 
   const PmuRegistry* pmus_;
   Config config_;
-  std::map<int, EventObj> events_;
+  /// The fd table, indexed by fd; closed and never-opened slots are
+  /// null. fds are minted monotonically from 3 and never reused, so the
+  /// table only grows, and unique_ptr ownership keeps every EventObj at
+  /// a stable address (sibling_ptrs and the scope indexes hold raw
+  /// pointers) across that growth.
+  std::vector<std::unique_ptr<EventObj>> events_;
+  std::size_t live_events_ = 0;
   std::map<ContextKey, Context> contexts_;
   /// Scope indexes for the per-tick attribution hooks: thread-bound
   /// events keyed by tid, cpu-bound (tid < 0) events keyed by cpu, each

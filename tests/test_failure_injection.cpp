@@ -190,7 +190,8 @@ TEST(FailureInjection, LibraryInitFailsWhenSysfsIsGone) {
     Expected<papi::PerfValue> perf_read(int) override {
       return make_error(StatusCode::kSystem, "dead");
     }
-    Expected<std::vector<papi::PerfValue>> perf_read_group(int) override {
+    Status perf_read_group_into(int,
+                                std::vector<papi::PerfValue>&) override {
       return make_error(StatusCode::kSystem, "dead");
     }
     Expected<std::uint64_t> perf_rdpmc(int) override {

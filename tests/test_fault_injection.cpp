@@ -8,10 +8,12 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "cpumodel/machine.hpp"
 #include "papi/fault_injection.hpp"
 #include "papi/library.hpp"
+#include "papi/retry.hpp"
 #include "papi/sim_backend.hpp"
 #include "simkernel/kernel.hpp"
 #include "telemetry/monitor.hpp"
@@ -213,6 +215,117 @@ TEST(FaultInjection, TransientReadBurstsAreRiddenOutByBoundedRetry) {
   ASSERT_TRUE(stopped);
   ASSERT_TRUE((*lib)->destroy_eventset(*set).is_ok());
   lib->reset();
+  EXPECT_EQ(injector.open_fd_count(), 0u);
+}
+
+struct GroupFds {
+  int leader = -1;
+  int sibling = -1;
+};
+
+/// A leader + sibling instructions/cycles group on a thread pinned to a
+/// P core, enabled and run for a while.
+GroupFds open_running_group(SimKernel& kernel, papi::Backend& backend) {
+  const auto* p = kernel.pmus().find_by_name("cpu_core");
+  EXPECT_NE(p, nullptr);
+  PhaseSpec phase;
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(phase, 500'000'000), CpuSet::of({0}));
+  simkernel::PerfEventAttr attr;
+  attr.type = p->type_id;
+  attr.config = static_cast<std::uint64_t>(simkernel::CountKind::kInstructions);
+  attr.read_format = simkernel::kFormatGroup |
+                     simkernel::kFormatTotalTimeEnabled |
+                     simkernel::kFormatTotalTimeRunning;
+  attr.disabled = true;
+  auto leader = backend.perf_event_open(attr, tid, -1, -1, 0);
+  EXPECT_TRUE(leader.has_value());
+  attr.config = static_cast<std::uint64_t>(simkernel::CountKind::kCycles);
+  attr.disabled = false;
+  auto sibling = backend.perf_event_open(attr, tid, -1, *leader, 0);
+  EXPECT_TRUE(sibling.has_value());
+  EXPECT_TRUE(backend
+                  .perf_ioctl(*leader, simkernel::PerfIoctl::kEnable,
+                              simkernel::kIocFlagGroup)
+                  .is_ok());
+  kernel.run_for(std::chrono::milliseconds(2));
+  return {*leader, *sibling};
+}
+
+TEST(BackendSeam, GroupReadIntoReusesTheBufferAndMatchesTheWrapper) {
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend backend(&kernel);
+  const int leader = open_running_group(kernel, backend).leader;
+
+  std::vector<simkernel::PerfValue> values;
+  ASSERT_TRUE(backend.perf_read_group_into(leader, values).is_ok());
+  ASSERT_EQ(values.size(), 2u);
+  const std::uint64_t first_instructions = values[0].value;
+  const std::size_t capacity = values.capacity();
+  const simkernel::PerfValue* data = values.data();
+
+  kernel.run_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(backend.perf_read_group_into(leader, values).is_ok());
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values.capacity(), capacity);
+  EXPECT_EQ(values.data(), data) << "a reused buffer must not reallocate";
+  EXPECT_GT(values[0].value, first_instructions);
+
+  // The allocating wrapper reads exactly what the primitive read (no
+  // simulated time passes between the two calls).
+  auto wrapped = backend.perf_read_group(leader);
+  ASSERT_TRUE(wrapped.has_value()) << wrapped.status().to_string();
+  ASSERT_EQ(wrapped->size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ((*wrapped)[i].value, values[i].value);
+    EXPECT_EQ((*wrapped)[i].time_enabled_ns, values[i].time_enabled_ns);
+    EXPECT_EQ((*wrapped)[i].time_running_ns, values[i].time_running_ns);
+  }
+}
+
+TEST(FaultInjection, GroupReadIntoCountsBurstsAndRetryAbsorbsThem) {
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend backend(&kernel);
+  FaultProfile profile;
+  profile.name = "group-read-bursts";
+  profile.read_transient_prob = 0.1;
+  profile.transient_burst = 2;
+  FaultInjectingBackend injector(&backend, profile, 7);
+  const GroupFds group = open_running_group(kernel, injector);
+  const int leader = group.leader;
+
+  // Within budget: every burst is ridden out, and every attempt the
+  // retry loop made — failed or not — is counted in reads_attempted.
+  constexpr int kReads = 200;
+  std::vector<simkernel::PerfValue> values;
+  std::vector<simkernel::PerfValue> truth;
+  for (int i = 0; i < kReads; ++i) {
+    kernel.run_for(std::chrono::microseconds(100));
+    const Status s =
+        papi::read_group_with_retry(injector, leader, values, /*attempts=*/8);
+    ASSERT_TRUE(s.is_ok()) << "read " << i << ": " << s.to_string();
+    ASSERT_TRUE(backend.perf_read_group_into(leader, truth).is_ok());
+    ASSERT_EQ(values.size(), 2u);
+    EXPECT_EQ(values[0].value, truth[0].value);
+    EXPECT_EQ(values[1].value, truth[1].value);
+  }
+  const auto& stats = injector.stats();
+  EXPECT_GT(stats.reads_injected_transient, 0u);
+  EXPECT_EQ(stats.reads_attempted, kReads + stats.reads_injected_transient);
+
+  // A one-attempt budget surfaces the first transient it meets.
+  bool surfaced = false;
+  for (int i = 0; i < 400 && !surfaced; ++i) {
+    const Status s =
+        papi::read_group_with_retry(injector, leader, values, /*attempts=*/1);
+    if (!s.is_ok()) {
+      EXPECT_EQ(s.code(), StatusCode::kInterrupted);
+      surfaced = true;
+    }
+  }
+  EXPECT_TRUE(surfaced);
+  EXPECT_TRUE(injector.perf_close(group.sibling).is_ok());
+  EXPECT_TRUE(injector.perf_close(group.leader).is_ok());
   EXPECT_EQ(injector.open_fd_count(), 0u);
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "linuxkernel/linux_backend.hpp"
 #include "papi/library.hpp"
@@ -129,6 +131,42 @@ TEST(LinuxBackend, GroupReadReturnsAllMembers) {
   ASSERT_TRUE(values.has_value()) << values.status().to_string();
   ASSERT_EQ(values->size(), 2u);
   EXPECT_GT((*values)[0].value, 0u);
+  (void)backend.perf_close(*sibling);
+  (void)backend.perf_close(*leader);
+}
+
+TEST(LinuxBackend, GroupReadIntoReusesOneBuffer) {
+  SKIP_WITHOUT_PERF();
+  LinuxBackend backend;
+  PerfEventAttr attr;
+  attr.type = simkernel::kPerfTypeSoftware;
+  attr.config = static_cast<std::uint64_t>(CountKind::kTaskClockNs);
+  attr.read_format = simkernel::kFormatGroup |
+                     simkernel::kFormatTotalTimeEnabled |
+                     simkernel::kFormatTotalTimeRunning;
+  auto leader = backend.perf_event_open(attr, 0, -1, -1, 0);
+  ASSERT_TRUE(leader.has_value()) << leader.status().to_string();
+  auto sibling = backend.perf_event_open(attr, 0, -1, *leader, 0);
+  ASSERT_TRUE(sibling.has_value()) << sibling.status().to_string();
+
+  std::vector<simkernel::PerfValue> values;
+  burn_cpu_ms(5);
+  ASSERT_TRUE(backend.perf_read_group_into(*leader, values).is_ok());
+  ASSERT_EQ(values.size(), 2u);
+  const std::vector<simkernel::PerfValue> first = values;
+  const std::size_t capacity = values.capacity();
+
+  burn_cpu_ms(5);
+  const Status second = backend.perf_read_group_into(*leader, values);
+  ASSERT_TRUE(second.is_ok()) << second.to_string();
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values.capacity(), capacity);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    EXPECT_GE(values[i].value, first[i].value);
+    EXPECT_GE(values[i].time_enabled_ns, first[i].time_enabled_ns);
+    EXPECT_GE(values[i].time_enabled_ns, values[i].time_running_ns);
+  }
   (void)backend.perf_close(*sibling);
   (void)backend.perf_close(*leader);
 }

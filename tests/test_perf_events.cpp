@@ -3,6 +3,9 @@
 // paper's PAPI changes are written against.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cpumodel/machine.hpp"
 #include "simkernel/kernel.hpp"
 #include "workload/programs.hpp"
@@ -368,6 +371,138 @@ TEST_F(PerfEventsTest, RaplEnergyGrowsUnderLoad) {
   const std::uint64_t after_load = kernel_.perf_read(*fd)->value;
   // At least ~10 W for 2 s => 2e7 uJ.
   EXPECT_GT(after_load, 10'000'000u);
+}
+
+// --- fd table ---------------------------------------------------------------
+
+using PerfFdTableTest = PerfEventsTest;
+
+TEST_F(PerfFdTableTest, InvalidFdsAreRejectedByEveryCall) {
+  const Tid tid = spawn_work(1'000'000, CpuSet::of({0}));
+  auto leader = kernel_.perf_event_open(
+      attr_for(p_type_, CountKind::kInstructions), tid, -1, -1);
+  auto closed = kernel_.perf_event_open(
+      attr_for(p_type_, CountKind::kCycles), tid, -1, -1);
+  ASSERT_TRUE(leader.has_value());
+  ASSERT_TRUE(closed.has_value());
+  ASSERT_TRUE(kernel_.perf_close(*closed).is_ok());
+
+  // Negative, never opened (0-2 are stdio; fds start at 3), far beyond
+  // the table, and already closed.
+  std::vector<simkernel::PerfValue> buffer;
+  for (const int fd : {-1, -1000, 0, 2, *leader + 100, 1'000'000, *closed}) {
+    SCOPED_TRACE("fd " + std::to_string(fd));
+    EXPECT_EQ(kernel_.perf_read(fd).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(kernel_.perf_read_group_into(fd, buffer).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(kernel_.perf_ioctl(fd, PerfIoctl::kEnable).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(kernel_.perf_close(fd).code(), StatusCode::kInvalidArgument);
+  }
+  // The live event is untouched by all of the above.
+  EXPECT_EQ(kernel_.perf().open_event_count(), 1u);
+  EXPECT_TRUE(kernel_.perf_read(*leader).has_value());
+}
+
+TEST_F(PerfFdTableTest, DoubleCloseFails) {
+  const Tid tid = spawn_work(1'000'000, CpuSet::of({0}));
+  auto fd = kernel_.perf_event_open(
+      attr_for(p_type_, CountKind::kInstructions), tid, -1, -1);
+  ASSERT_TRUE(fd.has_value());
+  ASSERT_TRUE(kernel_.perf_close(*fd).is_ok());
+  EXPECT_EQ(kernel_.perf_close(*fd).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(kernel_.perf().open_event_count(), 0u);
+}
+
+TEST_F(PerfFdTableTest, GroupReadStaysExactAsTheTableGrowsAndSiblingsClose) {
+  const Tid tid = spawn_work(5'000'000, CpuSet::of({0}));
+  auto leader = kernel_.perf_event_open(
+      attr_for(p_type_, CountKind::kInstructions, true), tid, -1, -1);
+  auto cyc = kernel_.perf_event_open(attr_for(p_type_, CountKind::kCycles),
+                                     tid, -1, *leader);
+  auto br = kernel_.perf_event_open(attr_for(p_type_, CountKind::kBranches),
+                                    tid, -1, *leader);
+  ASSERT_TRUE(leader.has_value());
+  ASSERT_TRUE(cyc.has_value());
+  ASSERT_TRUE(br.has_value());
+  ASSERT_TRUE(kernel_
+                  .perf_ioctl(*leader, PerfIoctl::kEnable,
+                              simkernel::kIocFlagGroup)
+                  .is_ok());
+  kernel_.run_for(std::chrono::microseconds(200));
+
+  // Grow the table well past its size while the group is live: 1,000
+  // events on another thread (its own scheduling context, so the
+  // group under test is never multiplexed out).
+  const Tid other = spawn_work(1'000, CpuSet::of({2}));
+  int last_fd = *br;
+  for (int i = 0; i < 1000; ++i) {
+    auto fd = kernel_.perf_event_open(
+        attr_for(simkernel::kPerfTypeSoftware, CountKind::kTaskClockNs),
+        other, -1, -1);
+    ASSERT_TRUE(fd.has_value()) << fd.status().to_string();
+    EXPECT_GT(*fd, last_fd) << "fds are monotonic, never reused";
+    last_fd = *fd;
+  }
+  EXPECT_EQ(kernel_.perf().open_event_count(), 1003u);
+
+  kernel_.run_until_idle(std::chrono::seconds(5));
+  const auto* truth = kernel_.ground_truth(tid);
+  ASSERT_NE(truth, nullptr);
+  std::vector<simkernel::PerfValue> values;
+  ASSERT_TRUE(kernel_.perf_read_group_into(*leader, values).is_ok());
+  ASSERT_EQ(values.size(), 3u);
+  EXPECT_EQ(values[0].value, truth->per_type[0].instructions);
+  EXPECT_EQ(values[0].value, 5'000'000u);
+  EXPECT_EQ(values[1].value, truth->per_type[0].cycles);
+  EXPECT_EQ(values[2].value, truth->per_type[0].branches);
+
+  // Closing the middle sibling drops it from the group read; the
+  // survivors keep their order and their exact values.
+  ASSERT_TRUE(kernel_.perf_close(*cyc).is_ok());
+  ASSERT_TRUE(kernel_.perf_read_group_into(*leader, values).is_ok());
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values[0].value, truth->per_type[0].instructions);
+  EXPECT_EQ(values[1].value, truth->per_type[0].branches);
+  EXPECT_EQ(kernel_.perf().open_event_count(), 1002u);
+}
+
+TEST(PerfFdTable, FdLimitAndOpenCountCountLiveEventsOnly) {
+  SimKernel::Config config;
+  config.perf.max_open_fds = 4;
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700(), config);
+  const auto* p = kernel.pmus().find_by_name("cpu_core");
+  ASSERT_NE(p, nullptr);
+  PhaseSpec phase;
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(phase, 1'000'000), CpuSet::of({0}));
+  const PerfEventAttr attr = attr_for(p->type_id, CountKind::kInstructions);
+
+  std::vector<int> fds;
+  for (int i = 0; i < 4; ++i) {
+    auto fd = kernel.perf_event_open(attr, tid, -1, -1);
+    ASSERT_TRUE(fd.has_value()) << fd.status().to_string();
+    fds.push_back(*fd);
+  }
+  EXPECT_EQ(kernel.perf().open_event_count(), 4u);
+  auto full = kernel.perf_event_open(attr, tid, -1, -1);
+  ASSERT_FALSE(full.has_value());
+  EXPECT_EQ(full.status().code(), StatusCode::kNoMemory);
+
+  // A close frees room for exactly one more open, under a new fd: the
+  // table's slots for closed fds do not count against the limit.
+  ASSERT_TRUE(kernel.perf_close(fds[1]).is_ok());
+  EXPECT_EQ(kernel.perf().open_event_count(), 3u);
+  auto reopened = kernel.perf_event_open(attr, tid, -1, -1);
+  ASSERT_TRUE(reopened.has_value()) << reopened.status().to_string();
+  EXPECT_GT(*reopened, fds.back());
+  EXPECT_EQ(kernel.perf().open_event_count(), 4u);
+  EXPECT_FALSE(kernel.perf_event_open(attr, tid, -1, -1).has_value());
+
+  fds[1] = *reopened;
+  for (const int fd : fds) EXPECT_TRUE(kernel.perf_close(fd).is_ok());
+  EXPECT_EQ(kernel.perf().open_event_count(), 0u);
 }
 
 }  // namespace

@@ -61,10 +61,12 @@ class ScriptedBackend final : public Backend {
     v.value = 7;
     return v;
   }
-  Expected<std::vector<PerfValue>> perf_read_group(int) override {
+  Status perf_read_group_into(int, std::vector<PerfValue>& out) override {
     ++read_group_calls;
+    out.clear();
     if (const Status s = next(); !s.is_ok()) return s;
-    return std::vector<PerfValue>{PerfValue{}, PerfValue{}};
+    out.assign(2, PerfValue{});
+    return Status::ok();
   }
   Expected<std::uint64_t> perf_rdpmc(int) override {
     return make_error(StatusCode::kNotSupported, "scripted");
@@ -145,9 +147,11 @@ TEST(Retry, IoctlAndGroupReadRetryLikeTheRest) {
   EXPECT_EQ(backend.ioctl_calls, 2);
 
   backend.script = {StatusCode::kInterrupted, StatusCode::kInterrupted};
-  auto group = papi::read_group_with_retry(backend, 1, /*max_attempts=*/3);
-  ASSERT_TRUE(group.has_value());
-  EXPECT_EQ(group->size(), 2u);
+  std::vector<PerfValue> group;
+  ASSERT_TRUE(
+      papi::read_group_with_retry(backend, 1, group, /*max_attempts=*/3)
+          .is_ok());
+  EXPECT_EQ(group.size(), 2u);
   EXPECT_EQ(backend.read_group_calls, 3);
 }
 

@@ -279,8 +279,9 @@ class SamplingDeniedBackend final : public papi::Backend {
   Expected<papi::PerfValue> perf_read(int fd) override {
     return inner_->perf_read(fd);
   }
-  Expected<std::vector<papi::PerfValue>> perf_read_group(int fd) override {
-    return inner_->perf_read_group(fd);
+  Status perf_read_group_into(int fd,
+                              std::vector<papi::PerfValue>& out) override {
+    return inner_->perf_read_group_into(fd, out);
   }
   Expected<std::uint64_t> perf_rdpmc(int fd) override {
     return inner_->perf_rdpmc(fd);
