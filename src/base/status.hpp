@@ -117,6 +117,8 @@ class [[nodiscard]] Expected {
 
   T& operator*() & { return value(); }
   const T& operator*() const& { return value(); }
+  /// `*std::move(e)` moves the value out instead of copying it.
+  T&& operator*() && { return std::move(*this).value(); }
   T* operator->() { return &value(); }
   const T* operator->() const { return &value(); }
 
@@ -128,6 +130,9 @@ class [[nodiscard]] Expected {
 
   T value_or(T fallback) const& {
     return has_value() ? value() : std::move(fallback);
+  }
+  T value_or(T fallback) && {
+    return has_value() ? std::move(*this).value() : std::move(fallback);
   }
 
  private:

@@ -22,6 +22,20 @@ bool is_transport_death(const Status& s) {
          s.code() == StatusCode::kInterrupted;
 }
 
+/// A Sample fits its subscription's schema when it carries one value
+/// and the schema's part count per slot. A failed read carries no slots
+/// at all (counters_ok = 0).
+bool fits_schema(const WireSample& s,
+                 const std::vector<std::uint32_t>& part_counts) {
+  if (s.values.empty()) return s.counters_ok == 0;
+  if (s.values.size() != part_counts.size()) return false;
+  for (std::size_t i = 0; i < part_counts.size(); ++i) {
+    const std::size_t parts = s.parts.empty() ? 0 : s.parts[i].size();
+    if (parts != part_counts[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 void Client::enable_reconnect(ConnectionFactory factory,
@@ -85,8 +99,8 @@ Status Client::send_all(const std::vector<std::uint8_t>& bytes) {
 
 Expected<bool> Client::receive_some() {
   if (!connected()) return connection_gone();
-  std::vector<std::uint8_t> chunk;
-  auto n = conn_->receive(chunk);
+  inbox_.clear();
+  auto n = conn_->receive(inbox_);
   if (!n) {
     // A receive error is terminal (would-block is reported as 0 bytes,
     // not an error): drop the connection so connected() tells the truth
@@ -100,43 +114,57 @@ Expected<bool> Client::receive_some() {
   }
   if (*n == 0) return false;
   if (capture_bytes_)
-    captured_bytes_.insert(captured_bytes_.end(), chunk.begin(), chunk.end());
-  reader_.feed(chunk);
+    captured_bytes_.insert(captured_bytes_.end(), inbox_.begin(), inbox_.end());
+  reader_.feed(inbox_);
   return true;
 }
 
-void Client::note_sample(std::uint32_t sub_id, std::uint64_t tick,
+void Client::note_sample(const LiveSub& live, std::uint64_t tick,
                          std::uint64_t seq) {
-  if (!reconnect_enabled_) return;
-  for (RecordedSub& sub : recorded_subs_) {
-    if (sub.sub_id != sub_id || sub_id == 0) continue;
-    if (sub.check_gap) {
-      if (sub.gap_unknown) {
-        ++resume_stats_.unknown_gaps;
-      } else if (sub.saw_sample && tick > sub.last_tick &&
-                 sub.period_ticks > 0) {
-        // Deliveries land on tick % period == 0 of the daemon's global
-        // tick counter, which survived the outage (same epoch), so the
-        // missed count is exact: due ticks strictly between the last
-        // pre-outage delivery and this one.
-        const std::uint64_t due_steps = (tick - sub.last_tick) / sub.period_ticks;
-        if (due_steps > 1) {
-          ++resume_stats_.gaps;
-          resume_stats_.samples_missed += due_steps - 1;
-        }
+  if (!reconnect_enabled_ || live.recorded == kNotRecorded) return;
+  RecordedSub& sub = recorded_subs_[live.recorded];
+  if (sub.check_gap) {
+    if (sub.gap_unknown) {
+      ++resume_stats_.unknown_gaps;
+    } else if (sub.saw_sample && tick > sub.last_tick && sub.period_ticks > 0) {
+      // Deliveries land on tick % period == 0 of the daemon's global
+      // tick counter, which survived the outage (same epoch), so the
+      // missed count is exact: due ticks strictly between the last
+      // pre-outage delivery and this one.
+      const std::uint64_t due_steps = (tick - sub.last_tick) / sub.period_ticks;
+      if (due_steps > 1) {
+        ++resume_stats_.gaps;
+        resume_stats_.samples_missed += due_steps - 1;
       }
-      sub.check_gap = false;
-      sub.gap_unknown = false;
-    } else if (seq != 0 && sub.last_seq != 0 && seq != sub.last_seq + 1) {
-      // In-connection sequence break: the daemon skipped us without a
-      // reconnect. Should not happen; account it rather than hide it.
-      ++resume_stats_.gaps;
-      if (seq > sub.last_seq) resume_stats_.samples_missed += seq - sub.last_seq - 1;
     }
-    sub.saw_sample = true;
-    sub.last_tick = tick;
-    sub.last_seq = seq;
-    return;
+    sub.check_gap = false;
+    sub.gap_unknown = false;
+  } else if (seq != 0 && sub.last_seq != 0 && seq != sub.last_seq + 1) {
+    // In-connection sequence break: the daemon skipped us without a
+    // reconnect. Should not happen; account it rather than hide it.
+    ++resume_stats_.gaps;
+    if (seq > sub.last_seq) {
+      resume_stats_.samples_missed += seq - sub.last_seq - 1;
+    }
+  }
+  sub.saw_sample = true;
+  sub.last_tick = tick;
+  sub.last_seq = seq;
+}
+
+void Client::record(RecordedSub sub, std::uint32_t sub_id,
+                    std::uint32_t period_ticks) {
+  sub.original_sub_id = sub.sub_id = sub_id;
+  sub.period_ticks = std::max(period_ticks, 1u);
+  live_subs_[sub_id].recorded = recorded_subs_.size();
+  recorded_subs_.push_back(std::move(sub));
+}
+
+void Client::reindex_recorded() {
+  for (auto& [sub_id, live] : live_subs_) live.recorded = kNotRecorded;
+  for (std::size_t i = 0; i < recorded_subs_.size(); ++i) {
+    const auto it = live_subs_.find(recorded_subs_[i].sub_id);
+    if (it != live_subs_.end()) it->second.recorded = i;
   }
 }
 
@@ -152,13 +180,25 @@ void Client::answer_ping(const Frame& frame) {
 
 void Client::stash_frame(const Frame& frame) {
   if (frame.type == MsgType::kSample) {
-    if (auto s = WireSample::decode(frame)) {
-      note_sample(s->subscription_id, s->tick, s->seq);
-      samples_.push_back(*std::move(s));
+    // Decode straight into the next stash slot, reusing its vectors.
+    if (stashed_ == samples_.size()) samples_.emplace_back();
+    WireSample& s = samples_[stashed_];
+    if (!WireSample::decode_into(frame.payload.data(), frame.payload.size(), s)
+             .is_ok()) {
+      return;
     }
+    const auto it = live_subs_.find(s.subscription_id);
+    if (it == live_subs_.end() || !fits_schema(s, it->second.part_counts)) {
+      return;
+    }
+    note_sample(it->second, s.tick, s.seq);
+    ++stashed_;
   } else if (frame.type == MsgType::kAggSample) {
     if (auto s = AggSample::decode(frame)) {
-      note_sample(s->subscription_id, s->tick, s->seq);
+      if (const auto it = live_subs_.find(s->subscription_id);
+          it != live_subs_.end()) {
+        note_sample(it->second, s->tick, s->seq);
+      }
       agg_samples_.push_back(*std::move(s));
     }
   } else if (frame.type == MsgType::kGoodbye) {
@@ -173,23 +213,17 @@ bool Client::pump_once() {
   // that rode in the same receive as an Error reply) are drained even
   // when the transport is dead — a buffered farewell must not be lost.
   bool progressed = false;
-  while (true) {
-    auto frame = reader_.next();
-    if (!frame) break;
-    stash_frame(*frame);
+  while (reader_.next_into(frame_).is_ok()) {
+    stash_frame(frame_);
     progressed = true;
   }
   auto got = receive_some();
   if (!got || !*got) return progressed;
   // Drain any complete frames into the stash so samples never pile up
-  // unobserved inside the reader.
-  while (true) {
-    auto frame = reader_.next();
-    if (!frame) break;
-    stash_frame(*frame);
-    // Other frame types arriving outside an rpc() are stale replies
-    // (e.g. a CloseAck racing a drop) — stash_frame drops them.
-  }
+  // unobserved inside the reader. Other frame types arriving outside an
+  // rpc() are stale replies (e.g. a CloseAck racing a drop) —
+  // stash_frame drops them.
+  while (reader_.next_into(frame_).is_ok()) stash_frame(frame_);
   return true;
 }
 
@@ -251,19 +285,15 @@ Expected<Frame> Client::rpc(MsgType expect,
 Status Client::hello(const std::string& client_name) {
   client_name_ = client_name;
   Hello msg;
-  msg.version = hello_version_;
   msg.client_name = client_name;
   auto reply = rpc(MsgType::kHelloAck,
                    encode_frame(MsgType::kHello, msg.encode()));
   if (!reply) return reply.status();
   auto ack = HelloAck::decode(*reply);
   if (!ack) return ack.status();
-  // The daemon answers with min(our offer, its version); anything
-  // outside [kMinProtocolVersion, offer] is a server we can't speak to.
-  if (ack->version < kMinProtocolVersion || ack->version > hello_version_)
+  if (ack->version != kProtocolVersion)
     return Status(StatusCode::kNotSupported,
                   "server speaks protocol v" + std::to_string(ack->version));
-  negotiated_version_ = ack->version;
   epoch_ = ack->epoch;
   return Status::ok();
 }
@@ -304,9 +334,12 @@ Status Client::try_reconnect(const Status& cause) {
     const bool epoch_changed = prev_epoch != 0 && epoch_ != prev_epoch;
     if (epoch_changed) ++resume_stats_.epoch_changes;
     // Tick-based gap math needs proof it's the same daemon process; a
-    // pre-v3 daemon (epoch 0) can't give it, so its gaps are unknown.
+    // daemon advertising epoch 0 can't give it, so its gaps are unknown.
     const bool gap_quantifiable = !epoch_changed && prev_epoch != 0;
     bool wire_died = false;
+    // Every old subscription id died with the old connection; the
+    // replay below registers the new ones.
+    live_subs_.clear();
     for (RecordedSub& sub : recorded_subs_) {
       Status sub_status = Status::ok();
       if (sub.aggregate) {
@@ -344,6 +377,7 @@ Status Client::try_reconnect(const Status& cause) {
       if (conn_) conn_->close();
       continue;
     }
+    reindex_recorded();
     ++resume_stats_.reconnects;
     reconnecting_ = false;
     return Status::ok();
@@ -401,46 +435,44 @@ Expected<SubscribeAck> Client::do_subscribe(const Subscribe& spec) {
   auto reply = rpc(MsgType::kSubscribeAck,
                    encode_frame(MsgType::kSubscribe, spec.encode()));
   if (!reply) return reply.status();
-  return SubscribeAck::decode(*reply);
+  auto ack = SubscribeAck::decode(*reply);
+  if (!ack) return ack;
+  LiveSub& live = live_subs_[ack->subscription_id];
+  live.part_counts.clear();
+  for (const std::vector<std::string>& names : ack->part_names) {
+    live.part_counts.push_back(static_cast<std::uint32_t>(names.size()));
+  }
+  return ack;
 }
 
 Expected<SubscribeAck> Client::subscribe(const Subscribe& spec) {
   auto ack = do_subscribe(spec);
   if (ack && reconnect_enabled_) {
-    RecordedSub record;
-    record.aggregate = false;
-    record.spec = spec;
-    record.original_sub_id = ack->subscription_id;
-    record.sub_id = ack->subscription_id;
-    record.period_ticks = spec.period_ticks == 0 ? 1 : spec.period_ticks;
-    recorded_subs_.push_back(std::move(record));
+    RecordedSub sub;
+    sub.spec = spec;
+    record(std::move(sub), ack->subscription_id, spec.period_ticks);
   }
   return ack;
 }
 
 Expected<AggSubscribeAck> Client::do_subscribe_aggregate(
     const AggSubscribe& spec) {
-  if (negotiated_version_ < 2) {
-    return make_error(StatusCode::kNotSupported,
-                      "aggregate streams need protocol v2");
-  }
   auto reply = rpc(MsgType::kSubscribeAggregateAck,
                    encode_frame(MsgType::kSubscribeAggregate, spec.encode()));
   if (!reply) return reply.status();
-  return AggSubscribeAck::decode(*reply);
+  auto ack = AggSubscribeAck::decode(*reply);
+  if (ack) live_subs_.try_emplace(ack->subscription_id);
+  return ack;
 }
 
 Expected<AggSubscribeAck> Client::subscribe_aggregate(
     const AggSubscribe& spec) {
   auto ack = do_subscribe_aggregate(spec);
   if (ack && reconnect_enabled_) {
-    RecordedSub record;
-    record.aggregate = true;
-    record.agg_spec = spec;
-    record.original_sub_id = ack->subscription_id;
-    record.sub_id = ack->subscription_id;
-    record.period_ticks = spec.period_ticks == 0 ? 1 : spec.period_ticks;
-    recorded_subs_.push_back(std::move(record));
+    RecordedSub sub;
+    sub.aggregate = true;
+    sub.agg_spec = spec;
+    record(std::move(sub), ack->subscription_id, spec.period_ticks);
   }
   return ack;
 }
@@ -451,12 +483,11 @@ Status Client::unsubscribe(std::uint32_t subscription_id) {
   auto reply = rpc(MsgType::kUnsubscribeAck,
                    encode_frame(MsgType::kUnsubscribe, msg.encode()));
   if (!reply) return reply.status();
-  recorded_subs_.erase(
-      std::remove_if(recorded_subs_.begin(), recorded_subs_.end(),
-                     [&](const RecordedSub& sub) {
-                       return sub.sub_id == subscription_id;
-                     }),
-      recorded_subs_.end());
+  live_subs_.erase(subscription_id);
+  std::erase_if(recorded_subs_, [&](const RecordedSub& sub) {
+    return sub.sub_id == subscription_id;
+  });
+  reindex_recorded();
   return Status::ok();
 }
 
@@ -480,18 +511,22 @@ Status Client::close() {
 }
 
 std::vector<WireSample> Client::take_samples() {
+  std::vector<WireSample> out;
+  take_samples_into(out);
+  return out;
+}
+
+void Client::take_samples_into(std::vector<WireSample>& out) {
   // Sweep the transport once so freshly flushed samples are included.
   if (connected() || reconnect_enabled_) pump_once();
-  std::vector<WireSample> out(samples_.begin(), samples_.end());
-  samples_.clear();
-  return out;
+  samples_.resize(stashed_);
+  out.swap(samples_);
+  stashed_ = 0;
 }
 
 std::vector<AggSample> Client::take_agg_samples() {
   if (connected() || reconnect_enabled_) pump_once();
-  std::vector<AggSample> out(agg_samples_.begin(), agg_samples_.end());
-  agg_samples_.clear();
-  return out;
+  return std::exchange(agg_samples_, {});
 }
 
 }  // namespace hetpapi::service

@@ -6,13 +6,16 @@
 // the daemon, so the same synchronous code works single-threaded in
 // tests and benches. Sample frames that arrive while an RPC waits for
 // its reply are stashed and handed out via take_samples() — a stream
-// never desynchronizes the request/reply protocol.
+// never desynchronizes the request/reply protocol. Each Sample is
+// checked against the schema its SubscribeAck carried (slot and part
+// counts); one that does not fit, or that names a subscription this
+// client does not hold, is dropped.
 //
 // Self-healing (opt in via enable_reconnect): when the transport dies
 // the client re-dials through a caller-supplied connection factory
 // under bounded exponential backoff with deterministic jitter,
 // re-handshakes, and re-subscribes its recorded subscription set. The
-// v3 session epoch plus the per-subscription sequence/tick tail lets
+// session epoch plus the per-subscription sequence/tick tail lets
 // the resumed client account for the outage exactly: same epoch ->
 // the precise number of missed samples; changed epoch (daemon
 // restarted) -> an explicit unknown gap. An RPC interrupted by a
@@ -21,10 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -84,9 +87,10 @@ class Client {
   Expected<ReadReply> read(std::uint32_t session_id);
 
   /// Join (or create) a shared subscription; the ack's shared_key_id
-  /// tells you whether you coalesced onto an existing one.
+  /// tells you whether you coalesced onto an existing one, and its
+  /// part_names name the parts of every Sample the stream delivers.
   Expected<SubscribeAck> subscribe(const Subscribe& spec);
-  /// v2: join (or create) an aggregated stream — a merged per-core-type
+  /// Join (or create) an aggregated stream — a merged per-core-type
   /// rendition with min/max/avg/σ statistics across the daemon's
   /// downstream tree (or the single local reading on a leaf daemon).
   Expected<AggSubscribeAck> subscribe_aggregate(const AggSubscribe& spec);
@@ -102,6 +106,11 @@ class Client {
   /// waited for its reply). Over the unix transport the sweep blocks
   /// until at least one byte arrives, so call it when a sample is due.
   std::vector<WireSample> take_samples();
+  /// take_samples() into a caller-owned buffer: `out` is replaced by the
+  /// stashed samples and its previous storage becomes the stash, so a
+  /// loop that reuses one buffer stops allocating once the stream's
+  /// shape is steady.
+  void take_samples_into(std::vector<WireSample>& out);
 
   /// The aggregate-stream counterpart of take_samples(): sweep once,
   /// then hand out every stashed AggSample.
@@ -124,18 +133,12 @@ class Client {
                         ReconnectConfig config = {});
   /// Reconnect/gap accounting (all zeros when reconnect is off).
   const ResumeStats& resume_stats() const { return resume_stats_; }
-  /// The daemon's session epoch from HelloAck (0 from a v1/v2 daemon).
+  /// The daemon's session epoch from HelloAck.
   std::uint64_t epoch() const { return epoch_; }
   /// Current subscription id of the recorded subscription originally
   /// acked with `original_sub_id` (it changes on resume); 0 when the
   /// subscription is gone or unknown.
   std::uint32_t current_subscription_id(std::uint32_t original_sub_id) const;
-
-  /// Version to offer in Hello (defaults to kProtocolVersion; the
-  /// compat tests dial it down to speak v1 at a v2 daemon).
-  void set_hello_version(std::uint32_t version) { hello_version_ = version; }
-  /// What HelloAck negotiated — min(offered, daemon's version).
-  std::uint32_t negotiated_version() const { return negotiated_version_; }
 
   /// Raw received-byte log for the determinism tests (every byte the
   /// daemon sent us, in order), captured before frame reassembly.
@@ -163,6 +166,17 @@ class Client {
     bool gap_unknown = false;
   };
 
+  static constexpr std::size_t kNotRecorded = static_cast<std::size_t>(-1);
+
+  /// What the client knows about one subscription it currently holds,
+  /// keyed by its current id.
+  struct LiveSub {
+    /// Parts per slot from the SubscribeAck schema (Samples only).
+    std::vector<std::uint32_t> part_counts;
+    /// Index into recorded_subs_, or kNotRecorded.
+    std::size_t recorded = kNotRecorded;
+  };
+
   /// Send `frame_bytes` fully, then wait for a frame of type `expect`
   /// (or kError, which becomes the returned status).
   Expected<Frame> rpc(MsgType expect, const std::vector<std::uint8_t>& frame);
@@ -172,9 +186,13 @@ class Client {
   /// Decode-and-stash shared by pump_once and the rpc wait loop.
   void stash_frame(const Frame& frame);
   /// Gap/sequence accounting for one delivered (agg)sample.
-  void note_sample(std::uint32_t sub_id, std::uint64_t tick,
-                   std::uint64_t seq);
-  /// Echo a Ping (v3 liveness; best effort, errors ignored).
+  void note_sample(const LiveSub& live, std::uint64_t tick, std::uint64_t seq);
+  /// Append to the recorded set, indexed by the sub's current id.
+  void record(RecordedSub sub, std::uint32_t sub_id,
+              std::uint32_t period_ticks);
+  /// Point every live subscription at its recorded_subs_ entry.
+  void reindex_recorded();
+  /// Echo a Ping (liveness; best effort, errors ignored).
   void answer_ping(const Frame& frame);
   /// The reconnect state machine; returns ok when a resume succeeded.
   Status try_reconnect(const Status& cause);
@@ -185,11 +203,16 @@ class Client {
 
   std::unique_ptr<Connection> conn_;
   FrameReader reader_;
-  std::deque<WireSample> samples_;
-  std::deque<AggSample> agg_samples_;
+  /// Reused receive buffer and frame for the streaming path.
+  std::vector<std::uint8_t> inbox_;
+  Frame frame_;
+  /// The first stashed_ entries are live; the ones past them are spare
+  /// storage whose vectors the next decodes reuse.
+  std::vector<WireSample> samples_;
+  std::size_t stashed_ = 0;
+  std::vector<AggSample> agg_samples_;
+  std::unordered_map<std::uint32_t, LiveSub> live_subs_;
   std::string goodbye_reason_;
-  std::uint32_t hello_version_ = kProtocolVersion;
-  std::uint32_t negotiated_version_ = kProtocolVersion;
   bool capture_bytes_ = false;
   std::vector<std::uint8_t> captured_bytes_;
 

@@ -9,47 +9,34 @@
 
 namespace hetpapi::service {
 
-namespace {
+// --- outbound buffer -------------------------------------------------------
 
-/// One coalescing key: target kind/id, period, qualified flag, then the
-/// ordered canonical event names. Order-sensitive by design — the
-/// streamed value vector must match each subscriber's requested slot
-/// order, so differently-ordered lists are distinct subscriptions.
-std::string make_key(TargetKind kind, std::int64_t target,
-                     std::uint32_t period_ticks, bool qualified,
-                     const std::vector<std::string>& canonical_events) {
-  std::string key = str_format("k%d|t%lld|p%u|q%d|",
-                               static_cast<int>(kind),
-                               static_cast<long long>(target), period_ticks,
-                               qualified ? 1 : 0);
-  for (const std::string& event : canonical_events) {
-    key += event;
-    key += '\x1f';
-  }
-  return key;
+std::size_t Daemon::OutBuffer::append(const std::uint8_t* frame,
+                                      std::size_t size) {
+  const std::size_t at = bytes.size();
+  bytes.insert(bytes.end(), frame, frame + size);
+  frame_ends.push_back(at + size);
+  return at;
 }
 
-/// Overwrite the leading u32 subscription_id of an encoded frame
-/// (4-byte length prefix + type byte, then the payload whose first
-/// field every streamed sample type puts the subscription id in).
-void patch_subscription_id(std::vector<std::uint8_t>& frame,
-                           std::uint32_t subscription_id) {
-  for (int i = 0; i < 4; ++i) {
-    frame[5 + static_cast<std::size_t>(i)] =
-        (subscription_id >> (8 * i)) & 0xffu;
+void Daemon::OutBuffer::consume(std::size_t n) {
+  sent += n;
+  while (ends_sent < frame_ends.size() && frame_ends[ends_sent] <= sent) {
+    ++ends_sent;
+  }
+  // Compact lazily, the way FrameReader does: a drained buffer rewinds
+  // (keeping its capacity), and a slow peer's unsent tail shifts down
+  // once 4 KiB have gone, so the buffer never holds what was sent.
+  if (sent == bytes.size() || sent > 4096) {
+    const auto flushed_frames = static_cast<std::ptrdiff_t>(ends_sent);
+    bytes.erase(bytes.begin(),
+                bytes.begin() + static_cast<std::ptrdiff_t>(sent));
+    frame_ends.erase(frame_ends.begin(), frame_ends.begin() + flushed_frames);
+    for (std::size_t& end : frame_ends) end -= sent;
+    sent = 0;
+    ends_sent = 0;
   }
 }
-
-/// Overwrite the trailing u64 sequence number of a v3 sample frame
-/// (both v3 sample shapes encode seq LAST for exactly this reason).
-void patch_sequence_tail(std::vector<std::uint8_t>& frame, std::uint64_t seq) {
-  const std::size_t base = frame.size() - 8;
-  for (int i = 0; i < 8; ++i) {
-    frame[base + static_cast<std::size_t>(i)] = (seq >> (8 * i)) & 0xffu;
-  }
-}
-
-}  // namespace
 
 Daemon::Daemon(simkernel::SimKernel* kernel, papi::Backend* backend,
                DaemonConfig config)
@@ -89,6 +76,21 @@ void Daemon::add_downstream(std::unique_ptr<Client> client,
   downstreams_.push_back(std::move(link));
 }
 
+Expected<std::string> Daemon::coalescing_key(
+    TargetKind kind, std::int64_t target, std::uint32_t period_ticks,
+    bool qualified, const std::vector<std::string>& events) const {
+  std::string key = str_format("k%d|t%lld|p%u|q%d|", static_cast<int>(kind),
+                               static_cast<long long>(target), period_ticks,
+                               qualified ? 1 : 0);
+  for (const std::string& event : events) {
+    auto name = library_->canonical_event_name(event);
+    if (!name) return name.status();
+    key += *name;
+    key += '\x1f';
+  }
+  return key;
+}
+
 std::size_t Daemon::session_count() const {
   std::size_t n = 0;
   for (const auto& client : clients_) n += client->sessions.size();
@@ -123,17 +125,13 @@ void Daemon::accept_pending() {
         // gone already) and no ClientState is ever created, so a
         // connection storm cannot grow daemon memory.
         ++stats_.overload_rejections;
-        WireError err;
-        err.code = static_cast<std::int32_t>(StatusCode::kOverloaded);
-        err.in_reply_to = static_cast<std::uint8_t>(MsgType::kHello);
-        err.message = "daemon at max_clients";
-        const auto err_frame = encode_frame(MsgType::kError, err.encode());
-        (void)(*conn)->send(err_frame.data(), err_frame.size());
-        Goodbye bye;
-        bye.reason = "refused: overloaded";
-        const auto bye_frame = encode_frame(MsgType::kGoodbye, bye.encode());
-        (void)(*conn)->send(bye_frame.data(), bye_frame.size());
-        stats_.frames_sent += 2;
+        send_now(**conn, MsgType::kError,
+                 WireError{static_cast<std::int32_t>(StatusCode::kOverloaded),
+                           static_cast<std::uint8_t>(MsgType::kHello),
+                           "daemon at max_clients"}
+                     .encode());
+        send_now(**conn, MsgType::kGoodbye,
+                 Goodbye{"refused: overloaded"}.encode());
         (*conn)->close();
         continue;
       }
@@ -142,15 +140,22 @@ void Daemon::accept_pending() {
       client->shard = client->id % shard_count_;
       client->conn = std::move(*conn);
       client->last_activity_tick = stats_.ticks;
-      clients_by_id_.emplace(client->id, client.get());
       clients_.push_back(std::move(client));
     }
   }
 }
 
+void Daemon::send_now(Connection& conn, MsgType type,
+                      const std::vector<std::uint8_t>& payload) {
+  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
+  (void)conn.send(frame.data(), frame.size());
+  ++stats_.frames_sent;
+}
+
 void Daemon::enqueue(ClientState& client, MsgType type,
                      const std::vector<std::uint8_t>& payload) {
-  client.out.push_back({encode_frame(type, payload), 0});
+  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
+  client.out.append(frame.data(), frame.size());
   ++stats_.frames_sent;
 }
 
@@ -165,15 +170,14 @@ void Daemon::enqueue_error(ClientState& client, MsgType in_reply_to,
 
 void Daemon::flush_client(ClientState& client, std::size_t max_ops) {
   if (!client.conn->is_open()) {
-    client.out.clear();
+    client.out = OutBuffer{};
     return;
   }
   std::size_t ops = 0;
-  while (!client.out.empty()) {
+  while (client.out.pending() > 0) {
     if (max_ops > 0 && ops >= max_ops) return;  // deadline; caller moves on
-    PendingBytes& front = client.out.front();
-    auto sent = client.conn->send(front.bytes.data() + front.offset,
-                                  front.bytes.size() - front.offset);
+    auto sent = client.conn->send(client.out.bytes.data() + client.out.sent,
+                                  client.out.pending());
     if (!sent) {  // peer gone
       teardown_client(client);
       client.conn->close();
@@ -181,14 +185,14 @@ void Daemon::flush_client(ClientState& client, std::size_t max_ops) {
     }
     if (*sent == 0) return;  // would block; retry next poll/tick
     ++ops;
-    front.offset += *sent;
-    if (front.offset >= front.bytes.size()) client.out.pop_front();
+    client.out.consume(*sent);
   }
   if (client.closing) client.conn->close();
 }
 
 void Daemon::enforce_queue_cap(ClientState& client) {
-  if (client.closing || client.out.size() <= config_.max_client_queue_frames) {
+  if (client.closing ||
+      client.out.frames() <= config_.max_client_queue_frames) {
     return;
   }
   // Slow-client drop: releasing its subscriptions keeps one wedged
@@ -196,12 +200,9 @@ void Daemon::enforce_queue_cap(ClientState& client) {
   // shared tick. One best-effort Goodbye, then the connection dies.
   ++stats_.clients_dropped_slow;
   teardown_client(client);
-  client.out.clear();
-  Goodbye bye;
-  bye.reason = "dropped: send queue overflow (slow client)";
-  const auto frame = encode_frame(MsgType::kGoodbye, bye.encode());
-  (void)client.conn->send(frame.data(), frame.size());
-  ++stats_.frames_sent;
+  client.out = OutBuffer{};
+  send_now(*client.conn, MsgType::kGoodbye,
+           Goodbye{"dropped: send queue overflow (slow client)"}.encode());
   client.conn->close();
 }
 
@@ -209,7 +210,6 @@ void Daemon::reap_closed() {
   std::erase_if(clients_, [&](const std::unique_ptr<ClientState>& client) {
     if (client->conn->is_open()) return false;
     teardown_client(*client);
-    clients_by_id_.erase(client->id);
     return true;
   });
 }
@@ -232,7 +232,9 @@ void Daemon::drain_client(ClientState& client) {
     client.ping_outstanding = false;
     client.pings_missed = 0;
   }
-  for (;;) {
+  // A refused handshake or a Close ends the conversation: nothing after
+  // it is served.
+  while (client.conn->is_open() && !client.closing) {
     auto frame = client.reader.next();
     if (!frame) {
       if (client.reader.corrupt()) {
@@ -243,7 +245,6 @@ void Daemon::drain_client(ClientState& client) {
       return;
     }
     dispatch(client, *frame);
-    if (!client.conn->is_open()) return;
   }
 }
 
@@ -266,28 +267,19 @@ void Daemon::dispatch(ClientState& client, const Frame& frame) {
     case MsgType::kRead: on_read(client, frame); return;
     case MsgType::kSubscribe: on_subscribe(client, frame); return;
     case MsgType::kSubscribeAggregate:
-      if (client.version < 2) {
-        ++stats_.protocol_errors;
-        enqueue_error(client, frame.type,
-                      make_error(StatusCode::kNotSupported,
-                                 "SubscribeAggregate requires protocol v2"));
-        return;
-      }
       on_subscribe_aggregate(client, frame);
       return;
     case MsgType::kUnsubscribe: on_unsubscribe(client, frame); return;
     case MsgType::kGetStats: on_get_stats(client, frame); return;
     case MsgType::kClose: on_close(client, frame); return;
-    case MsgType::kPing: {  // v3 liveness probe from the client: echo it
+    case MsgType::kPing: {  // liveness probe from the client: echo it
       auto msg = Ping::decode(frame);
       if (!msg) {
         ++stats_.protocol_errors;
         enqueue_error(client, frame.type, msg.status());
         return;
       }
-      Pong pong;
-      pong.token = msg->token;
-      enqueue(client, MsgType::kPong, pong.encode());
+      enqueue(client, MsgType::kPong, Pong{msg->token}.encode());
       return;
     }
     case MsgType::kPong: {  // answer to OUR probe; drain_client already
@@ -309,6 +301,32 @@ void Daemon::dispatch(ClientState& client, const Frame& frame) {
 
 // --- handlers --------------------------------------------------------------
 
+template <typename M>
+std::optional<M> Daemon::decode_request(ClientState& client,
+                                        const Frame& frame) {
+  auto msg = M::decode(frame);
+  if (!msg) {
+    enqueue_error(client, frame.type, msg.status());
+    return std::nullopt;
+  }
+  return *std::move(msg);
+}
+
+Status Daemon::admit(const ClientState& client, std::uint32_t period_ticks,
+                     const std::vector<std::string>& events) {
+  if (period_ticks == 0 || events.empty()) {
+    return make_error(StatusCode::kInvalidArgument,
+                      "subscription needs events and period >= 1");
+  }
+  if (config_.max_subscriptions > 0 &&
+      client.subscriptions.size() + client.agg_subscriptions.size() >=
+          config_.max_subscriptions) {
+    ++stats_.overload_rejections;
+    return make_error(StatusCode::kOverloaded, "client at max_subscriptions");
+  }
+  return Status::ok();
+}
+
 void Daemon::on_hello(ClientState& client, const Frame& frame) {
   auto msg = Hello::decode(frame);
   if (!msg) {
@@ -317,34 +335,26 @@ void Daemon::on_hello(ClientState& client, const Frame& frame) {
     client.closing = true;
     return;
   }
-  if (msg->version < kMinProtocolVersion || msg->version > kProtocolVersion) {
+  if (msg->version != kProtocolVersion) {
     ++stats_.protocol_errors;
-    enqueue_error(
-        client, frame.type,
-        make_error(StatusCode::kNotSupported,
-                   str_format("protocol version %u not supported (daemon "
-                              "speaks %u..%u)",
-                              msg->version, kMinProtocolVersion,
-                              kProtocolVersion)));
+    enqueue_error(client, frame.type,
+                  make_error(StatusCode::kNotSupported,
+                             str_format("protocol version %u not supported; "
+                                        "this daemon speaks only version %u",
+                                        msg->version, kProtocolVersion)));
     client.closing = true;
     return;
   }
-  // Serve down-level clients at their version: a v1 client keeps the
-  // exact v1 message shapes and never sees a v2-only frame. (A client
-  // from the future downgrades by offering a lower version.)
-  client.version = msg->version;
   client.hello_done = true;
   HelloAck ack;
-  ack.version = client.version;
   ack.client_id = client.id;
   ack.server_name = config_.name;
-  ack.epoch = config_.epoch;  // dropped by encode() for pre-v3 peers
-  enqueue(client, MsgType::kHelloAck, ack.encode(client.version));
+  ack.epoch = config_.epoch;
+  enqueue(client, MsgType::kHelloAck, ack.encode());
 }
 
 Expected<int> Daemon::build_eventset(TargetKind kind, std::int64_t target,
-                                     const std::vector<std::string>& events,
-                                     std::vector<std::string>* canonical_out) {
+                                     const std::vector<std::string>& events) {
   auto set = library_->create_eventset();
   if (!set) return set.status();
   const auto fail = [&](const Status& s) -> Expected<int> {
@@ -366,48 +376,37 @@ Expected<int> Daemon::build_eventset(TargetKind kind, std::int64_t target,
     }
   }
   for (const std::string& event : events) {
-    auto canonical = library_->canonical_event_name(event);
-    if (!canonical) return fail(canonical.status());
     const Status added = library_->add_event(*set, event);
     if (!added.is_ok()) return fail(added);
-    if (canonical_out != nullptr) canonical_out->push_back(std::move(*canonical));
   }
   return *set;
 }
 
 void Daemon::on_open_session(ClientState& client, const Frame& frame) {
-  auto msg = OpenSession::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
-  auto set = build_eventset(msg->target_kind, msg->target, {}, nullptr);
+  auto msg = decode_request<OpenSession>(client, frame);
+  if (!msg) return;
+  auto set = build_eventset(msg->target_kind, msg->target, {});
   if (!set) {
     enqueue_error(client, frame.type, set.status());
     return;
   }
-  Session session;
-  session.eventset = *set;
   const std::uint32_t session_id = next_session_id_++;
-  client.sessions.emplace(session_id, std::move(session));
+  client.sessions.emplace(session_id, *set);
   OpenSessionAck ack;
   ack.session_id = session_id;
   enqueue(client, MsgType::kOpenSessionAck, ack.encode());
 }
 
 void Daemon::on_add_events(ClientState& client, const Frame& frame) {
-  auto msg = AddEvents::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
+  auto msg = decode_request<AddEvents>(client, frame);
+  if (!msg) return;
   const auto it = client.sessions.find(msg->session_id);
   if (it == client.sessions.end()) {
     enqueue_error(client, frame.type,
                   make_error(StatusCode::kNoEventSet, "no such session"));
     return;
   }
-  Session& session = it->second;
+  const int eventset = it->second;
   // Atomic add: either every event in the request lands or none does.
   AddEventsAck ack;
   std::size_t added = 0;
@@ -415,7 +414,7 @@ void Daemon::on_add_events(ClientState& client, const Frame& frame) {
   for (const std::string& event : msg->events) {
     auto canonical = library_->canonical_event_name(event);
     if (canonical) {
-      const Status s = library_->add_event(session.eventset, event);
+      const Status s = library_->add_event(eventset, event);
       if (s.is_ok()) {
         ack.canonical_names.push_back(std::move(*canonical));
         ++added;
@@ -426,30 +425,24 @@ void Daemon::on_add_events(ClientState& client, const Frame& frame) {
       failure = canonical.status();
     }
     for (std::size_t i = added; i-- > 0;) {
-      (void)library_->remove_event(session.eventset, msg->events[i]);
+      (void)library_->remove_event(eventset, msg->events[i]);
     }
     enqueue_error(client, frame.type, failure);
     return;
   }
-  session.canonical_names.insert(session.canonical_names.end(),
-                                 ack.canonical_names.begin(),
-                                 ack.canonical_names.end());
   enqueue(client, MsgType::kAddEventsAck, ack.encode());
 }
 
 void Daemon::on_start(ClientState& client, const Frame& frame) {
-  auto msg = Start::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
+  auto msg = decode_request<Start>(client, frame);
+  if (!msg) return;
   const auto it = client.sessions.find(msg->session_id);
   if (it == client.sessions.end()) {
     enqueue_error(client, frame.type,
                   make_error(StatusCode::kNoEventSet, "no such session"));
     return;
   }
-  const Status s = library_->start(it->second.eventset);
+  const Status s = library_->start(it->second);
   if (!s.is_ok()) {
     enqueue_error(client, frame.type, s);
     return;
@@ -458,18 +451,15 @@ void Daemon::on_start(ClientState& client, const Frame& frame) {
 }
 
 void Daemon::on_read(ClientState& client, const Frame& frame) {
-  auto msg = Read::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
+  auto msg = decode_request<Read>(client, frame);
+  if (!msg) return;
   const auto it = client.sessions.find(msg->session_id);
   if (it == client.sessions.end()) {
     enqueue_error(client, frame.type,
                   make_error(StatusCode::kNoEventSet, "no such session"));
     return;
   }
-  auto reading = library_->read_checked(it->second.eventset);
+  auto reading = library_->read_checked(it->second);
   if (!reading) {
     enqueue_error(client, frame.type, reading.status());
     return;
@@ -482,58 +472,31 @@ void Daemon::on_read(ClientState& client, const Frame& frame) {
 }
 
 void Daemon::on_subscribe(ClientState& client, const Frame& frame) {
-  auto msg = Subscribe::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
-  if (msg->period_ticks == 0 || msg->events.empty()) {
-    enqueue_error(client, frame.type,
-                  make_error(StatusCode::kInvalidArgument,
-                             "subscription needs events and period >= 1"));
-    return;
-  }
-  if (config_.max_subscriptions > 0 &&
-      client.subscriptions.size() + client.agg_subscriptions.size() >=
-          config_.max_subscriptions) {
-    ++stats_.overload_rejections;
-    enqueue_error(client, frame.type,
-                  make_error(StatusCode::kOverloaded,
-                             "client at max_subscriptions"));
+  auto msg = decode_request<Subscribe>(client, frame);
+  if (!msg) return;
+  if (const Status s = admit(client, msg->period_ticks, msg->events);
+      !s.is_ok()) {
+    enqueue_error(client, frame.type, s);
     return;
   }
   const std::uint32_t sub_id = next_subscription_id_++;
-  auto key_id = join_subscription(client, sub_id, *msg, /*aggregate=*/false);
-  if (!key_id) {
-    enqueue_error(client, frame.type, key_id.status());
+  auto sub = join_subscription(client, sub_id, *msg, /*aggregate=*/false);
+  if (!sub) {
+    enqueue_error(client, frame.type, sub.status());
     return;
   }
-  client.subscriptions.emplace(sub_id, *key_id);
-  SubscribeAck ack;
+  client.subscriptions.emplace(sub_id, (*sub)->key_id);
+  SubscribeAck& ack = (*sub)->ack;
   ack.subscription_id = sub_id;
-  ack.shared_key_id = *key_id;
   enqueue(client, MsgType::kSubscribeAck, ack.encode());
 }
 
 void Daemon::on_subscribe_aggregate(ClientState& client, const Frame& frame) {
-  auto msg = AggSubscribe::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
-  if (msg->period_ticks == 0 || msg->events.empty()) {
-    enqueue_error(client, frame.type,
-                  make_error(StatusCode::kInvalidArgument,
-                             "aggregate needs events and period >= 1"));
-    return;
-  }
-  if (config_.max_subscriptions > 0 &&
-      client.subscriptions.size() + client.agg_subscriptions.size() >=
-          config_.max_subscriptions) {
-    ++stats_.overload_rejections;
-    enqueue_error(client, frame.type,
-                  make_error(StatusCode::kOverloaded,
-                             "client at max_subscriptions"));
+  auto msg = decode_request<AggSubscribe>(client, frame);
+  if (!msg) return;
+  if (const Status s = admit(client, msg->period_ticks, msg->events);
+      !s.is_ok()) {
+    enqueue_error(client, frame.type, s);
     return;
   }
   const std::uint32_t sub_id = next_subscription_id_++;
@@ -548,15 +511,15 @@ void Daemon::on_subscribe_aggregate(ClientState& client, const Frame& frame) {
     local.events = msg->events;
     local.period_ticks = msg->period_ticks;
     local.qualified = 1;
-    auto key_id = join_subscription(client, sub_id, local, /*aggregate=*/true);
-    if (!key_id) {
-      enqueue_error(client, frame.type, key_id.status());
+    auto sub = join_subscription(client, sub_id, local, /*aggregate=*/true);
+    if (!sub) {
+      enqueue_error(client, frame.type, sub.status());
       return;
     }
-    client.subscriptions.emplace(sub_id, *key_id);
+    client.subscriptions.emplace(sub_id, (*sub)->key_id);
     AggSubscribeAck ack;
     ack.subscription_id = sub_id;
-    ack.shared_key_id = *key_id;
+    ack.shared_key_id = (*sub)->key_id;
     ack.fanin = 1;
     enqueue(client, MsgType::kSubscribeAggregateAck, ack.encode());
     return;
@@ -577,27 +540,45 @@ void Daemon::on_subscribe_aggregate(ClientState& client, const Frame& frame) {
   enqueue(client, MsgType::kSubscribeAggregateAck, ack.encode());
 }
 
-Expected<std::uint32_t> Daemon::join_subscription(ClientState& client,
-                                                  std::uint32_t subscription_id,
-                                                  const Subscribe& spec,
-                                                  bool aggregate) {
-  std::vector<std::string> canonical;
-  canonical.reserve(spec.events.size());
-  for (const std::string& event : spec.events) {
-    auto name = library_->canonical_event_name(event);
-    if (!name) return name.status();
-    canonical.push_back(std::move(*name));
+std::vector<std::vector<std::string>> Daemon::part_names_of(
+    int eventset) const {
+  auto info = library_->eventset_info(eventset);
+  if (!info) return {};
+  std::vector<std::vector<std::string>> names(info->size());
+  // The same labels a qualified read derives per part: the native name,
+  // suffixed with the core type of its PMU (the canonical name's prefix
+  // before "::") when that PMU has one.
+  const auto label = [&](const std::string& native) {
+    const std::string_view pmu =
+        std::string_view(native).substr(0, native.find("::"));
+    const std::string core = library_->core_type_for_pmu(pmu);
+    return core.empty() ? native : native + "[" + core + "]";
+  };
+  for (std::size_t i = 0; i < info->size(); ++i) {
+    const papi::EventInfo& event = (*info)[i];
+    for (const std::string& native : event.native_names) {
+      names[i].push_back(label(native));
+    }
+    for (const std::string& native : event.missing_names) {
+      names[i].push_back(label(native));
+    }
   }
-  const std::string key = make_key(spec.target_kind, spec.target,
-                                   spec.period_ticks, spec.qualified != 0,
-                                   canonical);
+  return names;
+}
+
+Expected<Daemon::SharedSubscription*> Daemon::join_subscription(
+    ClientState& client, std::uint32_t subscription_id, const Subscribe& spec,
+    bool aggregate) {
+  auto named = coalescing_key(spec.target_kind, spec.target, spec.period_ticks,
+                              spec.qualified != 0, spec.events);
+  if (!named) return named.status();
+  const std::string& key = *named;
   if (const auto it = key_ids_.find(key); it != key_ids_.end()) {
-    shared_subs_[it->second].subscribers.push_back(
-        {client.id, subscription_id, aggregate});
-    return it->second;
+    SharedSubscription& sub = shared_subs_[it->second];
+    sub.subscribers.push_back({&client, subscription_id, aggregate});
+    return &sub;
   }
-  auto set = build_eventset(spec.target_kind, spec.target, spec.events,
-                            nullptr);
+  auto set = build_eventset(spec.target_kind, spec.target, spec.events);
   if (!set) return set.status();
   if (const Status s = library_->start(*set); !s.is_ok()) {
     (void)library_->destroy_eventset(*set);
@@ -609,20 +590,25 @@ Expected<std::uint32_t> Daemon::join_subscription(ClientState& client,
   sub.eventset = *set;
   sub.period_ticks = spec.period_ticks;
   sub.qualified = spec.qualified != 0;
-  sub.subscribers.push_back({client.id, subscription_id, aggregate});
+  sub.ack.shared_key_id = sub.key_id;
+  // Plain slots carry no parts: one empty list each.
+  sub.ack.part_names = sub.qualified
+                           ? part_names_of(*set)
+                           : std::vector<std::vector<std::string>>(
+                                 spec.events.size());
+  sub.subscribers.push_back({&client, subscription_id, aggregate});
   key_ids_.emplace(key, sub.key_id);
   const std::uint32_t key_id = sub.key_id;
-  shared_subs_.emplace(key_id, std::move(sub));
-  return key_id;
+  return &shared_subs_.emplace(key_id, std::move(sub)).first->second;
 }
 
-void Daemon::leave_subscription(std::uint32_t client_id, std::uint32_t sub_id,
+void Daemon::leave_subscription(const ClientState& client, std::uint32_t sub_id,
                                 std::uint32_t key_id) {
   const auto it = shared_subs_.find(key_id);
   if (it == shared_subs_.end()) return;
   SharedSubscription& sub = it->second;
   std::erase_if(sub.subscribers, [&](const Rider& rider) {
-    return rider.client_id == client_id && rider.subscription_id == sub_id;
+    return rider.client == &client && rider.subscription_id == sub_id;
   });
   if (!sub.subscribers.empty()) return;
   // Last rider gone: tear the shared EventSet down. Force-destroy so a
@@ -635,26 +621,20 @@ void Daemon::leave_subscription(std::uint32_t client_id, std::uint32_t sub_id,
 Expected<std::uint32_t> Daemon::join_aggregate(ClientState& client,
                                                std::uint32_t subscription_id,
                                                const AggSubscribe& spec) {
-  std::vector<std::string> canonical;
-  canonical.reserve(spec.events.size());
-  for (const std::string& event : spec.events) {
-    auto name = library_->canonical_event_name(event);
-    if (!name) return name.status();
-    canonical.push_back(std::move(*name));
-  }
-  const std::string key =
-      "agg|" + make_key(spec.target_kind, spec.target, spec.period_ticks,
-                        /*qualified=*/true, canonical);
+  auto named = coalescing_key(spec.target_kind, spec.target, spec.period_ticks,
+                              /*qualified=*/true, spec.events);
+  if (!named) return named.status();
+  const std::string key = "agg|" + *named;
   if (const auto it = agg_key_ids_.find(key); it != agg_key_ids_.end()) {
     agg_subs_[it->second].subscribers.push_back(
-        {client.id, subscription_id, true});
+        {&client, subscription_id, true});
     return it->second;
   }
   AggregateShared agg;
   agg.key = key;
   agg.spec = spec;
   agg.period_ticks = spec.period_ticks;
-  agg.slot_count = canonical.size();
+  agg.slot_count = spec.events.size();
   agg.downstream.resize(downstreams_.size());
   std::size_t accepted = 0;
   for (std::size_t d = 0; d < downstreams_.size(); ++d) {
@@ -676,20 +656,20 @@ Expected<std::uint32_t> Daemon::join_aggregate(ClientState& client,
                       "no live downstream accepted the aggregate");
   }
   agg.key_id = next_agg_key_id_++;
-  agg.subscribers.push_back({client.id, subscription_id, true});
+  agg.subscribers.push_back({&client, subscription_id, true});
   agg_key_ids_.emplace(key, agg.key_id);
   const std::uint32_t key_id = agg.key_id;
   agg_subs_.emplace(key_id, std::move(agg));
   return key_id;
 }
 
-void Daemon::leave_aggregate(std::uint32_t client_id, std::uint32_t sub_id,
+void Daemon::leave_aggregate(const ClientState& client, std::uint32_t sub_id,
                              std::uint32_t key_id) {
   const auto it = agg_subs_.find(key_id);
   if (it == agg_subs_.end()) return;
   AggregateShared& agg = it->second;
   std::erase_if(agg.subscribers, [&](const Rider& rider) {
-    return rider.client_id == client_id && rider.subscription_id == sub_id;
+    return rider.client == &client && rider.subscription_id == sub_id;
   });
   if (!agg.subscribers.empty()) return;
   // Last rider gone: release the downstream legs.
@@ -705,21 +685,18 @@ void Daemon::leave_aggregate(std::uint32_t client_id, std::uint32_t sub_id,
 }
 
 void Daemon::on_unsubscribe(ClientState& client, const Frame& frame) {
-  auto msg = Unsubscribe::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
+  auto msg = decode_request<Unsubscribe>(client, frame);
+  if (!msg) return;
   if (const auto it = client.subscriptions.find(msg->subscription_id);
       it != client.subscriptions.end()) {
-    leave_subscription(client.id, it->first, it->second);
+    leave_subscription(client, it->first, it->second);
     client.subscriptions.erase(it);
     enqueue(client, MsgType::kUnsubscribeAck, {});
     return;
   }
   if (const auto it = client.agg_subscriptions.find(msg->subscription_id);
       it != client.agg_subscriptions.end()) {
-    leave_aggregate(client.id, it->first, it->second);
+    leave_aggregate(client, it->first, it->second);
     client.agg_subscriptions.erase(it);
     enqueue(client, MsgType::kUnsubscribeAck, {});
     return;
@@ -729,11 +706,8 @@ void Daemon::on_unsubscribe(ClientState& client, const Frame& frame) {
 }
 
 void Daemon::on_get_stats(ClientState& client, const Frame& frame) {
-  auto msg = GetStats::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
+  auto msg = decode_request<GetStats>(client, frame);
+  if (!msg) return;
   StatsReply reply;
   reply.ticks = stats_.ticks;
   reply.backend_reads = stats_.backend_reads;
@@ -752,15 +726,12 @@ void Daemon::on_get_stats(ClientState& client, const Frame& frame) {
   reply.downstreams = static_cast<std::uint32_t>(downstreams_.size());
   reply.agg_subscriptions = static_cast<std::uint32_t>(agg_subs_.size());
   reply.agg_samples_delivered = stats_.agg_samples_delivered;
-  enqueue(client, MsgType::kStatsReply, reply.encode(client.version));
+  enqueue(client, MsgType::kStatsReply, reply.encode());
 }
 
 void Daemon::on_close(ClientState& client, const Frame& frame) {
-  auto msg = Close::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return;
-  }
+  auto msg = decode_request<Close>(client, frame);
+  if (!msg) return;
   teardown_client(client);
   enqueue(client, MsgType::kCloseAck, {});
   client.closing = true;
@@ -768,15 +739,15 @@ void Daemon::on_close(ClientState& client, const Frame& frame) {
 
 void Daemon::teardown_client(ClientState& client) {
   for (const auto& [sub_id, key_id] : client.subscriptions) {
-    leave_subscription(client.id, sub_id, key_id);
+    leave_subscription(client, sub_id, key_id);
   }
   client.subscriptions.clear();
   for (const auto& [sub_id, key_id] : client.agg_subscriptions) {
-    leave_aggregate(client.id, sub_id, key_id);
+    leave_aggregate(client, sub_id, key_id);
   }
   client.agg_subscriptions.clear();
-  for (const auto& [session_id, session] : client.sessions) {
-    (void)library_->force_destroy_eventset(session.eventset);
+  for (const auto& [session_id, eventset] : client.sessions) {
+    (void)library_->force_destroy_eventset(eventset);
   }
   client.sessions.clear();
 }
@@ -798,19 +769,13 @@ void Daemon::poll() {
   reap_closed();
 }
 
-void Daemon::deliver(const std::vector<std::vector<std::uint8_t>>& templates,
-                     const std::vector<Delivery>& deliveries) {
-  if (deliveries.empty()) return;
-  // Bucket by shard. Each client lives in exactly one shard, so the
-  // parallel stage below never touches a client from two jobs, and the
-  // per-client enqueue order still follows the global delivery order —
-  // which is why the byte stream is shard-count invariant.
-  std::vector<std::vector<const Delivery*>> by_shard(shard_count_);
-  for (const Delivery& d : deliveries) {
-    const auto it = clients_by_id_.find(d.client_id);
-    if (it == clients_by_id_.end()) continue;
-    by_shard[it->second->shard].push_back(&d);
-  }
+void Daemon::deliver() {
+  if (streams_.empty()) return;
+  // One job per shard walks every due stream in the global (key_id,
+  // subscribe order) and serves only its own shard's riders. Each
+  // client lives in exactly one shard, so jobs never share a client or
+  // a rider, and every client's frames keep the global order — which
+  // is why the byte stream is shard-count invariant.
   struct ShardCounters {
     std::uint64_t frames = 0;
     std::uint64_t samples = 0;
@@ -818,19 +783,18 @@ void Daemon::deliver(const std::vector<std::vector<std::uint8_t>>& templates,
   };
   std::vector<ShardCounters> counters(shard_count_);
   const auto run_shard = [&](std::size_t s) {
-    for (const Delivery* d : by_shard[s]) {
-      ClientState* client = clients_by_id_.find(d->client_id)->second;
-      const bool v3 = client->version >= 3;
-      std::vector<std::uint8_t> frame =
-          templates[v3 ? d->template_v3 : d->template_v2];
-      patch_subscription_id(frame, d->subscription_id);
-      if (v3) patch_sequence_tail(frame, d->seq);
-      client->out.push_back({std::move(frame), 0});
-      ++counters[s].frames;
-      if (d->aggregate) {
-        ++counters[s].agg_samples;
-      } else {
-        ++counters[s].samples;
+    ShardCounters& c = counters[s];
+    for (const Stream& stream : streams_) {
+      for (Rider& rider : *stream.riders) {
+        if (rider.client->shard != s) continue;
+        const std::vector<std::uint8_t>& frame =
+            rider.aggregate ? *stream.agg_frame : *stream.sample_frame;
+        OutBuffer& out = rider.client->out;
+        const std::size_t at = out.append(frame.data(), frame.size());
+        stamp_stream_frame(out.bytes.data() + at, frame.size(),
+                           rider.subscription_id, ++rider.seq);
+        ++c.frames;
+        ++(rider.aggregate ? c.agg_samples : c.samples);
       }
     }
   };
@@ -848,147 +812,109 @@ void Daemon::deliver(const std::vector<std::vector<std::uint8_t>>& templates,
   }
 }
 
-void Daemon::serve_subscriptions() {
-  struct DueRead {
-    SharedSubscription* sub;
-    std::vector<long long> values;
-    std::vector<std::uint8_t> degraded;
-    std::vector<std::vector<std::pair<std::string, long long>>> parts;
-    std::uint8_t ok = 1;
-  };
-  std::vector<DueRead> due;
-  for (auto& [key_id, sub] : shared_subs_) {
-    if (stats_.ticks % sub.period_ticks == 0) due.push_back({&sub, {}, {}, {}, 1});
+void Daemon::read_into_sample(SharedSubscription& sub) {
+  WireSample& sample = sub.sample;
+  sample.counters_ok = 1;
+  if (sub.qualified) {
+    if (!library_->read_qualified_into(sub.eventset, sub.reading).is_ok()) {
+      sample.counters_ok = 0;
+      sample.values.clear();
+      sample.degraded.clear();
+      sample.parts.clear();
+      return;
+    }
+    const std::size_t n = sub.reading.size();
+    sample.values.resize(n);
+    sample.degraded.resize(n);
+    sample.parts.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const papi::QualifiedReading& slot = sub.reading[i];
+      sample.values[i] = slot.total;
+      sample.degraded[i] = slot.degraded ? 1 : 0;
+      std::vector<long long>& parts = sample.parts[i];
+      parts.resize(slot.parts.size());
+      for (std::size_t p = 0; p < parts.size(); ++p) {
+        parts[p] = slot.parts[p].valid ? slot.parts[p].value : 0;
+      }
+    }
+    return;
   }
-  if (due.empty()) return;
+  sample.parts.clear();
+  auto reading = library_->read_checked(sub.eventset);
+  if (!reading) {
+    sample.counters_ok = 0;
+    sample.values.clear();
+    sample.degraded.clear();
+    return;
+  }
+  sample.values = std::move(reading->values);
+  sample.degraded = std::move(reading->value_degraded);
+}
 
+void Daemon::serve_subscriptions() {
+  streams_.clear();
   const double t_seconds =
       kernel_ != nullptr ? kernel_->now().seconds()
                          : static_cast<double>(stats_.ticks);
   double temp = std::nan("");
   double power = std::nan("");
-  if (sampler_ != nullptr) {
-    const telemetry::Sample s = sampler_->sample();
-    temp = s.package_temp_c;
-    power = s.package_power_w;
-  }
+  bool telemetry_sampled = false;
 
   // The coalescing payoff: ONE backend read per distinct subscription,
-  // regardless of how many clients ride it. Reads stay serial — the
-  // backend is not a concurrent structure.
-  for (DueRead& read : due) {
+  // regardless of how many clients ride it, and ONE template frame per
+  // read (the fan-out stamps each rider's id and sequence into its
+  // copy). Reads and encodes stay serial — the backend is not a
+  // concurrent structure, and a fixed-width encode is cheaper than a
+  // hand-off to the pool.
+  for (auto& [key_id, sub] : shared_subs_) {
+    if (stats_.ticks % sub.period_ticks != 0) continue;
+    if (sampler_ != nullptr && !telemetry_sampled) {
+      const telemetry::Sample s = sampler_->sample();
+      temp = s.package_temp_c;
+      power = s.package_power_w;
+      telemetry_sampled = true;
+    }
     ++stats_.backend_reads;
-    if (read.sub->qualified) {
-      auto q = library_->read_qualified(read.sub->eventset);
-      if (!q) {
-        read.ok = 0;
-        continue;
-      }
-      for (const papi::QualifiedReading& slot : *q) {
-        read.values.push_back(slot.total);
-        read.degraded.push_back(slot.degraded ? 1 : 0);
-        std::vector<std::pair<std::string, long long>> parts;
-        parts.reserve(slot.parts.size());
-        for (const papi::QualifiedValue& part : slot.parts) {
-          parts.emplace_back(part.core_type.empty()
-                                 ? part.native_name
-                                 : part.native_name + "[" + part.core_type +
-                                       "]",
-                             part.valid ? part.value : 0);
-        }
-        read.parts.push_back(std::move(parts));
-      }
-    } else {
-      auto reading = library_->read_checked(read.sub->eventset);
-      if (!reading) {
-        read.ok = 0;
-        continue;
-      }
-      read.values = std::move(reading->values);
-      read.degraded = std::move(reading->value_degraded);
+    read_into_sample(sub);
+    WireSample& sample = sub.sample;
+    sample.tick = stats_.ticks;
+    sample.t_seconds = t_seconds;
+    sample.package_temp_c = temp;
+    sample.package_power_w = power;
+    bool any_direct = false;
+    bool any_aggregate = false;
+    for (const Rider& rider : sub.subscribers) {
+      (rider.aggregate ? any_aggregate : any_direct) = true;
     }
-  }
-
-  // Batched fan-out: ONE template frame per due read per frame shape
-  // (the subscription id — the first payload field — is patched per
-  // rider at delivery, as is the v3 sequence tail), instead of a full
-  // encode per subscriber. Template slots 4*i + {0,1,2,3} hold read
-  // i's WireSample-v2 / WireSample-v3 / AggSample-v2 / AggSample-v3
-  // rendition; shapes no rider wants stay empty. Encoding is pure, so
-  // it parallelizes across due reads (clients_by_id_ is read-only
-  // during the encode stage).
-  std::vector<std::vector<std::uint8_t>> templates(due.size() * 4);
-  const auto encode_templates = [&](std::size_t i) {
-    const DueRead& read = due[i];
-    bool want[4] = {false, false, false, false};
-    for (const Rider& rider : read.sub->subscribers) {
-      const auto it = clients_by_id_.find(rider.client_id);
-      const bool v3 =
-          it != clients_by_id_.end() && it->second->version >= 3;
-      want[(rider.aggregate ? 2 : 0) + (v3 ? 1 : 0)] = true;
-    }
-    if (want[0] || want[1]) {
-      WireSample sample;
-      sample.subscription_id = 0;  // patched per rider
-      sample.seq = 0;              // patched per rider (v3)
-      sample.tick = stats_.ticks;
-      sample.t_seconds = t_seconds;
-      sample.values = read.values;
-      sample.degraded = read.degraded;
-      sample.counters_ok = read.ok;
-      sample.package_temp_c = temp;
-      sample.package_power_w = power;
-      sample.parts = read.parts;
-      if (want[0])
-        templates[4 * i] = encode_frame(MsgType::kSample, sample.encode(2));
-      if (want[1])
-        templates[4 * i + 1] = encode_frame(MsgType::kSample, sample.encode(3));
-    }
-    if (want[2] || want[3]) {
+    if (any_direct) sample.encode_frame_into(sub.frame);
+    if (any_aggregate) {
       // The leaf rendition of the aggregate stream: one contributor,
-      // so every statistic collapses onto the local reading.
+      // so every statistic collapses onto the local reading, and the
+      // parts carry their schema labels, sorted by label.
       AggSample agg;
-      agg.subscription_id = 0;  // patched per rider
-      agg.seq = 0;              // patched per rider (v3)
       agg.tick = stats_.ticks;
       agg.t_seconds = t_seconds;
-      agg.complete = read.ok;
-      agg.slots.resize(read.values.size());
-      for (std::size_t s = 0; s < read.values.size(); ++s) {
+      agg.complete = sample.counters_ok;
+      agg.slots.resize(sample.values.size());
+      for (std::size_t s = 0; s < sample.values.size(); ++s) {
         SlotStats& slot = agg.slots[s];
-        slot.sum = slot.min = slot.max = read.values[s];
-        slot.avg = static_cast<double>(read.values[s]);
-        slot.stddev = 0.0;
+        slot.sum = slot.min = slot.max = sample.values[s];
+        slot.avg = static_cast<double>(sample.values[s]);
         slot.count = 1;
-        if (s < read.parts.size()) slot.per_core_type = read.parts[s];
+        const auto& names = sub.ack.part_names;
+        if (s < sample.parts.size() && s < names.size()) {
+          for (std::size_t p = 0;
+               p < sample.parts[s].size() && p < names[s].size(); ++p) {
+            slot.per_core_type.emplace_back(names[s][p], sample.parts[s][p]);
+          }
+        }
         std::sort(slot.per_core_type.begin(), slot.per_core_type.end());
       }
-      if (want[2])
-        templates[4 * i + 2] = encode_frame(MsgType::kAggSample, agg.encode(2));
-      if (want[3])
-        templates[4 * i + 3] = encode_frame(MsgType::kAggSample, agg.encode(3));
+      sub.agg_frame = encode_frame(MsgType::kAggSample, agg.encode());
     }
-  };
-  if (encode_pool_ != nullptr) {
-    encode_pool_->parallel_for_each(due.size(), encode_templates);
-  } else {
-    for (std::size_t i = 0; i < due.size(); ++i) encode_templates(i);
+    streams_.push_back({&sub.frame, &sub.agg_frame, &sub.subscribers});
   }
-
-  // Sequence numbers are bumped HERE, serially, in the same global
-  // (key_id, subscribe order) the delivery list has always used — so
-  // they are deterministic for any shard/thread count.
-  std::vector<Delivery> deliveries;
-  for (std::size_t i = 0; i < due.size(); ++i) {
-    for (Rider& rider : due[i].sub->subscribers) {
-      ++rider.seq;
-      deliveries.push_back({rider.client_id, rider.subscription_id,
-                            rider.aggregate ? 4 * i + 2 : 4 * i,
-                            rider.aggregate ? 4 * i + 3 : 4 * i + 1,
-                            rider.aggregate, rider.seq});
-    }
-  }
-  deliver(templates, deliveries);
+  deliver();
 }
 
 AggSample Daemon::merge_aggregate(const AggregateShared& agg) const {
@@ -1096,40 +1022,19 @@ void Daemon::serve_aggregates() {
   const double t_seconds =
       kernel_ != nullptr ? kernel_->now().seconds()
                          : static_cast<double>(stats_.ticks);
-  std::vector<std::vector<std::uint8_t>> templates;
-  std::vector<Delivery> deliveries;
+  streams_.clear();
   for (auto& [key_id, agg] : agg_subs_) {
     bool any_fresh = false;
     for (const DownstreamState& st : agg.downstream) any_fresh |= st.fresh;
     if (!any_fresh) continue;  // nothing new — no sample this tick
     AggSample merged = merge_aggregate(agg);
-    merged.subscription_id = 0;  // patched per rider
-    merged.seq = 0;              // patched per rider (v3)
     merged.tick = stats_.ticks;
     merged.t_seconds = t_seconds;
-    bool want_v2 = false;
-    bool want_v3 = false;
-    for (const Rider& rider : agg.subscribers) {
-      const auto it = clients_by_id_.find(rider.client_id);
-      const bool v3 = it != clients_by_id_.end() && it->second->version >= 3;
-      (v3 ? want_v3 : want_v2) = true;
-    }
-    const std::size_t v2_index = templates.size();
-    templates.push_back(want_v2 ? encode_frame(MsgType::kAggSample,
-                                               merged.encode(2))
-                                : std::vector<std::uint8_t>{});
-    const std::size_t v3_index = templates.size();
-    templates.push_back(want_v3 ? encode_frame(MsgType::kAggSample,
-                                               merged.encode(3))
-                                : std::vector<std::uint8_t>{});
-    for (Rider& rider : agg.subscribers) {
-      ++rider.seq;
-      deliveries.push_back({rider.client_id, rider.subscription_id, v2_index,
-                            v3_index, true, rider.seq});
-    }
+    agg.frame = encode_frame(MsgType::kAggSample, merged.encode());
+    streams_.push_back({nullptr, &agg.frame, &agg.subscribers});
     for (DownstreamState& st : agg.downstream) st.fresh = false;
   }
-  deliver(templates, deliveries);
+  deliver();
 }
 
 void Daemon::heal_downstreams() {
@@ -1192,7 +1097,6 @@ void Daemon::enforce_liveness() {
     if (!client->conn->is_open() || client->closing || !client->hello_done) {
       continue;
     }
-    if (client->version < 3) continue;  // pre-v3 peers have no Ping verb
     if (client->ping_outstanding) {
       if (stats_.ticks - client->ping_sent_tick <
           config_.ping_interval_ticks) {
@@ -1205,21 +1109,16 @@ void Daemon::enforce_liveness() {
         // point: a half-open connection must not pin EventSets.
         ++stats_.clients_dropped_liveness;
         teardown_client(*client);
-        Goodbye bye;
-        bye.reason = "dropped: liveness timeout";
-        enqueue(*client, MsgType::kGoodbye, bye.encode());
+        enqueue(*client, MsgType::kGoodbye,
+                Goodbye{"dropped: liveness timeout"}.encode());
         client->closing = true;
         continue;
       }
-      Ping ping;  // next deadline
-      ping.token = stats_.ticks;
-      enqueue(*client, MsgType::kPing, ping.encode());
+      enqueue(*client, MsgType::kPing, Ping{stats_.ticks}.encode());
       client->ping_sent_tick = stats_.ticks;
     } else if (stats_.ticks - client->last_activity_tick >=
                config_.ping_interval_ticks) {
-      Ping ping;
-      ping.token = stats_.ticks;
-      enqueue(*client, MsgType::kPing, ping.encode());
+      enqueue(*client, MsgType::kPing, Ping{stats_.ticks}.encode());
       client->ping_sent_tick = stats_.ticks;
       client->ping_outstanding = true;
     }
@@ -1247,9 +1146,8 @@ void Daemon::tick() {
       }
       ++stats_.clients_closed_idle;
       teardown_client(*client);
-      Goodbye bye;
-      bye.reason = "disconnected: idle timeout";
-      enqueue(*client, MsgType::kGoodbye, bye.encode());
+      enqueue(*client, MsgType::kGoodbye,
+              Goodbye{"disconnected: idle timeout"}.encode());
       client->closing = true;
     }
   }
@@ -1272,16 +1170,14 @@ void Daemon::shutdown() {
   // ledger reads zero.
   for (const auto& client : clients_) {
     if (!client->conn->is_open()) continue;
-    Goodbye bye;
-    bye.reason = "daemon shutting down";
-    enqueue(*client, MsgType::kGoodbye, bye.encode());
+    enqueue(*client, MsgType::kGoodbye,
+            Goodbye{"daemon shutting down"}.encode());
     client->closing = true;
     flush_client(*client, config_.shutdown_max_flush_ops);
     teardown_client(*client);
     client->conn->close();
   }
   clients_.clear();
-  clients_by_id_.clear();
   // Downstream legs: a polite Close releases the subscriptions we hold
   // on the next daemon down the tree.
   for (Downstream& link : downstreams_) {

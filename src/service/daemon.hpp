@@ -24,18 +24,21 @@
 //
 // The c10k fan-out path is sharded: clients are assigned to
 // config.shards session shards on accept (round-robin by client id),
-// sample encoding produces ONE template frame per distinct due
-// subscription (subscription_id is the first payload field, so the
-// per-rider copy just patches 4 bytes), and delivery runs one job per
-// shard on the encode pool. A client lives in exactly one shard and
-// per-shard jobs only touch their own clients plus a private counter
-// slot, so the stage is lock-free by partitioning; counters merge
-// serially afterwards. Per-client enqueue order follows the global
-// (key_id, subscribe order) delivery list regardless of shard count,
-// which is what the shards-1-vs-4-vs-16 byte-determinism goldens pin.
+// sample encoding produces ONE fixed-width template frame per distinct
+// due subscription, and delivery runs one job per shard on the encode
+// pool. Each job appends the template to its riders' outbound byte
+// buffers and patches the subscription id (the first payload field)
+// and the sequence number (the last) in place — no per-rider
+// allocation and no lookup, since a rider points at its client. A
+// client lives in exactly one shard and per-shard jobs only touch their
+// own clients plus a private counter slot, so the stage is lock-free by
+// partitioning; counters merge serially afterwards. Per-client enqueue
+// order follows the global (key_id, subscribe order) delivery order
+// regardless of shard count, which is what the shards-1-vs-4-vs-16
+// byte-determinism goldens pin.
 //
 // Aggregation tree: add_downstream() hands the daemon a service::Client
-// connected to another hetpapid. A v2 SubscribeAggregate on a daemon
+// connected to another hetpapid. A SubscribeAggregate on a daemon
 // *without* downstreams (a leaf) rides the same coalesced shared
 // subscription as a qualified Subscribe and streams AggSample frames
 // with count=1 statistics — so a merged aggregate is, by construction,
@@ -54,12 +57,10 @@
 // leak oracle.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/thread_pool.hpp"
@@ -78,10 +79,10 @@ struct DaemonConfig {
   /// Ticks without traffic after which a subscription-less client is
   /// disconnected (0 = never).
   std::uint64_t idle_timeout_ticks = 0;
-  /// Worker threads for template encoding and per-shard delivery (the
-  /// reads stay serial — the backend is single-threaded); frames are
-  /// merged in deterministic order, so the byte stream every client
-  /// sees is identical for any thread count.
+  /// Worker threads for the per-shard delivery (the reads and the
+  /// template encodes stay serial — the backend is single-threaded);
+  /// each client's frames keep the global order, so the byte stream
+  /// every client sees is identical for any thread count.
   std::size_t encode_threads = 1;
   /// Session shards the fan-out partitions clients across (>= 1).
   /// Purely a parallelism knob: the byte stream every client sees is
@@ -90,13 +91,13 @@ struct DaemonConfig {
   /// Attach package temperature / power (via a telemetry::Sampler over
   /// the kernel) to every streamed sample.
   bool include_telemetry = false;
-  /// Session epoch advertised in every v3 HelloAck. A reconnecting
+  /// Session epoch advertised in every HelloAck. A reconnecting
   /// client compares epochs to tell "same daemon process" (tick-based
   /// gap accounting is exact) from "daemon restarted" (gap unknowable).
   /// Caller-provided rather than derived from wall clock or a global
   /// counter so runs stay byte-deterministic.
   std::uint64_t epoch = 1;
-  /// Liveness: ping every helloed v3 client whose last traffic is this
+  /// Liveness: ping every helloed client whose last traffic is this
   /// many ticks old (0 = pings disabled). A client that misses
   /// `ping_max_missed` consecutive ping deadlines is dropped even if it
   /// still holds subscriptions — a half-open peer must not hold
@@ -187,22 +188,21 @@ class Daemon {
   papi::Library* library() { return library_.get(); }
 
  private:
-  struct Session {
-    int eventset = -1;
-    std::vector<std::string> canonical_names;
-  };
+  struct ClientState;
 
   /// One subscriber of a shared (coalesced) subscription, in subscribe
   /// order. Aggregate riders joined via SubscribeAggregate on a leaf
   /// daemon; they receive AggSample frames built from the same read.
+  /// teardown_client() removes a client's riders before the client
+  /// goes away, so `client` never dangles.
   struct Rider {
-    std::uint32_t client_id = 0;
+    ClientState* client = nullptr;
     std::uint32_t subscription_id = 0;
     bool aggregate = false;
-    /// v3 delivery sequence for THIS rider, bumped serially while the
-    /// delivery list is built (first delivered sample carries seq 1).
-    /// A resubscribe after reconnect is a new rider, so the client's
-    /// expectation of a fresh sequence holds by construction.
+    /// Delivery sequence for THIS rider, bumped by the delivering shard
+    /// job (first delivered sample carries seq 1). A resubscribe after
+    /// reconnect is a new rider, so the client's expectation of a fresh
+    /// sequence holds by construction.
     std::uint64_t seq = 0;
   };
 
@@ -212,8 +212,19 @@ class Daemon {
     int eventset = -1;
     std::uint32_t period_ticks = 1;
     bool qualified = false;
+    /// The SubscribeAck every rider of the set gets, its schema
+    /// computed once when the set is built; on_subscribe stamps each
+    /// rider's subscription id into it.
+    SubscribeAck ack;
     /// The refcount is subscribers.size().
     std::vector<Rider> subscribers;
+    // Per-tick scratch, reused so a steady tick does not allocate: the
+    // qualified reading, the sample it becomes, and the template frames
+    // (the leaf AggSample one only while aggregate riders exist).
+    std::vector<papi::QualifiedReading> reading;
+    WireSample sample;
+    std::vector<std::uint8_t> frame;
+    std::vector<std::uint8_t> agg_frame;
   };
 
   /// Per-downstream contribution state of one aggregate, index-aligned
@@ -237,6 +248,7 @@ class Daemon {
     std::size_t slot_count = 0;
     std::vector<DownstreamState> downstream;
     std::vector<Rider> subscribers;
+    std::vector<std::uint8_t> frame;  // this tick's merged template
   };
 
   struct Downstream {
@@ -248,49 +260,54 @@ class Daemon {
     std::uint64_t backoff_ticks = 1;
   };
 
-  struct PendingBytes {
+  /// A client's outbound stream: frames appended back to back and
+  /// flushed from `sent` on. The frame ends ride beside the bytes so
+  /// max_client_queue_frames still counts whole frames not yet sent.
+  struct OutBuffer {
     std::vector<std::uint8_t> bytes;
-    std::size_t offset = 0;
+    std::size_t sent = 0;
+    std::vector<std::size_t> frame_ends;  // offsets into bytes
+    std::size_t ends_sent = 0;            // frame_ends fully flushed
+
+    std::size_t frames() const { return frame_ends.size() - ends_sent; }
+    std::size_t pending() const { return bytes.size() - sent; }
+    /// Append one frame and return where it starts.
+    std::size_t append(const std::uint8_t* frame, std::size_t size);
+    /// Account `n` more bytes as sent, compacting lazily.
+    void consume(std::size_t n);
   };
 
   struct ClientState {
     std::uint32_t id = 0;
     /// Which fan-out shard delivers to this client.
     std::size_t shard = 0;
-    /// Negotiated protocol version (min of client's and ours).
-    std::uint32_t version = kProtocolVersion;
     std::unique_ptr<Connection> conn;
     FrameReader reader;
     bool hello_done = false;
     /// Flush-then-close: set after Close/Goodbye.
     bool closing = false;
     std::uint64_t last_activity_tick = 0;
-    // Liveness (v3 clients, when ping_interval_ticks > 0): traffic in
+    // Liveness (when ping_interval_ticks > 0): traffic in
     // either direction counts as proof of life; otherwise a Ping goes
     // out and the peer has one interval per deadline to answer.
     std::uint64_t ping_sent_tick = 0;
     bool ping_outstanding = false;
     std::uint32_t pings_missed = 0;
-    std::deque<PendingBytes> out;
-    std::map<std::uint32_t, Session> sessions;
+    OutBuffer out;
+    std::map<std::uint32_t, int> sessions;  // session id -> EventSet
     /// subscription_id -> shared key_id.
     std::map<std::uint32_t, std::uint32_t> subscriptions;
     /// subscription_id -> aggregate key_id (node-side aggregates only).
     std::map<std::uint32_t, std::uint32_t> agg_subscriptions;
   };
 
-  /// One pending frame hand-off of the batched fan-out: copy the
-  /// template matching the rider's protocol version, patch bytes [5,9)
-  /// with the subscription id (and, v3, the trailing 8-byte seq),
-  /// enqueue. The v2/v3 template pair exists because the v3 shapes
-  /// carry the sequence tail; a slot a rider never picks stays empty.
-  struct Delivery {
-    std::uint32_t client_id = 0;
-    std::uint32_t subscription_id = 0;
-    std::size_t template_v2 = 0;
-    std::size_t template_v3 = 0;
-    bool aggregate = false;
-    std::uint64_t seq = 0;
+  /// One due stream of the batched fan-out: its riders and the
+  /// template each kind of rider receives (Sample for direct riders,
+  /// AggSample for aggregate ones).
+  struct Stream {
+    const std::vector<std::uint8_t>* sample_frame = nullptr;
+    const std::vector<std::uint8_t>* agg_frame = nullptr;
+    std::vector<Rider>* riders = nullptr;
   };
 
   void accept_pending();
@@ -305,13 +322,25 @@ class Daemon {
   /// Re-dial, re-handshake, and re-subscribe dead downstream legs that
   /// have a factory and are past their backoff deadline.
   void heal_downstreams();
-  /// Ping v3 clients that have been silent too long; drop the ones that
+  /// Ping clients that have been silent too long; drop the ones that
   /// blew ping_max_missed deadlines.
   void enforce_liveness();
 
+  /// Best-effort direct send that bypasses the queue (refusals and
+  /// drops, right before the connection closes).
+  void send_now(Connection& conn, MsgType type,
+                const std::vector<std::uint8_t>& payload);
   void enqueue(ClientState& client, MsgType type,
                const std::vector<std::uint8_t>& payload);
   void enqueue_error(ClientState& client, MsgType in_reply_to, const Status& s);
+
+  /// Decode a request, answering a malformed one with an Error (nullopt
+  /// then means the handler is done).
+  template <typename M>
+  std::optional<M> decode_request(ClientState& client, const Frame& frame);
+  /// Validate a new subscription's spec and the client's quota.
+  Status admit(const ClientState& client, std::uint32_t period_ticks,
+               const std::vector<std::string>& events);
 
   // Frame handlers (client already authenticated unless noted).
   void on_hello(ClientState& client, const Frame& frame);
@@ -325,14 +354,12 @@ class Daemon {
   void on_get_stats(ClientState& client, const Frame& frame);
   void on_close(ClientState& client, const Frame& frame);
 
-  /// Build (or join) the shared subscription for a canonicalized spec;
-  /// returns the key_id.
-  Expected<std::uint32_t> join_subscription(ClientState& client,
-                                            std::uint32_t subscription_id,
-                                            const Subscribe& spec,
-                                            bool aggregate);
+  /// Build (or join) the shared subscription for a canonicalized spec.
+  Expected<SharedSubscription*> join_subscription(
+      ClientState& client, std::uint32_t subscription_id,
+      const Subscribe& spec, bool aggregate);
   /// Drop one subscriber; tears the EventSet down on the last one.
-  void leave_subscription(std::uint32_t client_id, std::uint32_t sub_id,
+  void leave_subscription(const ClientState& client, std::uint32_t sub_id,
                           std::uint32_t key_id);
   /// Build (or join) a node-side aggregate, fanning the spec out to
   /// every live downstream; returns the aggregate key_id.
@@ -341,24 +368,36 @@ class Daemon {
                                          const AggSubscribe& spec);
   /// Drop one aggregate rider; unsubscribes the downstreams on the
   /// last one.
-  void leave_aggregate(std::uint32_t client_id, std::uint32_t sub_id,
+  void leave_aggregate(const ClientState& client, std::uint32_t sub_id,
                        std::uint32_t key_id);
   /// Release everything a departing client holds.
   void teardown_client(ClientState& client);
 
+  /// One coalescing key: target kind/id, period, qualified flag, then
+  /// the ordered canonical event names (through
+  /// Library::canonical_event_name, so spellings coalesce).
+  /// Order-sensitive by design — the streamed value vector must match
+  /// each subscriber's requested slot order, so differently-ordered
+  /// lists are distinct subscriptions.
+  Expected<std::string> coalescing_key(
+      TargetKind kind, std::int64_t target, std::uint32_t period_ticks,
+      bool qualified, const std::vector<std::string>& events) const;
   /// Bind a fresh EventSet to a wire target and event list.
   Expected<int> build_eventset(TargetKind kind, std::int64_t target,
-                               const std::vector<std::string>& events,
-                               std::vector<std::string>* canonical_out);
+                               const std::vector<std::string>& events);
 
+  /// The per-slot part names of a started qualified set, as its
+  /// samples carry them.
+  std::vector<std::vector<std::string>> part_names_of(int eventset) const;
+  /// Read one due subscription into its sample scratch.
+  void read_into_sample(SharedSubscription& sub);
   void serve_subscriptions();
   void serve_aggregates();
-  /// The sharded fan-out tail shared by both serve paths: bucket the
-  /// deliveries by client shard, run one patch-and-enqueue job per
-  /// shard (parallel on the encode pool, lock-free by partitioning),
-  /// then fold the per-shard counters into stats_ serially.
-  void deliver(const std::vector<std::vector<std::uint8_t>>& templates,
-               const std::vector<Delivery>& deliveries);
+  /// The sharded fan-out tail shared by both serve paths: run one
+  /// append-and-patch job per shard over streams_ (parallel on the
+  /// encode pool, lock-free by partitioning), then fold the per-shard
+  /// counters into stats_ serially.
+  void deliver();
   /// Fold every reported downstream contribution of one aggregate into
   /// a merged sample (exact hierarchical min/max/avg/σ composition).
   AggSample merge_aggregate(const AggregateShared& agg) const;
@@ -373,15 +412,14 @@ class Daemon {
   std::vector<Listener*> listeners_;
   /// Insertion-ordered so poll()/tick() visit clients deterministically.
   std::vector<std::unique_ptr<ClientState>> clients_;
-  /// The fan-out index: client id -> state, so delivery is O(1) per
-  /// frame instead of a linear scan over every connected client.
-  std::unordered_map<std::uint32_t, ClientState*> clients_by_id_;
   std::map<std::uint32_t, SharedSubscription> shared_subs_;  // by key_id
   std::map<std::string, std::uint32_t> key_ids_;             // key -> key_id
   std::vector<Downstream> downstreams_;
   std::map<std::uint32_t, AggregateShared> agg_subs_;  // by agg key_id
   std::map<std::string, std::uint32_t> agg_key_ids_;
 
+  /// This tick's due streams, in delivery order (reused per tick).
+  std::vector<Stream> streams_;
   DaemonStats stats_;
   std::size_t shard_count_ = 1;
   std::uint32_t next_client_id_ = 1;

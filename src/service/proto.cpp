@@ -1,6 +1,52 @@
 #include "service/proto.hpp"
 
+#include <algorithm>
+#include <bit>
+
 namespace hetpapi::service {
+
+namespace {
+
+// Fixed-width little-endian stores and loads: plain copies on a
+// little-endian host, assembled byte by byte elsewhere.
+template <typename T>
+void store_le(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+template <typename T>
+T load_le(const std::uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    }
+  }
+  return v;
+}
+
+/// Bytes of the length prefix plus the type byte ahead of every payload.
+constexpr std::size_t kFrameHeaderBytes = 5;
+
+void write_frame_header(std::uint8_t* out, MsgType type,
+                        std::size_t payload_size) {
+  store_le(out, static_cast<std::uint32_t>(payload_size + 1));
+  out[4] = static_cast<std::uint8_t>(type);
+}
+
+Status truncated() {
+  return make_error(StatusCode::kInvalidArgument, "truncated payload");
+}
+
+}  // namespace
 
 std::string_view to_string(MsgType type) noexcept {
   switch (type) {
@@ -45,118 +91,97 @@ bool Reader::take(std::size_t n) {
 }
 
 Expected<std::uint8_t> Reader::u8() {
-  if (!take(1)) return make_error(StatusCode::kInvalidArgument, "truncated u8");
+  if (!take(1)) return truncated();
   return data_[pos_++];
 }
 
 Expected<std::uint32_t> Reader::u32() {
-  if (!take(4)) {
-    return make_error(StatusCode::kInvalidArgument, "truncated u32");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
+  if (!take(4)) return truncated();
   pos_ += 4;
-  return v;
+  return load_le<std::uint32_t>(data_ + pos_ - 4);
 }
 
 Expected<std::uint64_t> Reader::u64() {
-  if (!take(8)) {
-    return make_error(StatusCode::kInvalidArgument, "truncated u64");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
+  if (!take(8)) return truncated();
   pos_ += 8;
-  return v;
+  return load_le<std::uint64_t>(data_ + pos_ - 8);
 }
 
 Expected<std::int64_t> Reader::i64() {
-  auto v = u64();
-  if (!v) return v.status();
-  return static_cast<std::int64_t>(*v);
+  if (!take(8)) return truncated();
+  pos_ += 8;
+  return static_cast<std::int64_t>(load_le<std::uint64_t>(data_ + pos_ - 8));
 }
 
 Expected<double> Reader::f64() {
-  auto bits = u64();
-  if (!bits) return bits.status();
-  double v = 0.0;
-  std::memcpy(&v, &*bits, sizeof(v));
-  return v;
+  if (!take(8)) return truncated();
+  pos_ += 8;
+  return std::bit_cast<double>(load_le<std::uint64_t>(data_ + pos_ - 8));
 }
 
+// Length-prefixed fields check the whole length against what remains
+// before allocating: a corrupt count fails, it never sizes a buffer.
 Expected<std::string> Reader::str() {
-  auto len = u32();
-  if (!len) return len.status();
-  if (*len > kMaxFrameBytes || !take(*len)) {
-    failed_ = true;
-    return make_error(StatusCode::kInvalidArgument, "truncated string");
-  }
-  std::string out(reinterpret_cast<const char*>(data_ + pos_), *len);
-  pos_ += *len;
+  const std::uint32_t len = u32().value_or(0);
+  if (!take(len)) return truncated();
+  std::string out(reinterpret_cast<const char*>(data_ + pos_), len);
+  pos_ += len;
   return out;
 }
 
 Expected<std::vector<std::string>> Reader::str_list() {
-  auto count = u32();
-  if (!count) return count.status();
+  const std::uint32_t count = u32().value_or(0);
   std::vector<std::string> out;
-  out.reserve(std::min<std::uint32_t>(*count, 1024));
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto s = str();
-    if (!s) return s.status();
-    out.push_back(std::move(*s));
+  out.reserve(std::min<std::size_t>(count, remaining() / 4));  // >= 4 each
+  for (std::uint32_t i = 0; i < count && ok(); ++i) {
+    out.push_back(str().value_or(""));
   }
+  if (!ok()) return truncated();
   return out;
 }
 
 Expected<std::vector<long long>> Reader::i64_list() {
-  auto count = u32();
-  if (!count) return count.status();
-  if (static_cast<std::uint64_t>(*count) * 8 > kMaxFrameBytes) {
-    failed_ = true;
-    return make_error(StatusCode::kInvalidArgument, "oversized i64 list");
-  }
-  std::vector<long long> out;
-  out.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto v = i64();
-    if (!v) return v.status();
-    out.push_back(static_cast<long long>(*v));
+  const std::uint32_t count = u32().value_or(0);
+  if (!take(8 * static_cast<std::size_t>(count))) return truncated();
+  std::vector<long long> out(count);
+  for (long long& v : out) {
+    v = static_cast<long long>(load_le<std::uint64_t>(data_ + pos_));
+    pos_ += 8;
   }
   return out;
 }
 
 Expected<std::vector<std::uint8_t>> Reader::u8_list() {
-  auto count = u32();
-  if (!count) return count.status();
-  if (*count > kMaxFrameBytes || !take(*count)) {
-    failed_ = true;
-    return make_error(StatusCode::kInvalidArgument, "truncated u8 list");
-  }
-  std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + *count);
-  pos_ += *count;
+  const std::uint32_t count = u32().value_or(0);
+  if (!take(count)) return truncated();
+  std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + count);
+  pos_ += count;
   return out;
 }
 
 // --- framing ---------------------------------------------------------------
 
+void stamp_stream_frame(std::uint8_t* frame, std::size_t size,
+                        std::uint32_t subscription_id, std::uint64_t seq) {
+  store_le<std::uint32_t>(frame + kFrameHeaderBytes, subscription_id);
+  store_le<std::uint64_t>(frame + size - 8, seq);
+}
+
 std::vector<std::uint8_t> encode_frame(
     MsgType type, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(5 + payload.size());
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size()) + 1;
-  for (int i = 0; i < 4; ++i) out.push_back((length >> (8 * i)) & 0xffu);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + payload.size());
+  write_frame_header(out.data(), type, payload.size());
+  std::copy(payload.begin(), payload.end(), out.begin() + kFrameHeaderBytes);
   return out;
 }
 
 Expected<Frame> FrameReader::next() {
+  Frame frame;
+  HETPAPI_RETURN_IF_ERROR(next_into(frame));
+  return frame;
+}
+
+Status FrameReader::next_into(Frame& out) {
   if (corrupt_) {
     return make_error(StatusCode::kInvalidArgument, "corrupt frame stream");
   }
@@ -171,11 +196,7 @@ Expected<Frame> FrameReader::next() {
     return make_error(StatusCode::kNotFound, "no complete frame");
   }
   std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(
-                  buffer_[consumed_ + static_cast<std::size_t>(i)])
-              << (8 * i);
-  }
+  length = load_le<std::uint32_t>(buffer_.data() + consumed_);
   if (length == 0 || length > kMaxFrameBytes) {
     corrupt_ = true;
     return make_error(StatusCode::kInvalidArgument, "bad frame length");
@@ -183,27 +204,65 @@ Expected<Frame> FrameReader::next() {
   if (available < 4 + static_cast<std::size_t>(length)) {
     return make_error(StatusCode::kNotFound, "no complete frame");
   }
-  Frame frame;
-  frame.type = static_cast<MsgType>(buffer_[consumed_ + 4]);
-  frame.payload.assign(
+  out.type = static_cast<MsgType>(buffer_[consumed_ + 4]);
+  out.payload.assign(
       buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_ + 5),
       buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_ + 4 + length));
   consumed_ += 4 + length;
-  return frame;
+  return Status::ok();
 }
 
 // --- messages --------------------------------------------------------------
+//
+// Decoders read every field unchecked: a failed read poisons the Reader
+// (later reads fail too and yield zeros), so one check at the end —
+// finish() — covers truncation and trailing bytes alike. Loops over a
+// peer-supplied count stop as soon as the reader is poisoned.
 
 namespace {
 
-/// Decode epilogue shared by every message: trailing bytes after the
-/// last field mean a framing bug or a newer, incompatible sender.
-Status expect_exhausted(const Reader& reader, std::string_view what) {
+Status finish(const Reader& reader, std::string_view what) {
+  if (!reader.ok()) {
+    return make_error(StatusCode::kInvalidArgument,
+                      std::string(what) + ": truncated");
+  }
+  // Trailing bytes after the last field mean a framing bug or an
+  // incompatible sender.
   if (reader.remaining() != 0) {
     return make_error(StatusCode::kInvalidArgument,
                       std::string(what) + ": trailing bytes");
   }
   return Status::ok();
+}
+
+Status read_target(Reader& r, TargetKind& kind, std::int64_t& target) {
+  const std::uint8_t raw = r.u8().value_or(0);
+  if (raw > static_cast<std::uint8_t>(TargetKind::kCpu)) {
+    return make_error(StatusCode::kInvalidArgument, "bad target kind");
+  }
+  kind = static_cast<TargetKind>(raw);
+  target = r.i64().value_or(0);
+  return Status::ok();
+}
+
+/// (label, value) pairs: u32 count, then a string and an i64 each.
+void write_labelled(
+    Writer& w, const std::vector<std::pair<std::string, long long>>& list) {
+  w.u32(static_cast<std::uint32_t>(list.size()));
+  for (const auto& [name, value] : list) {
+    w.str(name);
+    w.i64(value);
+  }
+}
+
+std::vector<std::pair<std::string, long long>> read_labelled(Reader& r) {
+  const std::uint32_t count = r.u32().value_or(0);
+  std::vector<std::pair<std::string, long long>> out;
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    std::string name = r.str().value_or("");
+    out.emplace_back(std::move(name), r.i64().value_or(0));
+  }
+  return out;
 }
 
 }  // namespace
@@ -218,44 +277,29 @@ std::vector<std::uint8_t> Hello::encode() const {
 Expected<Hello> Hello::decode(const Frame& frame) {
   Reader r = frame.reader();
   Hello m;
-  auto version_field = r.u32();
-  if (!version_field) return version_field.status();
-  m.version = *version_field;
-  auto name = r.str();
-  if (!name) return name.status();
-  m.client_name = std::move(*name);
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Hello"));
+  m.version = r.u32().value_or(0);
+  m.client_name = r.str().value_or("");
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Hello"));
   return m;
 }
 
-std::vector<std::uint8_t> HelloAck::encode(std::uint32_t version_out) const {
+std::vector<std::uint8_t> HelloAck::encode() const {
   Writer w;
   w.u32(version);
   w.u32(client_id);
   w.str(server_name);
-  if (version_out >= 3) w.u64(epoch);
+  w.u64(epoch);
   return w.take();
 }
 
 Expected<HelloAck> HelloAck::decode(const Frame& frame) {
   Reader r = frame.reader();
   HelloAck m;
-  auto version_field = r.u32();
-  if (!version_field) return version_field.status();
-  m.version = *version_field;
-  auto id = r.u32();
-  if (!id) return id.status();
-  m.client_id = *id;
-  auto name = r.str();
-  if (!name) return name.status();
-  m.server_name = std::move(*name);
-  // v3 tail, all-or-nothing: a v1/v2 ack ends here.
-  if (r.remaining() != 0) {
-    auto epoch_field = r.u64();
-    if (!epoch_field) return epoch_field.status();
-    m.epoch = *epoch_field;
-  }
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "HelloAck"));
+  m.version = r.u32().value_or(0);
+  m.client_id = r.u32().value_or(0);
+  m.server_name = r.str().value_or("");
+  m.epoch = r.u64().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "HelloAck"));
   return m;
 }
 
@@ -269,16 +313,8 @@ std::vector<std::uint8_t> OpenSession::encode() const {
 Expected<OpenSession> OpenSession::decode(const Frame& frame) {
   Reader r = frame.reader();
   OpenSession m;
-  auto kind = r.u8();
-  if (!kind) return kind.status();
-  if (*kind > static_cast<std::uint8_t>(TargetKind::kCpu)) {
-    return make_error(StatusCode::kInvalidArgument, "bad target kind");
-  }
-  m.target_kind = static_cast<TargetKind>(*kind);
-  auto target_field = r.i64();
-  if (!target_field) return target_field.status();
-  m.target = *target_field;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "OpenSession"));
+  HETPAPI_RETURN_IF_ERROR(read_target(r, m.target_kind, m.target));
+  HETPAPI_RETURN_IF_ERROR(finish(r, "OpenSession"));
   return m;
 }
 
@@ -291,10 +327,8 @@ std::vector<std::uint8_t> OpenSessionAck::encode() const {
 Expected<OpenSessionAck> OpenSessionAck::decode(const Frame& frame) {
   Reader r = frame.reader();
   OpenSessionAck m;
-  auto id = r.u32();
-  if (!id) return id.status();
-  m.session_id = *id;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "OpenSessionAck"));
+  m.session_id = r.u32().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "OpenSessionAck"));
   return m;
 }
 
@@ -308,13 +342,9 @@ std::vector<std::uint8_t> AddEvents::encode() const {
 Expected<AddEvents> AddEvents::decode(const Frame& frame) {
   Reader r = frame.reader();
   AddEvents m;
-  auto id = r.u32();
-  if (!id) return id.status();
-  m.session_id = *id;
-  auto list = r.str_list();
-  if (!list) return list.status();
-  m.events = std::move(*list);
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "AddEvents"));
+  m.session_id = r.u32().value_or(0);
+  m.events = r.str_list().value_or({});
+  HETPAPI_RETURN_IF_ERROR(finish(r, "AddEvents"));
   return m;
 }
 
@@ -327,10 +357,8 @@ std::vector<std::uint8_t> AddEventsAck::encode() const {
 Expected<AddEventsAck> AddEventsAck::decode(const Frame& frame) {
   Reader r = frame.reader();
   AddEventsAck m;
-  auto list = r.str_list();
-  if (!list) return list.status();
-  m.canonical_names = std::move(*list);
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "AddEventsAck"));
+  m.canonical_names = r.str_list().value_or({});
+  HETPAPI_RETURN_IF_ERROR(finish(r, "AddEventsAck"));
   return m;
 }
 
@@ -343,10 +371,8 @@ std::vector<std::uint8_t> Start::encode() const {
 Expected<Start> Start::decode(const Frame& frame) {
   Reader r = frame.reader();
   Start m;
-  auto id = r.u32();
-  if (!id) return id.status();
-  m.session_id = *id;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Start"));
+  m.session_id = r.u32().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Start"));
   return m;
 }
 
@@ -359,10 +385,8 @@ std::vector<std::uint8_t> Read::encode() const {
 Expected<Read> Read::decode(const Frame& frame) {
   Reader r = frame.reader();
   Read m;
-  auto id = r.u32();
-  if (!id) return id.status();
-  m.session_id = *id;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Read"));
+  m.session_id = r.u32().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Read"));
   return m;
 }
 
@@ -376,13 +400,9 @@ std::vector<std::uint8_t> ReadReply::encode() const {
 Expected<ReadReply> ReadReply::decode(const Frame& frame) {
   Reader r = frame.reader();
   ReadReply m;
-  auto vals = r.i64_list();
-  if (!vals) return vals.status();
-  m.values = std::move(*vals);
-  auto deg = r.u8_list();
-  if (!deg) return deg.status();
-  m.degraded = std::move(*deg);
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "ReadReply"));
+  m.values = r.i64_list().value_or({});
+  m.degraded = r.u8_list().value_or({});
+  HETPAPI_RETURN_IF_ERROR(finish(r, "ReadReply"));
   return m;
 }
 
@@ -399,25 +419,11 @@ std::vector<std::uint8_t> Subscribe::encode() const {
 Expected<Subscribe> Subscribe::decode(const Frame& frame) {
   Reader r = frame.reader();
   Subscribe m;
-  auto kind = r.u8();
-  if (!kind) return kind.status();
-  if (*kind > static_cast<std::uint8_t>(TargetKind::kCpu)) {
-    return make_error(StatusCode::kInvalidArgument, "bad target kind");
-  }
-  m.target_kind = static_cast<TargetKind>(*kind);
-  auto target_field = r.i64();
-  if (!target_field) return target_field.status();
-  m.target = *target_field;
-  auto list = r.str_list();
-  if (!list) return list.status();
-  m.events = std::move(*list);
-  auto period = r.u32();
-  if (!period) return period.status();
-  m.period_ticks = *period;
-  auto qualified_field = r.u8();
-  if (!qualified_field) return qualified_field.status();
-  m.qualified = *qualified_field;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Subscribe"));
+  HETPAPI_RETURN_IF_ERROR(read_target(r, m.target_kind, m.target));
+  m.events = r.str_list().value_or({});
+  m.period_ticks = r.u32().value_or(0);
+  m.qualified = r.u8().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Subscribe"));
   return m;
 }
 
@@ -425,19 +431,22 @@ std::vector<std::uint8_t> SubscribeAck::encode() const {
   Writer w;
   w.u32(subscription_id);
   w.u32(shared_key_id);
+  w.u32(static_cast<std::uint32_t>(part_names.size()));
+  for (const std::vector<std::string>& slot : part_names) w.str_list(slot);
   return w.take();
 }
 
 Expected<SubscribeAck> SubscribeAck::decode(const Frame& frame) {
   Reader r = frame.reader();
   SubscribeAck m;
-  auto sub = r.u32();
-  if (!sub) return sub.status();
-  m.subscription_id = *sub;
-  auto key = r.u32();
-  if (!key) return key.status();
-  m.shared_key_id = *key;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "SubscribeAck"));
+  m.subscription_id = r.u32().value_or(0);
+  m.shared_key_id = r.u32().value_or(0);
+  const std::uint32_t slots = r.u32().value_or(0);
+  m.part_names.reserve(std::min<std::size_t>(slots, r.remaining() / 4));
+  for (std::uint32_t i = 0; i < slots && r.ok(); ++i) {
+    m.part_names.push_back(r.str_list().value_or({}));
+  }
+  HETPAPI_RETURN_IF_ERROR(finish(r, "SubscribeAck"));
   return m;
 }
 
@@ -450,89 +459,137 @@ std::vector<std::uint8_t> Unsubscribe::encode() const {
 Expected<Unsubscribe> Unsubscribe::decode(const Frame& frame) {
   Reader r = frame.reader();
   Unsubscribe m;
-  auto sub = r.u32();
-  if (!sub) return sub.status();
-  m.subscription_id = *sub;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Unsubscribe"));
+  m.subscription_id = r.u32().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Unsubscribe"));
   return m;
 }
 
-std::vector<std::uint8_t> WireSample::encode(std::uint32_t version) const {
-  Writer w;
-  w.u32(subscription_id);
-  w.u64(tick);
-  w.f64(t_seconds);
-  w.i64_list(values);
-  w.u8_list(degraded);
-  w.u8(counters_ok);
-  w.f64(package_temp_c);
-  w.f64(package_power_w);
-  w.u32(static_cast<std::uint32_t>(parts.size()));
-  for (const auto& slot : parts) {
-    w.u32(static_cast<std::uint32_t>(slot.size()));
-    for (const auto& [name, value] : slot) {
-      w.str(name);
-      w.i64(value);
+namespace {
+
+using U32 = std::uint32_t;
+using U64 = std::uint64_t;
+
+/// Sample payload bytes that do not depend on the shape: every field
+/// but the values, degraded bytes, part counts and part values.
+constexpr std::size_t kFixedBytes = 49;
+/// Sample payload bytes per value slot: i64 value, u8 degraded, u32
+/// part count.
+constexpr std::size_t kSlotBytes = 13;
+
+/// 49 + 13N + 8P.
+std::size_t payload_size(const WireSample& m) {
+  std::size_t part_count = 0;
+  for (std::size_t i = 0; i < m.values.size() && i < m.parts.size(); ++i) {
+    part_count += m.parts[i].size();
+  }
+  return kFixedBytes + kSlotBytes * m.values.size() + 8 * part_count;
+}
+
+/// The fixed-width Sample layout, written at `p` (payload_size() bytes).
+void write_sample_payload(const WireSample& m, std::uint8_t* p) {
+  const std::size_t n = m.values.size();
+  store_le<U32>(p, m.subscription_id);
+  store_le<U64>(p + 4, m.tick);
+  store_le(p + 12, std::bit_cast<U64>(m.t_seconds));
+  store_le<U32>(p + 20, static_cast<U32>(n));
+  p += 24;
+  for (const long long v : m.values) {
+    store_le(p, static_cast<U64>(v));
+    p += 8;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    *p++ = i < m.degraded.size() ? m.degraded[i] : 0;
+  }
+  *p++ = m.counters_ok;
+  store_le(p, std::bit_cast<U64>(m.package_temp_c));
+  store_le(p + 8, std::bit_cast<U64>(m.package_power_w));
+  p += 16;
+  for (std::size_t i = 0; i < n; ++i) {
+    store_le(p, i < m.parts.size() ? static_cast<U32>(m.parts[i].size()) : 0u);
+    p += 4;
+  }
+  for (std::size_t i = 0; i < n && i < m.parts.size(); ++i) {
+    for (const long long v : m.parts[i]) {
+      store_le(p, static_cast<U64>(v));
+      p += 8;
     }
   }
-  if (version >= 3) w.u64(seq);  // LAST: patched at frame end by fan-out
-  return w.take();
+  store_le<U64>(p, m.seq);  // LAST: patched at frame end by the fan-out
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> WireSample::encode() const {
+  std::vector<std::uint8_t> out(payload_size(*this));
+  write_sample_payload(*this, out.data());
+  return out;
+}
+
+void WireSample::encode_frame_into(std::vector<std::uint8_t>& frame) const {
+  const std::size_t size = payload_size(*this);
+  frame.resize(kFrameHeaderBytes + size);
+  write_frame_header(frame.data(), MsgType::kSample, size);
+  write_sample_payload(*this, frame.data() + kFrameHeaderBytes);
 }
 
 Expected<WireSample> WireSample::decode(const Frame& frame) {
-  Reader r = frame.reader();
-  WireSample m;
-  auto sub = r.u32();
-  if (!sub) return sub.status();
-  m.subscription_id = *sub;
-  auto tick_field = r.u64();
-  if (!tick_field) return tick_field.status();
-  m.tick = *tick_field;
-  auto t = r.f64();
-  if (!t) return t.status();
-  m.t_seconds = *t;
-  auto vals = r.i64_list();
-  if (!vals) return vals.status();
-  m.values = std::move(*vals);
-  auto deg = r.u8_list();
-  if (!deg) return deg.status();
-  m.degraded = std::move(*deg);
-  auto ok = r.u8();
-  if (!ok) return ok.status();
-  m.counters_ok = *ok;
-  auto temp = r.f64();
-  if (!temp) return temp.status();
-  m.package_temp_c = *temp;
-  auto power = r.f64();
-  if (!power) return power.status();
-  m.package_power_w = *power;
-  auto slot_count = r.u32();
-  if (!slot_count) return slot_count.status();
-  for (std::uint32_t i = 0; i < *slot_count; ++i) {
-    auto part_count = r.u32();
-    if (!part_count) return part_count.status();
-    std::vector<std::pair<std::string, long long>> slot;
-    // Clamp: part_count is attacker-controlled; a corrupt frame must
-    // fail on the byte shortfall, not allocate first.
-    slot.reserve(std::min<std::uint32_t>(*part_count, 1024));
-    for (std::uint32_t j = 0; j < *part_count; ++j) {
-      auto name = r.str();
-      if (!name) return name.status();
-      auto value = r.i64();
-      if (!value) return value.status();
-      slot.emplace_back(std::move(*name), static_cast<long long>(*value));
+  // Decoded in place: the sample is never moved out of a temporary.
+  Expected<WireSample> out{WireSample{}};
+  Status s = decode_into(frame.payload.data(), frame.payload.size(), *out);
+  if (!s.is_ok()) out = std::move(s);
+  return out;
+}
+
+Status WireSample::decode_into(const std::uint8_t* p, std::size_t size,
+                               WireSample& m) {
+  const U32 n = size < kFixedBytes ? 0 : load_le<U32>(p + 20);
+  if (size < kFixedBytes || n > (size - kFixedBytes) / kSlotBytes) {
+    return make_error(StatusCode::kInvalidArgument, "Sample: truncated");
+  }
+  // Every byte up to the part values is fixed by N; the part counts
+  // then fix the rest, so one comparison checks the whole length.
+  const std::uint8_t* counts = p + 41 + 9 * static_cast<std::size_t>(n);
+  U64 part_total = 0;
+  for (U32 i = 0; i < n; ++i) part_total += load_le<U32>(counts + 4 * i);
+  if (size != kFixedBytes + kSlotBytes * n + 8 * part_total) {
+    return make_error(StatusCode::kInvalidArgument,
+                      "Sample: length does not match its slot and part counts");
+  }
+  m.subscription_id = load_le<U32>(p);
+  m.tick = load_le<U64>(p + 4);
+  m.t_seconds = std::bit_cast<double>(load_le<U64>(p + 12));
+  m.values.resize(n);
+  const std::uint8_t* at = p + 24;
+  for (long long& v : m.values) {
+    v = static_cast<long long>(load_le<U64>(at));
+    at += 8;
+  }
+  // Empty unless some slot is degraded: the common case allocates none.
+  if (std::any_of(at, at + n, [](std::uint8_t b) { return b != 0; })) {
+    m.degraded.assign(at, at + n);
+  } else {
+    m.degraded.clear();
+  }
+  at += n;
+  m.counters_ok = *at++;
+  m.package_temp_c = std::bit_cast<double>(load_le<U64>(at));
+  m.package_power_w = std::bit_cast<double>(load_le<U64>(at + 8));
+  at = counts + 4 * static_cast<std::size_t>(n);
+  if (part_total == 0) {
+    m.parts.clear();
+  } else {
+    m.parts.resize(n);
+    for (U32 i = 0; i < n; ++i) {
+      std::vector<long long>& slot = m.parts[i];
+      slot.resize(load_le<U32>(counts + 4 * i));
+      for (long long& v : slot) {
+        v = static_cast<long long>(load_le<U64>(at));
+        at += 8;
+      }
     }
-    m.parts.push_back(std::move(slot));
   }
-  // v3 tail, all-or-nothing: the slot loop consumes every v2 byte, so
-  // exactly 8 remaining bytes are the sequence number.
-  if (r.remaining() != 0) {
-    auto seq_field = r.u64();
-    if (!seq_field) return seq_field.status();
-    m.seq = *seq_field;
-  }
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Sample"));
-  return m;
+  m.seq = load_le<U64>(at);
+  return Status::ok();
 }
 
 std::vector<std::uint8_t> AggSubscribe::encode() const {
@@ -547,22 +604,10 @@ std::vector<std::uint8_t> AggSubscribe::encode() const {
 Expected<AggSubscribe> AggSubscribe::decode(const Frame& frame) {
   Reader r = frame.reader();
   AggSubscribe m;
-  auto kind = r.u8();
-  if (!kind) return kind.status();
-  if (*kind > static_cast<std::uint8_t>(TargetKind::kCpu)) {
-    return make_error(StatusCode::kInvalidArgument, "bad target kind");
-  }
-  m.target_kind = static_cast<TargetKind>(*kind);
-  auto target_field = r.i64();
-  if (!target_field) return target_field.status();
-  m.target = *target_field;
-  auto list = r.str_list();
-  if (!list) return list.status();
-  m.events = std::move(*list);
-  auto period = r.u32();
-  if (!period) return period.status();
-  m.period_ticks = *period;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "SubscribeAggregate"));
+  HETPAPI_RETURN_IF_ERROR(read_target(r, m.target_kind, m.target));
+  m.events = r.str_list().value_or({});
+  m.period_ticks = r.u32().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "SubscribeAggregate"));
   return m;
 }
 
@@ -577,20 +622,14 @@ std::vector<std::uint8_t> AggSubscribeAck::encode() const {
 Expected<AggSubscribeAck> AggSubscribeAck::decode(const Frame& frame) {
   Reader r = frame.reader();
   AggSubscribeAck m;
-  auto sub = r.u32();
-  if (!sub) return sub.status();
-  m.subscription_id = *sub;
-  auto key = r.u32();
-  if (!key) return key.status();
-  m.shared_key_id = *key;
-  auto fanin_field = r.u32();
-  if (!fanin_field) return fanin_field.status();
-  m.fanin = *fanin_field;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "SubscribeAggregateAck"));
+  m.subscription_id = r.u32().value_or(0);
+  m.shared_key_id = r.u32().value_or(0);
+  m.fanin = r.u32().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "SubscribeAggregateAck"));
   return m;
 }
 
-std::vector<std::uint8_t> AggSample::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> AggSample::encode() const {
   Writer w;
   w.u32(subscription_id);
   w.u64(tick);
@@ -604,86 +643,43 @@ std::vector<std::uint8_t> AggSample::encode(std::uint32_t version) const {
     w.f64(slot.avg);
     w.f64(slot.stddev);
     w.u32(slot.count);
-    w.u32(static_cast<std::uint32_t>(slot.per_core_type.size()));
-    for (const auto& [name, value] : slot.per_core_type) {
-      w.str(name);
-      w.i64(value);
-    }
+    write_labelled(w, slot.per_core_type);
   }
-  if (version >= 3) w.u64(seq);  // LAST: patched at frame end by fan-out
+  w.u64(seq);  // LAST: patched at frame end by the fan-out
   return w.take();
 }
 
 Expected<AggSample> AggSample::decode(const Frame& frame) {
   Reader r = frame.reader();
   AggSample m;
-  auto sub = r.u32();
-  if (!sub) return sub.status();
-  m.subscription_id = *sub;
-  auto tick_field = r.u64();
-  if (!tick_field) return tick_field.status();
-  m.tick = *tick_field;
-  auto t = r.f64();
-  if (!t) return t.status();
-  m.t_seconds = *t;
-  auto complete_field = r.u8();
-  if (!complete_field) return complete_field.status();
-  m.complete = *complete_field;
-  auto slot_count = r.u32();
-  if (!slot_count) return slot_count.status();
-  for (std::uint32_t i = 0; i < *slot_count; ++i) {
-    SlotStats slot;
-    auto sum = r.i64();
-    if (!sum) return sum.status();
-    slot.sum = static_cast<long long>(*sum);
-    auto min_field = r.i64();
-    if (!min_field) return min_field.status();
-    slot.min = static_cast<long long>(*min_field);
-    auto max_field = r.i64();
-    if (!max_field) return max_field.status();
-    slot.max = static_cast<long long>(*max_field);
-    auto avg = r.f64();
-    if (!avg) return avg.status();
-    slot.avg = *avg;
-    auto stddev = r.f64();
-    if (!stddev) return stddev.status();
-    slot.stddev = *stddev;
-    auto count = r.u32();
-    if (!count) return count.status();
-    slot.count = *count;
-    auto part_count = r.u32();
-    if (!part_count) return part_count.status();
-    slot.per_core_type.reserve(
-        std::min<std::uint32_t>(*part_count, 1024));
-    for (std::uint32_t j = 0; j < *part_count; ++j) {
-      auto name = r.str();
-      if (!name) return name.status();
-      auto value = r.i64();
-      if (!value) return value.status();
-      slot.per_core_type.emplace_back(std::move(*name),
-                                      static_cast<long long>(*value));
-    }
-    m.slots.push_back(std::move(slot));
+  m.subscription_id = r.u32().value_or(0);
+  m.tick = r.u64().value_or(0);
+  m.t_seconds = r.f64().value_or(0.0);
+  m.complete = r.u8().value_or(0);
+  const std::uint32_t slots = r.u32().value_or(0);
+  for (std::uint32_t i = 0; i < slots && r.ok(); ++i) {
+    SlotStats& slot = m.slots.emplace_back();
+    slot.sum = r.i64().value_or(0);
+    slot.min = r.i64().value_or(0);
+    slot.max = r.i64().value_or(0);
+    slot.avg = r.f64().value_or(0.0);
+    slot.stddev = r.f64().value_or(0.0);
+    slot.count = r.u32().value_or(0);
+    slot.per_core_type = read_labelled(r);
   }
-  // v3 tail, all-or-nothing (see WireSample::decode).
-  if (r.remaining() != 0) {
-    auto seq_field = r.u64();
-    if (!seq_field) return seq_field.status();
-    m.seq = *seq_field;
-  }
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "AggSample"));
+  m.seq = r.u64().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "AggSample"));
   return m;
 }
 
 std::vector<std::uint8_t> GetStats::encode() const { return {}; }
 
 Expected<GetStats> GetStats::decode(const Frame& frame) {
-  Reader r = frame.reader();
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "GetStats"));
+  HETPAPI_RETURN_IF_ERROR(finish(frame.reader(), "GetStats"));
   return GetStats{};
 }
 
-std::vector<std::uint8_t> StatsReply::encode(std::uint32_t version) const {
+std::vector<std::uint8_t> StatsReply::encode() const {
   Writer w;
   w.u64(ticks);
   w.u64(backend_reads);
@@ -696,66 +692,46 @@ std::vector<std::uint8_t> StatsReply::encode(std::uint32_t version) const {
   w.u32(total_subscribers);
   w.u32(clients_dropped_slow);
   w.u32(clients_closed_idle);
-  if (version >= 2) {
-    w.u32(shards);
-    w.u32(downstreams);
-    w.u32(agg_subscriptions);
-    w.u64(agg_samples_delivered);
-  }
+  w.u32(shards);
+  w.u32(downstreams);
+  w.u32(agg_subscriptions);
+  w.u64(agg_samples_delivered);
   return w.take();
 }
 
 Expected<StatsReply> StatsReply::decode(const Frame& frame) {
   Reader r = frame.reader();
   StatsReply m;
-  const auto read_u64 = [&](std::uint64_t& field) -> Status {
-    auto v = r.u64();
-    if (!v) return v.status();
-    field = *v;
-    return Status::ok();
-  };
-  const auto read_u32 = [&](std::uint32_t& field) -> Status {
-    auto v = r.u32();
-    if (!v) return v.status();
-    field = *v;
-    return Status::ok();
-  };
-  HETPAPI_RETURN_IF_ERROR(read_u64(m.ticks));
-  HETPAPI_RETURN_IF_ERROR(read_u64(m.backend_reads));
-  HETPAPI_RETURN_IF_ERROR(read_u64(m.samples_delivered));
-  HETPAPI_RETURN_IF_ERROR(read_u64(m.frames_received));
-  HETPAPI_RETURN_IF_ERROR(read_u64(m.frames_sent));
-  HETPAPI_RETURN_IF_ERROR(read_u32(m.active_clients));
-  HETPAPI_RETURN_IF_ERROR(read_u32(m.active_sessions));
-  HETPAPI_RETURN_IF_ERROR(read_u32(m.distinct_subscriptions));
-  HETPAPI_RETURN_IF_ERROR(read_u32(m.total_subscribers));
-  HETPAPI_RETURN_IF_ERROR(read_u32(m.clients_dropped_slow));
-  HETPAPI_RETURN_IF_ERROR(read_u32(m.clients_closed_idle));
-  // The v2 tail is all-or-nothing: a v1 reply ends here, a v2 reply
-  // carries exactly the four extra fields.
-  if (r.remaining() != 0) {
-    HETPAPI_RETURN_IF_ERROR(read_u32(m.shards));
-    HETPAPI_RETURN_IF_ERROR(read_u32(m.downstreams));
-    HETPAPI_RETURN_IF_ERROR(read_u32(m.agg_subscriptions));
-    HETPAPI_RETURN_IF_ERROR(read_u64(m.agg_samples_delivered));
-  }
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "StatsReply"));
+  m.ticks = r.u64().value_or(0);
+  m.backend_reads = r.u64().value_or(0);
+  m.samples_delivered = r.u64().value_or(0);
+  m.frames_received = r.u64().value_or(0);
+  m.frames_sent = r.u64().value_or(0);
+  m.active_clients = r.u32().value_or(0);
+  m.active_sessions = r.u32().value_or(0);
+  m.distinct_subscriptions = r.u32().value_or(0);
+  m.total_subscribers = r.u32().value_or(0);
+  m.clients_dropped_slow = r.u32().value_or(0);
+  m.clients_closed_idle = r.u32().value_or(0);
+  m.shards = r.u32().value_or(0);
+  m.downstreams = r.u32().value_or(0);
+  m.agg_subscriptions = r.u32().value_or(0);
+  m.agg_samples_delivered = r.u64().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "StatsReply"));
   return m;
 }
 
 std::vector<std::uint8_t> Close::encode() const { return {}; }
 
 Expected<Close> Close::decode(const Frame& frame) {
-  Reader r = frame.reader();
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Close"));
+  HETPAPI_RETURN_IF_ERROR(finish(frame.reader(), "Close"));
   return Close{};
 }
 
 std::vector<std::uint8_t> CloseAck::encode() const { return {}; }
 
 Expected<CloseAck> CloseAck::decode(const Frame& frame) {
-  Reader r = frame.reader();
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "CloseAck"));
+  HETPAPI_RETURN_IF_ERROR(finish(frame.reader(), "CloseAck"));
   return CloseAck{};
 }
 
@@ -770,16 +746,10 @@ std::vector<std::uint8_t> WireError::encode() const {
 Expected<WireError> WireError::decode(const Frame& frame) {
   Reader r = frame.reader();
   WireError m;
-  auto code_field = r.u32();
-  if (!code_field) return code_field.status();
-  m.code = static_cast<std::int32_t>(*code_field);
-  auto reply_to = r.u8();
-  if (!reply_to) return reply_to.status();
-  m.in_reply_to = *reply_to;
-  auto msg = r.str();
-  if (!msg) return msg.status();
-  m.message = std::move(*msg);
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Error"));
+  m.code = static_cast<std::int32_t>(r.u32().value_or(0));
+  m.in_reply_to = r.u8().value_or(0);
+  m.message = r.str().value_or("");
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Error"));
   return m;
 }
 
@@ -792,10 +762,8 @@ std::vector<std::uint8_t> Goodbye::encode() const {
 Expected<Goodbye> Goodbye::decode(const Frame& frame) {
   Reader r = frame.reader();
   Goodbye m;
-  auto reason_field = r.str();
-  if (!reason_field) return reason_field.status();
-  m.reason = std::move(*reason_field);
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Goodbye"));
+  m.reason = r.str().value_or("");
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Goodbye"));
   return m;
 }
 
@@ -808,10 +776,8 @@ std::vector<std::uint8_t> Ping::encode() const {
 Expected<Ping> Ping::decode(const Frame& frame) {
   Reader r = frame.reader();
   Ping m;
-  auto token_field = r.u64();
-  if (!token_field) return token_field.status();
-  m.token = *token_field;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Ping"));
+  m.token = r.u64().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Ping"));
   return m;
 }
 
@@ -824,10 +790,8 @@ std::vector<std::uint8_t> Pong::encode() const {
 Expected<Pong> Pong::decode(const Frame& frame) {
   Reader r = frame.reader();
   Pong m;
-  auto token_field = r.u64();
-  if (!token_field) return token_field.status();
-  m.token = *token_field;
-  HETPAPI_RETURN_IF_ERROR(expect_exhausted(r, "Pong"));
+  m.token = r.u64().value_or(0);
+  HETPAPI_RETURN_IF_ERROR(finish(r, "Pong"));
   return m;
 }
 

@@ -1,4 +1,4 @@
-// hetpapid wire protocol: versioned, length-prefixed binary frames.
+// hetpapid wire protocol: length-prefixed binary frames, one version.
 //
 // Every message on the wire is one frame:
 //
@@ -10,21 +10,24 @@
 // u32-length-prefixed strings/arrays — no padding, no host-order leaks,
 // so the same byte stream is valid across the loopback and unix-socket
 // transports and across builds (the determinism tests compare raw
-// bytes). Version negotiation happens in Hello/HelloAck: the daemon
-// serves every version in [kMinProtocolVersion, kProtocolVersion] at
-// the client's offered version (a v1 client keeps the exact v1 message
-// shapes) and refuses anything outside that range — a client from the
-// future downgrades by offering a lower version.
+// bytes). There is exactly one protocol version: a Hello offering any
+// other is refused with a kNotSupported Error and the connection
+// closes.
+//
+// A subscription's shape is sent once: SubscribeAck carries the part
+// names of every slot, and each streamed Sample is then fixed-width —
+// values, degraded bytes, per-slot part counts and part values in
+// schema order, with no strings (see WireSample for the byte layout).
 //
 // Message catalogue (see DESIGN.md §9 for the full table):
 //   client -> daemon: Hello, OpenSession, AddEvents, Start, Read,
-//                     Subscribe, Unsubscribe, SubscribeAggregate (v2),
-//                     GetStats, Close, Ping (v3)
+//                     Subscribe, Unsubscribe, SubscribeAggregate,
+//                     GetStats, Close, Ping
 //   daemon -> client: HelloAck, OpenSessionAck, AddEventsAck, StartAck,
 //                     ReadReply, SubscribeAck, UnsubscribeAck, Sample
-//                     (streamed), SubscribeAggregateAck (v2), AggSample
-//                     (streamed, v2), StatsReply, CloseAck, Error,
-//                     Goodbye, Ping/Pong (v3 liveness, either direction)
+//                     (streamed), SubscribeAggregateAck, AggSample
+//                     (streamed), StatsReply, CloseAck, Error, Goodbye,
+//                     Ping/Pong (liveness, either direction)
 #pragma once
 
 #include <cstdint>
@@ -36,18 +39,9 @@
 
 namespace hetpapi::service {
 
-/// Bumped on any wire change. v2 adds the aggregation verbs
-/// (SubscribeAggregate / SubscribeAggregateAck / AggSample) and the
-/// StatsReply sharding/aggregation tail; v3 adds the self-healing
-/// machinery — Ping/Pong liveness, the HelloAck session epoch, and a
-/// per-subscription sequence tail on Sample/AggSample so a resumed
-/// client measures its gap exactly. Everything a v1/v2 client speaks
-/// is unchanged on the wire.
-inline constexpr std::uint32_t kProtocolVersion = 3;
-
-/// Oldest version the daemon still serves. A v1 client negotiates down
-/// in HelloAck and sees exactly the v1 message shapes.
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
+/// The one protocol version the daemon speaks. Bumped on any wire
+/// change; there is no negotiation and no down-level shape.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Upper bound on one frame's payload (type byte included); a length
 /// prefix beyond this is a protocol error, not an allocation request.
@@ -75,11 +69,10 @@ enum class MsgType : std::uint8_t {
   kCloseAck = 19,
   kError = 20,
   kGoodbye = 21,
-  // v2 aggregation verbs.
   kSubscribeAggregate = 22,
   kSubscribeAggregateAck = 23,
   kAggSample = 24,
-  // v3 liveness verbs (either direction; the peer echoes the token).
+  // Liveness (either direction; the peer echoes the token).
   kPing = 25,
   kPong = 26,
 };
@@ -100,6 +93,10 @@ enum class TargetKind : std::uint8_t {
 /// buffer. All encode() functions below are built from this.
 class Writer {
  public:
+  /// Most payloads fit the first block: one allocation, not a doubling
+  /// series.
+  Writer() { bytes_.reserve(64); }
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xffu);
@@ -163,6 +160,8 @@ class Reader {
 
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ >= size_ && !failed_; }
+  /// False once any read failed.
+  bool ok() const { return !failed_; }
 
  private:
   bool take(std::size_t n);
@@ -186,9 +185,12 @@ struct Frame {
 /// Serialize a frame: length prefix + type byte + payload.
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        const std::vector<std::uint8_t>& payload);
-inline std::vector<std::uint8_t> encode_frame(MsgType type, Writer writer) {
-  return encode_frame(type, writer.take());
-}
+
+/// Stamp one rider's copy of a streamed Sample/AggSample template frame
+/// (`size` bytes, header included): both put the subscription id first
+/// in the payload and the sequence number last.
+void stamp_stream_frame(std::uint8_t* frame, std::size_t size,
+                        std::uint32_t subscription_id, std::uint64_t seq);
 
 /// Incremental frame reassembly over an arbitrary byte stream: feed()
 /// whatever the transport delivered (any chunking, including mid-prefix
@@ -207,6 +209,9 @@ class FrameReader {
   /// kInvalidArgument when the stream is corrupt (oversized or empty
   /// length prefix).
   Expected<Frame> next();
+  /// next() into a caller-owned frame whose payload capacity is reused,
+  /// so a steady stream of frames does not allocate one per frame.
+  Status next_into(Frame& out);
 
   bool corrupt() const { return corrupt_; }
   std::size_t buffered_bytes() const { return buffer_.size(); }
@@ -231,15 +236,13 @@ struct HelloAck {
   std::uint32_t version = kProtocolVersion;
   std::uint32_t client_id = 0;
   std::string server_name;
-  /// v3 tail: the daemon's session epoch. A reconnecting client
-  /// compares epochs — same epoch means the same daemon process, so
-  /// tick-based gap accounting across the reconnect is exact; a changed
-  /// epoch means the daemon restarted and the gap is unknowable.
-  /// encode(<=2) omits the field; decode accepts both lengths.
+  /// The daemon's session epoch. A reconnecting client compares
+  /// epochs — same epoch means the same daemon process, so tick-based
+  /// gap accounting across the reconnect is exact; a changed epoch
+  /// means the daemon restarted and the gap is unknowable.
   std::uint64_t epoch = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version_out = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static Expected<HelloAck> decode(const Frame& frame);
 };
 
@@ -314,6 +317,12 @@ struct SubscribeAck {
   /// Identity of the server-side shared subscription this rider joined;
   /// equal ids == one coalesced EventSet (the coalescing oracle).
   std::uint32_t shared_key_id = 0;
+  /// The stream's schema, sent once: one list per slot naming its
+  /// per-PMU parts ("native_name[core_type]", or the bare native name
+  /// for a PMU with no core type), empty for plain slots. Every Sample
+  /// of the subscription carries exactly these part counts, values in
+  /// this order.
+  std::vector<std::vector<std::string>> part_names;
 
   std::vector<std::uint8_t> encode() const;
   static Expected<SubscribeAck> decode(const Frame& frame);
@@ -330,32 +339,49 @@ struct Unsubscribe {
 /// telemetry::Sample restricted to what the daemon serves: counter
 /// values (plus the qualified per-PMU breakdown on request) and the
 /// package telemetry the daemon's sampler attaches when enabled.
+///
+/// Fixed-width on the wire, with N = values.size() slots and P parts
+/// in total (49 + 13N + 8P payload bytes, no strings):
+///
+///   u32 subscription_id | u64 tick | f64 t_seconds | u32 N |
+///   N x i64 values | N x u8 degraded | u8 counters_ok |
+///   f64 package_temp_c | f64 package_power_w |
+///   N x u32 part count | P x i64 part values (schema order) | u64 seq
+///
+/// subscription_id leads and seq trails so the daemon's fan-out can
+/// patch both in place in one template frame per read.
 struct WireSample {
   std::uint32_t subscription_id = 0;
   std::uint64_t tick = 0;
   double t_seconds = 0.0;
   std::vector<long long> values;
+  /// One per value slot, 1 = partial sum; decode leaves it empty when
+  /// no slot is degraded (a missing entry encodes as 0).
   std::vector<std::uint8_t> degraded;
   std::uint8_t counters_ok = 1;
   /// NaN when the daemon does not attach telemetry.
   double package_temp_c = 0.0;
   double package_power_w = 0.0;
-  /// Per-slot constituent breakdown, flattened as (name, value) pairs
-  /// per slot; empty unless the subscription asked for qualified reads.
-  std::vector<std::vector<std::pair<std::string, long long>>> parts;
-  /// v3 tail: per-subscription delivery sequence number, starting at 1
-  /// and incremented per delivered sample. Encoded LAST so the daemon's
-  /// template fan-out can patch it at frame end (like subscription_id
-  /// at bytes [5,9)) and so the v2 shape is a strict prefix. encode(<=2)
-  /// omits it; decode accepts both lengths.
+  /// Per-slot constituent values in the order of the subscription's
+  /// SubscribeAck::part_names; empty unless the subscription asked for
+  /// qualified reads.
+  std::vector<std::vector<long long>> parts;
+  /// Per-subscription delivery sequence number, starting at 1 and
+  /// incremented per delivered sample.
   std::uint64_t seq = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
+  /// Replace `frame` with the complete frame (header included), reusing
+  /// its capacity.
+  void encode_frame_into(std::vector<std::uint8_t>& frame) const;
   static Expected<WireSample> decode(const Frame& frame);
+  /// decode() into `out`, reusing its vectors' capacity. One length
+  /// check covers the whole payload; `out` is unspecified on failure.
+  static Status decode_into(const std::uint8_t* payload, std::size_t size,
+                            WireSample& out);
 };
 
-/// v2: join (or create) an aggregated stream for one event spec. On a
+/// Join (or create) an aggregated stream for one event spec. On a
 /// leaf daemon this rides the same coalesced shared subscription as a
 /// qualified Subscribe; on a daemon with downstreams it fans the spec
 /// out to every downstream and re-exports the merged stream. Aggregate
@@ -400,9 +426,11 @@ struct SlotStats {
   std::vector<std::pair<std::string, long long>> per_core_type;
 };
 
-/// v2 streamed aggregate record. subscription_id is deliberately the
-/// first payload field: the daemon encodes one template frame per
-/// aggregate per due tick and patches bytes [5,9) per subscriber.
+/// Streamed aggregate record. subscription_id is deliberately the
+/// first payload field and seq the last: the daemon encodes one
+/// template frame per aggregate per due tick and patches both per
+/// subscriber. Per-core-type parts keep their labels here, because
+/// merges fold them by label across downstreams.
 struct AggSample {
   std::uint32_t subscription_id = 0;
   std::uint64_t tick = 0;
@@ -411,11 +439,10 @@ struct AggSample {
   /// merge proceeded with a subset (a downstream was stale or dead).
   std::uint8_t complete = 1;
   std::vector<SlotStats> slots;  // one per subscribed event
-  /// v3 tail: per-subscription delivery sequence (see WireSample::seq).
+  /// Per-subscription delivery sequence (see WireSample::seq).
   std::uint64_t seq = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static Expected<AggSample> decode(const Frame& frame);
 };
 
@@ -438,16 +465,13 @@ struct StatsReply {
   std::uint32_t total_subscribers = 0;
   std::uint32_t clients_dropped_slow = 0;
   std::uint32_t clients_closed_idle = 0;
-  // v2 tail: sharding + aggregation accounting. encode(1) omits these
-  // four fields so v1 clients keep decoding the exact v1 shape; decode
-  // accepts both lengths.
+  // Sharding + aggregation accounting.
   std::uint32_t shards = 0;
   std::uint32_t downstreams = 0;
   std::uint32_t agg_subscriptions = 0;
   std::uint64_t agg_samples_delivered = 0;
 
-  std::vector<std::uint8_t> encode(
-      std::uint32_t version = kProtocolVersion) const;
+  std::vector<std::uint8_t> encode() const;
   static Expected<StatsReply> decode(const Frame& frame);
 };
 
@@ -484,7 +508,7 @@ struct Goodbye {
   static Expected<Goodbye> decode(const Frame& frame);
 };
 
-/// v3 liveness probe. Either side may ping; the peer echoes the token
+/// Liveness probe. Either side may ping; the peer echoes the token
 /// in a Pong. The daemon drops a client that leaves N pings unanswered
 /// (the half-dead peer with live subscriptions the idle timeout never
 /// catches).

@@ -45,9 +45,9 @@ Expected<std::size_t> LoopbackTransport::Endpoint::send(
   std::size_t accept_bytes = size;
   if (transport_->config_.pipe_capacity_bytes > 0) {
     const std::size_t room =
-        pipe.bytes.size() >= transport_->config_.pipe_capacity_bytes
+        pipe.buffered() >= transport_->config_.pipe_capacity_bytes
             ? 0
-            : transport_->config_.pipe_capacity_bytes - pipe.bytes.size();
+            : transport_->config_.pipe_capacity_bytes - pipe.buffered();
     accept_bytes = std::min(accept_bytes, room);
   }
   pipe.bytes.insert(pipe.bytes.end(), data, data + accept_bytes);
@@ -60,23 +60,29 @@ Expected<std::size_t> LoopbackTransport::Endpoint::receive(
   Pipe& pipe = incoming();
   // The client side may legitimately wait on a reply the daemon has not
   // produced yet — pump the daemon once before reporting "nothing".
-  if (pipe.bytes.empty() && is_client_ && transport_->pump_) {
+  if (pipe.buffered() == 0 && is_client_ && transport_->pump_) {
     transport_->pump_();
   }
-  if (pipe.bytes.empty()) {
+  if (pipe.buffered() == 0) {
     if (pipe.writer_closed) {
       return make_error(StatusCode::kNotRunning, "peer closed");
     }
     return std::size_t{0};
   }
-  std::size_t n = pipe.bytes.size();
+  std::size_t n = pipe.buffered();
   if (transport_->config_.max_chunk_bytes > 0) {
     n = std::min(n, transport_->config_.max_chunk_bytes);
   }
-  out.insert(out.end(), pipe.bytes.begin(),
-             pipe.bytes.begin() + static_cast<std::ptrdiff_t>(n));
-  pipe.bytes.erase(pipe.bytes.begin(),
-                   pipe.bytes.begin() + static_cast<std::ptrdiff_t>(n));
+  const auto first =
+      pipe.bytes.begin() + static_cast<std::ptrdiff_t>(pipe.offset);
+  out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+  pipe.offset += n;
+  // Compact lazily, the way FrameReader does: once drained or past 4 KiB.
+  if (pipe.offset == pipe.bytes.size() || pipe.offset > 4096) {
+    pipe.bytes.erase(pipe.bytes.begin(),
+                     first + static_cast<std::ptrdiff_t>(n));
+    pipe.offset = 0;
+  }
   return n;
 }
 

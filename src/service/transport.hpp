@@ -5,7 +5,7 @@
 // length-prefix reassembly logic. Two implementations:
 //
 //  * LoopbackTransport — in-process, threadless, deterministic. Bytes
-//    move through paired queues; the client side can pump the daemon
+//    move through paired byte buffers; the client side can pump the daemon
 //    (via a registered hook) while waiting for a reply, so synchronous
 //    RPC works single-threaded. Delivery can be chunked to a fixed size
 //    to exercise partial-frame reassembly, and a peer can be paused to
@@ -90,11 +90,15 @@ class LoopbackTransport {
   void set_client_paused(std::size_t index, bool paused);
 
  private:
-  /// One direction of a connection: a byte queue plus lifecycle flags.
+  /// One direction of a connection: a byte buffer read from `offset`
+  /// on (compacted lazily, like FrameReader's) plus lifecycle flags.
   struct Pipe {
-    std::deque<std::uint8_t> bytes;
+    std::vector<std::uint8_t> bytes;
+    std::size_t offset = 0;
     bool writer_closed = false;
     bool paused = false;
+
+    std::size_t buffered() const { return bytes.size() - offset; }
   };
   struct Link {
     Pipe to_server;  // client writes, server reads

@@ -191,9 +191,12 @@ TEST(ServiceAggregator, LeafAggregateMatchesDirectSubscriptionExactly) {
       EXPECT_EQ(slot.count, 1u);
       EXPECT_DOUBLE_EQ(slot.avg, static_cast<double>(d.values[s]));
       EXPECT_EQ(slot.stddev, 0.0);
-      // Same parts as the direct qualified stream, label-sorted.
-      std::map<std::string, long long> expected(d.parts[s].begin(),
-                                                d.parts[s].end());
+      // Same parts as the direct qualified stream (labelled by its
+      // ack's schema), label-sorted.
+      std::map<std::string, long long> expected;
+      for (std::size_t p = 0; p < d.parts[s].size(); ++p) {
+        expected[direct_sub->part_names[s][p]] = d.parts[s][p];
+      }
       std::vector<std::pair<std::string, long long>> sorted(expected.begin(),
                                                             expected.end());
       EXPECT_EQ(slot.per_core_type, sorted);
@@ -227,8 +230,10 @@ TEST(ServiceAggregator, TwoLevelTreeComposesExactHierarchicalStats) {
   qualified.target = fast.tid;
   qualified.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
   qualified.qualified = 1;
-  ASSERT_TRUE(ref_fast.subscribe(qualified).has_value());
-  ASSERT_TRUE(ref_slow.subscribe(qualified).has_value());
+  auto fast_ack = ref_fast.subscribe(qualified);
+  auto slow_ack = ref_slow.subscribe(qualified);
+  ASSERT_TRUE(fast_ack.has_value());
+  ASSERT_TRUE(slow_ack.has_value());
 
   Client watcher = node.connect("watcher");
   auto sub = watcher.subscribe_aggregate(agg_spec(fast.tid));
@@ -277,8 +282,12 @@ TEST(ServiceAggregator, TwoLevelTreeComposesExactHierarchicalStats) {
       EXPECT_GT(slot.stddev, 0.0) << "leaves diverge by construction";
       // Per-core-type totals merge additively by label.
       std::map<std::string, long long> expected;
-      for (const auto& [label, value] : a.parts[s]) expected[label] += value;
-      for (const auto& [label, value] : b.parts[s]) expected[label] += value;
+      for (std::size_t p = 0; p < a.parts[s].size(); ++p) {
+        expected[fast_ack->part_names[s][p]] += a.parts[s][p];
+      }
+      for (std::size_t p = 0; p < b.parts[s].size(); ++p) {
+        expected[slow_ack->part_names[s][p]] += b.parts[s][p];
+      }
       std::vector<std::pair<std::string, long long>> sorted(expected.begin(),
                                                             expected.end());
       EXPECT_EQ(slot.per_core_type, sorted);
@@ -361,33 +370,42 @@ TEST(ServiceAggregator, TelemetryBridgeCarriesSumsPartsAndCompleteness) {
             (std::vector<double>{100.0, 200.0}));
 }
 
-// --- protocol version compatibility ----------------------------------------
+// --- one protocol version ---------------------------------------------------
 
-TEST(ServiceAggregator, V1ClientIsServedButAggregateVerbsAreGated) {
+TEST(ServiceAggregator, PreV4ClientIsRefusedBeforeAnyAggregateVerb) {
+  // There is no down-level service any more: a client offering an old
+  // version gets one Error naming version 4, and the connection closes
+  // before any verb (aggregate or otherwise) is served.
   Leaf leaf;
   ASSERT_TRUE(leaf.init().is_ok());
-  Client v1(leaf.transport->connect());
-  v1.set_hello_version(1);
-  ASSERT_TRUE(v1.hello("legacy").is_ok());
-  EXPECT_EQ(v1.negotiated_version(), 1u);
+  auto conn = leaf.transport->connect();
+  Hello hello;
+  hello.version = 1;
+  hello.client_name = "legacy";
+  std::vector<std::uint8_t> bytes =
+      encode_frame(MsgType::kHello, hello.encode());
+  const auto agg_frame =
+      encode_frame(MsgType::kSubscribeAggregate, agg_spec(leaf.tid).encode());
+  bytes.insert(bytes.end(), agg_frame.begin(), agg_frame.end());
+  ASSERT_TRUE(conn->send(bytes.data(), bytes.size()).has_value());
+  leaf.daemon->poll();
 
-  // The v1 surface still works end to end...
-  Subscribe spec;
-  spec.target_kind = TargetKind::kThread;
-  spec.target = leaf.tid;
-  spec.events = {"PAPI_TOT_INS"};
-  ASSERT_TRUE(v1.subscribe(spec).has_value());
-  leaf.tick(10);
-  EXPECT_EQ(v1.take_samples().size(), 1u);
-  // ...including StatsReply in its exact v1 shape (no v2 tail).
-  auto stats = v1.stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->shards, 0u);
-
-  // The v2 verb is refused client-side before touching the wire.
-  auto refused = v1.subscribe_aggregate(agg_spec(leaf.tid));
-  ASSERT_FALSE(refused.has_value());
-  EXPECT_EQ(refused.status().code(), StatusCode::kNotSupported);
+  std::vector<std::uint8_t> reply_bytes;
+  (void)conn->receive(reply_bytes);
+  FrameReader reader;
+  reader.feed(reply_bytes);
+  auto reply = reader.next();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kError);
+  auto err = WireError::decode(*reply);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(err->message.find("version 4"), std::string::npos) << err->message;
+  // Nothing else came back: the aggregate verb was never served.
+  EXPECT_FALSE(reader.next().has_value());
+  leaf.daemon->poll();
+  EXPECT_EQ(leaf.daemon->client_count(), 0u);
+  EXPECT_EQ(leaf.daemon->distinct_subscription_count(), 0u);
 }
 
 // --- determinism across shard counts ---------------------------------------

@@ -4,6 +4,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "base/fixed_vector.hpp"
 #include "base/rng.hpp"
@@ -159,6 +161,23 @@ TEST(Expected, ValueAndErrorPaths) {
   EXPECT_FALSE(bad.has_value());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(bad.value_or(9), 9);
+}
+
+TEST(Expected, DereferencingAnRvalueMovesTheValueOut) {
+  // A move-only payload only compiles through the && overload, and the
+  // pointer it owns must come out unchanged, not copied.
+  Expected<std::unique_ptr<int>> e = std::make_unique<int>(7);
+  const int* raw = e->get();
+  std::unique_ptr<int> taken = *std::move(e);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(taken.get(), raw);
+  EXPECT_EQ(*taken, 7);
+
+  // Copyable payloads move too: the buffer changes hands.
+  Expected<std::vector<int>> v = std::vector<int>{1, 2, 3};
+  const int* data = v->data();
+  const std::vector<int> moved = *std::move(v);
+  EXPECT_EQ(moved.data(), data);
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 //      encode -> frame -> FrameReader -> decode -> re-encode with
 //      byte-identical payloads. Encoding is canonical, so comparing
 //      bytes also proves field fidelity without NaN-equality traps.
-//   2. Corruption: truncations, single-bit flips, and oversized or
-//      zero length prefixes must yield a decode error or a canonical
-//      re-encode — never a crash, over-read, or unbounded allocation
-//      (the suite runs under ASan/UBSan in the chaos CI shard).
+//   2. Corruption: truncations must yield a decode error (every
+//      message has one wire shape, so no strict prefix is valid),
+//      single-bit flips a decode error or a canonical re-encode, and
+//      oversized or zero length prefixes a poisoned FrameReader —
+//      never a crash, over-read, or unbounded allocation (the suite
+//      runs under ASan/UBSan in the chaos CI shard).
 //   3. Garbage streams: random byte soup fed to a FrameReader in
 //      random chunks either reassembles into frames (whose payloads
 //      are then thrown at every decoder) or poisons the reader; both
@@ -89,6 +91,16 @@ TargetKind rand_kind(Rng& rng) {
   return static_cast<TargetKind>(rng() % 3);
 }
 
+/// A Sample's per-slot part values: either none at all (a plain
+/// stream) or one list per value slot (a qualified one), as on the wire.
+std::vector<std::vector<long long>> rand_sample_parts(Rng& rng,
+                                                      std::size_t slots) {
+  std::vector<std::vector<long long>> out;
+  if (rng() % 2 == 0) return out;
+  for (std::size_t i = 0; i < slots; ++i) out.push_back(rand_i64_list(rng));
+  return out;
+}
+
 std::vector<std::pair<std::string, long long>> rand_parts(Rng& rng) {
   std::vector<std::pair<std::string, long long>> out;
   const std::size_t len = rng() % 4;
@@ -105,28 +117,6 @@ std::optional<Bytes> redecode(const Frame& frame) {
   auto m = M::decode(frame);
   if (!m.has_value()) return std::nullopt;
   return m->encode();
-}
-
-/// StatsReply is a two-shape message: decode accepts the v1 and
-/// v2 lengths, so the canonical re-encode tries both versions.
-std::optional<Bytes> redecode_stats(const Frame& frame) {
-  auto m = StatsReply::decode(frame);
-  if (!m.has_value()) return std::nullopt;
-  Bytes v2 = m->encode(2);
-  if (v2 == frame.payload) return v2;
-  return m->encode(1);
-}
-
-/// HelloAck / WireSample / AggSample grew a v3 tail (epoch / sequence),
-/// so decode accepts both the v2-prefix and v3 shapes; the canonical
-/// re-encode tries the v3 rendition first and falls back to v2.
-template <typename M>
-std::optional<Bytes> redecode_v2_v3(const Frame& frame) {
-  auto m = M::decode(frame);
-  if (!m.has_value()) return std::nullopt;
-  Bytes v3 = m->encode(3);
-  if (v3 == frame.payload) return v3;
-  return m->encode(2);
 }
 
 struct Shape {
@@ -151,10 +141,9 @@ const Shape kShapes[] = {
        m.client_id = static_cast<std::uint32_t>(rng());
        m.server_name = rand_str(rng);
        m.epoch = rng();
-       // Both wire shapes fuzz: the bare v2 body and the v3 epoch tail.
-       return m.encode(rng() % 2 == 0 ? 2 : 3);
+       return m.encode();
      },
-     &redecode_v2_v3<HelloAck>},
+     &redecode<HelloAck>},
     {MsgType::kOpenSession,
      [](Rng& rng) {
        OpenSession m;
@@ -223,6 +212,10 @@ const Shape kShapes[] = {
        SubscribeAck m;
        m.subscription_id = static_cast<std::uint32_t>(rng());
        m.shared_key_id = static_cast<std::uint32_t>(rng());
+       const std::size_t slots = rng() % 3;
+       for (std::size_t i = 0; i < slots; ++i) {
+         m.part_names.push_back(rand_str_list(rng));
+       }
        return m.encode();
      },
      &redecode<SubscribeAck>},
@@ -240,17 +233,17 @@ const Shape kShapes[] = {
        m.tick = rng();
        m.t_seconds = rand_f64(rng);
        m.values = rand_i64_list(rng);
-       m.degraded = rand_u8_list(rng);
+       for (std::size_t i = 0; i < m.values.size(); ++i) {
+         m.degraded.push_back(static_cast<std::uint8_t>(rng()));
+       }
        m.counters_ok = static_cast<std::uint8_t>(rng());
        m.package_temp_c = rand_f64(rng);
        m.package_power_w = rand_f64(rng);
-       const std::size_t slots = rng() % 3;
-       for (std::size_t i = 0; i < slots; ++i) m.parts.push_back(rand_parts(rng));
+       m.parts = rand_sample_parts(rng, m.values.size());
        m.seq = rng();
-       // Both wire shapes fuzz: with and without the v3 sequence tail.
-       return m.encode(rng() % 2 == 0 ? 2 : 3);
+       return m.encode();
      },
-     &redecode_v2_v3<WireSample>},
+     &redecode<WireSample>},
     {MsgType::kSubscribeAggregate,
      [](Rng& rng) {
        AggSubscribe m;
@@ -290,10 +283,9 @@ const Shape kShapes[] = {
          m.slots.push_back(std::move(slot));
        }
        m.seq = rng();
-       // Both wire shapes fuzz: with and without the v3 sequence tail.
-       return m.encode(rng() % 2 == 0 ? 2 : 3);
+       return m.encode();
      },
-     &redecode_v2_v3<AggSample>},
+     &redecode<AggSample>},
     {MsgType::kGetStats, [](Rng&) { return GetStats{}.encode(); },
      &redecode<GetStats>},
     {MsgType::kStatsReply,
@@ -314,10 +306,9 @@ const Shape kShapes[] = {
        m.downstreams = static_cast<std::uint32_t>(rng());
        m.agg_subscriptions = static_cast<std::uint32_t>(rng());
        m.agg_samples_delivered = rng();
-       // Both wire shapes fuzz: the v1 body and the v2 tail.
-       return m.encode(rng() % 2 == 0 ? 1 : 2);
+       return m.encode();
      },
-     &redecode_stats},
+     &redecode<StatsReply>},
     {MsgType::kClose, [](Rng&) { return Close{}.encode(); },
      &redecode<Close>},
     {MsgType::kCloseAck, [](Rng&) { return CloseAck{}.encode(); },
@@ -397,13 +388,9 @@ TEST(ProtoFuzz, TruncationsNeverCrashAndNeverDecodeNonCanonically) {
       SCOPED_TRACE(std::string(to_string(shape.type)) + " cut to " +
                    std::to_string(frame.payload.size()) + " of " +
                    std::to_string(payload.size()));
-      const auto reencoded = shape.redec(frame);
-      if (reencoded.has_value()) {
-        // Only acceptable when the truncation landed exactly on a
-        // shorter valid wire shape (StatsReply's v1 boundary, or the
-        // v2 prefix of a v3 HelloAck/Sample/AggSample).
-        EXPECT_EQ(*reencoded, frame.payload);
-      }
+      // Every message has exactly one wire shape for its content, so
+      // no strict prefix of a valid payload decodes.
+      EXPECT_FALSE(shape.redec(frame).has_value());
     }
   }
 }

@@ -1,6 +1,6 @@
 // Client auto-reconnect end to end: a severed link heals through the
 // connection factory under deterministic backoff, the recorded
-// subscription set is replayed, and the v3 epoch + sequence/tick tail
+// subscription set is replayed, and the epoch + sequence/tick tail
 // turns the outage into exact accounting — same epoch means the client
 // knows precisely how many samples it missed; a changed epoch (daemon
 // restart) is an explicit unknown gap, never a silent guess. RPCs
@@ -270,6 +270,54 @@ TEST(ServiceReconnect, DaemonRestartSurfacesEpochChangeAsUnknownGap) {
   EXPECT_EQ(client.resume_stats().unknown_gaps, 1u);
   EXPECT_EQ(client.resume_stats().gaps, 0u);
   EXPECT_EQ(client.resume_stats().samples_missed, 0u);
+}
+
+TEST(ServiceReconnect, ResubscribeAfterRestartCarriesTheSamePartNames) {
+  // The replayed subscription lands on a fresh daemon, which computes
+  // its schema anew: the part names must be identical, so the resumed
+  // qualified stream keeps passing the client's shape check.
+  ReconnectHarness h;
+  DaemonConfig first;
+  first.epoch = 1;
+  ASSERT_TRUE(h.init(first).is_ok());
+  Client client = h.connect("schema");
+  Subscribe spec = h.spec();
+  spec.qualified = 1;
+  auto sub = client.subscribe(spec);
+  ASSERT_TRUE(sub.has_value()) << sub.status().message();
+  ASSERT_EQ(sub->part_names.size(), 2u);
+  ASSERT_FALSE(sub->part_names[0].empty());
+  h.tick();
+  ASSERT_EQ(client.take_samples().size(), 1u);
+
+  DaemonConfig second;
+  second.epoch = 2;
+  ASSERT_TRUE(h.restart(second).is_ok());
+  auto stats = client.stats();
+  for (int i = 0; i < 3 && !stats.has_value(); ++i) stats = client.stats();
+  ASSERT_TRUE(stats.has_value()) << stats.status().message();
+  ASSERT_EQ(client.resume_stats().reconnects, 1u);
+  const std::uint32_t resumed_id =
+      client.current_subscription_id(sub->subscription_id);
+  ASSERT_NE(resumed_id, 0u);
+
+  // A second rider on the same spec coalesces onto the replayed
+  // subscription and is acked with exactly the original schema.
+  Client probe(h.transport->connect());
+  ASSERT_TRUE(probe.hello("probe").is_ok());
+  auto again = probe.subscribe(spec);
+  ASSERT_TRUE(again.has_value()) << again.status().message();
+  EXPECT_EQ(again->part_names, sub->part_names);
+  EXPECT_EQ(h.daemon->distinct_subscription_count(), 1u);
+
+  h.tick();
+  const auto after = client.take_samples();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].subscription_id, resumed_id);
+  ASSERT_EQ(after[0].parts.size(), sub->part_names.size());
+  for (std::size_t i = 0; i < after[0].parts.size(); ++i) {
+    EXPECT_EQ(after[0].parts[i].size(), sub->part_names[i].size());
+  }
 }
 
 // --- mid-RPC interruption ---------------------------------------------------

@@ -9,6 +9,7 @@
 // linux-host CI shard).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -113,8 +115,7 @@ TEST(ServiceProto, MessagesRoundTripThroughFrames) {
   sample.counters_ok = 1;
   sample.package_temp_c = 55.0;
   sample.package_power_w = 12.5;
-  sample.parts = {{{"INST_RETIRED[P-core]", 60}, {"INST_RETIRED[E-core]", 40}},
-                  {}};
+  sample.parts = {{60, 40}, {}};
   reader.feed(encode_frame(MsgType::kSample, sample.encode()));
   frame = reader.next();
   ASSERT_TRUE(frame.has_value());
@@ -140,8 +141,8 @@ TEST(ServiceProto, MessagesRoundTripThroughFrames) {
 }
 
 TEST(ServiceProto, SampleRoundTripsThreePerCoreTypeParts) {
-  // The qualified frame is N-part by construction (length-prefixed
-  // slots): three per-core-type constituents — a P/E/LP-E breakdown —
+  // The qualified frame is N-part by construction (a part count per
+  // slot): three per-core-type constituents — a P/E/LP-E breakdown —
   // survive the wire byte-exactly, including an uncore slot with a
   // single unattributed part.
   WireSample sample;
@@ -153,10 +154,7 @@ TEST(ServiceProto, SampleRoundTripsThreePerCoreTypeParts) {
   sample.counters_ok = 1;
   sample.package_temp_c = 48.0;
   sample.package_power_w = 9.5;
-  sample.parts = {{{"INST_RETIRED[intel_core]", 180},
-                   {"INST_RETIRED[intel_atom]", 90},
-                   {"INST_RETIRED[intel_lowpower]", 30}},
-                  {{"UNC_M_CAS_COUNT:RD", 55}}};
+  sample.parts = {{180, 90, 30}, {55}};
 
   FrameReader reader;
   reader.feed(encode_frame(MsgType::kSample, sample.encode()));
@@ -167,7 +165,7 @@ TEST(ServiceProto, SampleRoundTripsThreePerCoreTypeParts) {
   EXPECT_EQ(decoded->parts, sample.parts);
   ASSERT_EQ(decoded->parts[0].size(), 3u);
   long long sum = 0;
-  for (const auto& [label, value] : decoded->parts[0]) sum += value;
+  for (const long long value : decoded->parts[0]) sum += value;
   EXPECT_EQ(sum, decoded->values[0]);
 
   // A truncated third part poisons the decode instead of silently
@@ -178,6 +176,34 @@ TEST(ServiceProto, SampleRoundTripsThreePerCoreTypeParts) {
   cut.type = MsgType::kSample;
   cut.payload = std::move(bytes);
   EXPECT_FALSE(WireSample::decode(cut).has_value());
+}
+
+TEST(ServiceProto, SampleFrameSizeIsTheFixedWidthFormula) {
+  // 49 fixed payload bytes, 13 per slot (value, degraded byte, part
+  // count) and 8 per part, behind the 5-byte frame header — for a plain
+  // sample, a qualified one, and a failed read with no slots.
+  WireSample plain;
+  plain.values = {1, 2, 3};
+  plain.degraded = {0, 0, 1};
+  WireSample qualified;
+  qualified.values = {300, 55};
+  qualified.degraded = {0, 0};
+  qualified.parts = {{180, 90, 30}, {55}};
+  WireSample failed;
+  failed.counters_ok = 0;
+  for (const auto& [sample, slots, parts] :
+       {std::tuple{&plain, 3u, 0u}, std::tuple{&qualified, 2u, 4u},
+        std::tuple{&failed, 0u, 0u}}) {
+    std::vector<std::uint8_t> frame;
+    sample->encode_frame_into(frame);
+    EXPECT_EQ(frame.size(), 5u + 49u + 13u * slots + 8u * parts);
+    EXPECT_EQ(frame, encode_frame(MsgType::kSample, sample->encode()));
+    Frame decoded_frame{MsgType::kSample, sample->encode()};
+    auto decoded = WireSample::decode(decoded_frame);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->values, sample->values);
+    EXPECT_EQ(decoded->parts, sample->parts);
+  }
 }
 
 TEST(ServiceProto, DecodeRejectsTrailingBytes) {
@@ -344,29 +370,36 @@ TEST(ServiceDaemon, RequestBeforeHelloIsRefused) {
 }
 
 TEST(ServiceDaemon, VersionMismatchIsRefused) {
-  Harness h;
-  ASSERT_TRUE(h.init().is_ok());
-  auto conn = h.transport->connect();
-  Hello hello;
-  hello.version = 999;
-  hello.client_name = "from the future";
-  const auto frame = encode_frame(MsgType::kHello, hello.encode());
-  ASSERT_TRUE(conn->send(frame.data(), frame.size()).has_value());
-  h.daemon->poll();
+  // One wire version: every earlier version (v1, v2, v3) and one from
+  // the future each get a kNotSupported Error naming version 4, and the
+  // daemon hangs up.
+  for (const std::uint32_t version : {1u, 2u, 3u, 999u}) {
+    SCOPED_TRACE(testing::Message() << "v" << version);
+    Harness h;
+    ASSERT_TRUE(h.init().is_ok());
+    auto conn = h.transport->connect();
+    Hello hello;
+    hello.version = version;
+    hello.client_name = "mismatched";
+    const auto frame = encode_frame(MsgType::kHello, hello.encode());
+    ASSERT_TRUE(conn->send(frame.data(), frame.size()).has_value());
+    h.daemon->poll();
 
-  std::vector<std::uint8_t> bytes;
-  (void)conn->receive(bytes);
-  FrameReader reader;
-  reader.feed(bytes);
-  auto reply = reader.next();
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->type, MsgType::kError);
-  auto err = WireError::decode(*reply);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
-  // The daemon hangs up on a version mismatch.
-  h.daemon->poll();
-  EXPECT_EQ(h.daemon->client_count(), 0u);
+    std::vector<std::uint8_t> bytes;
+    (void)conn->receive(bytes);
+    FrameReader reader;
+    reader.feed(bytes);
+    auto reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kError);
+    auto err = WireError::decode(*reply);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
+    EXPECT_NE(err->message.find("version 4"), std::string::npos)
+        << err->message;
+    h.daemon->poll();
+    EXPECT_EQ(h.daemon->client_count(), 0u);
+  }
 }
 
 TEST(ServiceDaemon, UnknownEventFailsAtomicallyAndSessionSurvives) {
@@ -565,10 +598,9 @@ TEST(ServiceCoalescing, PeriodAndQualifiedStreaming) {
   qualified.target = h.tids[1];
   qualified.period_ticks = 1;
   qualified.qualified = 1;
-  {
-    auto q = fine.subscribe(qualified);
-    ASSERT_TRUE(q.has_value()) << q.status().message();
-  }
+  auto q = fine.subscribe(qualified);
+  ASSERT_TRUE(q.has_value()) << q.status().message();
+  ASSERT_EQ(q->part_names.size(), 1u);
 
   for (int t = 0; t < 6; ++t) h.advance_and_tick();
 
@@ -582,12 +614,11 @@ TEST(ServiceCoalescing, PeriodAndQualifiedStreaming) {
     ASSERT_EQ(s.values.size(), 1u);
     ASSERT_EQ(s.parts.size(), 1u);
     // Qualified: the per-PMU constituents sum to the derived total, and
-    // each is labelled with its core type (hybrid machine -> P and E).
+    // the schema labels each with its core type (hybrid machine -> P
+    // and E).
+    ASSERT_EQ(s.parts[0].size(), q->part_names[0].size());
     long long sum = 0;
-    for (const auto& [label, value] : s.parts[0]) {
-      sum += value;
-      EXPECT_NE(label.find('['), std::string::npos) << label;
-    }
+    for (const long long value : s.parts[0]) sum += value;
     EXPECT_EQ(sum, s.values[0]);
     EXPECT_GE(s.parts[0].size(), 2u);
   }
@@ -608,10 +639,20 @@ TEST(ServiceCoalescing, QualifiedStreamOnTriHybridCarriesThreeParts) {
   spec.events = {"PAPI_TOT_INS"};
   spec.period_ticks = 1;
   spec.qualified = 1;
-  {
-    auto sub = client.subscribe(spec);
-    ASSERT_TRUE(sub.has_value()) << sub.status().message();
+  auto sub = client.subscribe(spec);
+  ASSERT_TRUE(sub.has_value()) << sub.status().message();
+  // The schema, sent once: three parts, each labelled with a distinct
+  // core type.
+  ASSERT_EQ(sub->part_names.size(), 1u);
+  ASSERT_EQ(sub->part_names[0].size(), 3u)
+      << "three core PMUs -> three qualified parts";
+  std::set<std::string> labels;
+  for (const std::string& label : sub->part_names[0]) {
+    const auto open = label.find('[');
+    ASSERT_NE(open, std::string::npos) << label;
+    labels.insert(label.substr(open));
   }
+  EXPECT_EQ(labels.size(), 3u) << "each part has a distinct core type";
 
   for (int t = 0; t < 4; ++t) h.advance_and_tick();
 
@@ -619,19 +660,170 @@ TEST(ServiceCoalescing, QualifiedStreamOnTriHybridCarriesThreeParts) {
   ASSERT_GE(samples.size(), 1u);
   for (const WireSample& s : samples) {
     ASSERT_EQ(s.parts.size(), 1u);
-    ASSERT_EQ(s.parts[0].size(), 3u)
-        << "three core PMUs -> three qualified parts";
+    ASSERT_EQ(s.parts[0].size(), 3u);
     long long sum = 0;
-    std::set<std::string> labels;
-    for (const auto& [label, value] : s.parts[0]) {
-      sum += value;
-      const auto open = label.find('[');
-      ASSERT_NE(open, std::string::npos) << label;
-      labels.insert(label.substr(open));
-    }
+    for (const long long value : s.parts[0]) sum += value;
     EXPECT_EQ(sum, s.values[0]);
-    EXPECT_EQ(labels.size(), 3u) << "each part has a distinct core type";
   }
+}
+
+TEST(ServiceCoalescing, CoalescedRidersShareOnePartNameSchema) {
+  // The schema is computed once per shared subscription: coalesced
+  // riders get identical part names, named native_name[core_type], and
+  // a plain subscription gets one empty list per slot.
+  Harness h;
+  ASSERT_TRUE(h.init().is_ok());
+  Client a = h.connect("a");
+  Client b = h.connect("b");
+  Subscribe qualified;
+  qualified.target_kind = TargetKind::kThread;
+  qualified.target = h.tid;
+  qualified.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
+  qualified.qualified = 1;
+  auto ack_a = a.subscribe(qualified);
+  auto ack_b = b.subscribe(qualified);
+  ASSERT_TRUE(ack_a.has_value()) << ack_a.status().message();
+  ASSERT_TRUE(ack_b.has_value()) << ack_b.status().message();
+  EXPECT_EQ(ack_a->shared_key_id, ack_b->shared_key_id);
+  EXPECT_EQ(ack_a->part_names, ack_b->part_names);
+  ASSERT_EQ(ack_a->part_names.size(), 2u);
+  const std::vector<std::string> ins_parts = {
+      "adl_glc::INST_RETIRED:ANY[intel_core]",
+      "adl_grt::INST_RETIRED:ANY[intel_atom]"};
+  EXPECT_EQ(ack_a->part_names[0], ins_parts);
+
+  Subscribe plain = qualified;
+  plain.target = h.tids[1];
+  plain.qualified = 0;
+  auto ack_plain = a.subscribe(plain);
+  ASSERT_TRUE(ack_plain.has_value()) << ack_plain.status().message();
+  EXPECT_EQ(ack_plain->part_names,
+            (std::vector<std::vector<std::string>>{{}, {}}));
+}
+
+TEST(ServiceClient, SamplesThatDoNotFitTheSchemaAreDropped) {
+  // The client checks every Sample's shape against its SubscribeAck:
+  // the right slot count and part counts pass, anything else (or a
+  // subscription it does not hold) is dropped. The daemon side here is
+  // a hand-driven loopback endpoint.
+  LoopbackTransport transport;
+  Client client(transport.connect());
+  auto server = transport.listener()->accept();
+  ASSERT_TRUE(server.has_value());
+  const auto send = [&](MsgType type,
+                        const std::vector<std::uint8_t>& payload) {
+    const auto frame = encode_frame(type, payload);
+    ASSERT_TRUE((*server)->send(frame.data(), frame.size()).has_value());
+  };
+  send(MsgType::kHelloAck, HelloAck{}.encode());
+  ASSERT_TRUE(client.hello("schema").is_ok());
+  SubscribeAck ack;
+  ack.subscription_id = 7;
+  ack.part_names = {{"A[p]", "A[e]"}, {}};
+  send(MsgType::kSubscribeAck, ack.encode());
+  ASSERT_TRUE(client.subscribe(Subscribe{}).has_value());
+
+  WireSample fits;
+  fits.subscription_id = 7;
+  fits.values = {10, 20};
+  fits.parts = {{6, 4}, {}};
+  WireSample wrong_parts = fits;
+  wrong_parts.parts = {{10}, {}};
+  WireSample wrong_slots = fits;
+  wrong_slots.values = {10};
+  wrong_slots.parts = {{6, 4}};
+  WireSample unknown_sub = fits;
+  unknown_sub.subscription_id = 8;
+  WireSample failed_read;
+  failed_read.subscription_id = 7;
+  failed_read.counters_ok = 0;
+  for (const WireSample* s :
+       {&fits, &wrong_parts, &wrong_slots, &unknown_sub, &failed_read}) {
+    send(MsgType::kSample, s->encode());
+  }
+  const auto samples = client.take_samples();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].parts, fits.parts);
+  EXPECT_EQ(samples[1].counters_ok, 0);
+}
+
+TEST(ServiceClient, TakeSamplesIntoKeepsCapacityAcrossCalls) {
+  // With a steady stream shape, a reused buffer stops allocating: after
+  // the warm-up swaps, every call hands back storage that already has
+  // room for the tick's samples and their per-slot vectors.
+  Harness h;
+  ASSERT_TRUE(h.init().is_ok());
+  Client client = h.connect("reuse");
+  Subscribe spec;
+  spec.target_kind = TargetKind::kThread;
+  spec.target = h.tid;
+  spec.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
+  spec.qualified = 1;
+  ASSERT_TRUE(client.subscribe(spec).has_value());
+  spec.target = h.tids[1];
+  spec.qualified = 0;
+  ASSERT_TRUE(client.subscribe(spec).has_value());
+
+  std::vector<WireSample> batch;
+  std::set<const WireSample*> buffers;
+  std::set<const long long*> part_buffers;
+  for (int t = 0; t < 8; ++t) {
+    h.advance_and_tick();
+    client.take_samples_into(batch);
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_EQ(batch[0].values.size(), 2u);
+    EXPECT_EQ(batch[0].parts.size(), 2u);
+    EXPECT_TRUE(batch[1].parts.empty());
+    if (t >= 2) {  // two buffers alternate between caller and stash
+      buffers.insert(batch.data());
+      part_buffers.insert(batch[0].parts[0].data());
+    }
+  }
+  EXPECT_EQ(buffers.size(), 2u);
+  EXPECT_EQ(part_buffers.size(), 2u);
+}
+
+TEST(ServiceProto, LiveSampleFramesAreFixedWidthAndCarryNoNames) {
+  // End to end: every Sample frame a qualified rider receives is
+  // exactly the fixed-width size, and the part names travel only in the
+  // SubscribeAck.
+  Harness h;
+  ASSERT_TRUE(h.init().is_ok());
+  Client client = h.connect("bytes");
+  client.set_capture_bytes(true);
+  Subscribe spec;
+  spec.target_kind = TargetKind::kThread;
+  spec.target = h.tid;
+  spec.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
+  spec.qualified = 1;
+  auto ack = client.subscribe(spec);
+  ASSERT_TRUE(ack.has_value());
+  for (int t = 0; t < 3; ++t) h.advance_and_tick();
+  ASSERT_EQ(client.take_samples().size(), 3u);
+
+  const auto contains = [](const std::vector<std::uint8_t>& bytes,
+                           const std::string& text) {
+    return std::search(bytes.begin(), bytes.end(), text.begin(), text.end()) !=
+           bytes.end();
+  };
+  FrameReader reader;
+  reader.feed(client.captured_bytes());
+  int samples = 0;
+  for (auto frame = reader.next(); frame.has_value(); frame = reader.next()) {
+    const std::vector<std::uint8_t> bytes =
+        encode_frame(frame->type, frame->payload);
+    for (const auto& slot : ack->part_names) {
+      for (const std::string& name : slot) {
+        EXPECT_EQ(contains(bytes, name), frame->type == MsgType::kSubscribeAck)
+            << to_string(frame->type) << " / " << name;
+      }
+    }
+    if (frame->type != MsgType::kSample) continue;
+    ++samples;
+    // Two slots of two parts each.
+    EXPECT_EQ(bytes.size(), 5u + 49u + 13u * 2 + 8u * 4);
+  }
+  EXPECT_EQ(samples, 3);
 }
 
 // --- robustness ------------------------------------------------------------

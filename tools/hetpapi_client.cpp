@@ -270,11 +270,15 @@ int run_monitor(Stack& stack, const Options& opts) {
         std::printf("  %s=%lld", spec.events[i].c_str(), sample.values[i]);
       }
       std::printf("\n");
+      // Part values arrive in the order of the ack's schema (the client
+      // has checked each sample's part counts against it).
       for (std::size_t i = 0; i < sample.parts.size(); ++i) {
         if (sample.parts[i].empty()) continue;
         std::printf("    %s parts:", spec.events[i].c_str());
-        for (const auto& [name, value] : sample.parts[i]) {
-          std::printf(" %s=%lld", name.c_str(), value);
+        const std::vector<std::string>& names = ack->part_names.at(i);
+        for (std::size_t p = 0; p < sample.parts[i].size(); ++p) {
+          std::printf(" %s=%lld", p < names.size() ? names[p].c_str() : "?",
+                      sample.parts[i][p]);
         }
         std::printf("\n");
       }
