@@ -87,8 +87,7 @@ CellResult run_cell(const cpumodel::MachineSpec& machine,
   }
   const auto arm_start = std::chrono::steady_clock::now();
   if (!(*lib)
-           ->set_overflow(*set, 0, period,
-                          [](const Library::OverflowEvent&) {})
+           ->set_overflow(*set, 0, period, [](const papi::Sample&) {})
            .is_ok()) {
     return cell;
   }

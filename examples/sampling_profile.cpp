@@ -1,13 +1,14 @@
 // Sample-based profiling on a hybrid machine.
 //
-// Installs an overflow handler (PAPI_overflow style) on a derived
-// PAPI_TOT_INS preset while an HPL worker runs unpinned, and builds a
-// time histogram of where the samples land — P-core vs E-core — the
-// sampling-side counterpart of the paper's per-PMU counting. Because
-// the preset expands to one sampling event per core PMU, each sample
-// arrives tagged with the native event (and therefore core type) that
-// fired.
+// Arms PAPI_overflow-style sampling on a derived PAPI_TOT_INS preset
+// while an unpinned worker runs, drains the sample rings once it is
+// done, and builds a time histogram of where the samples land — P-core
+// vs E-core — the sampling-side counterpart of the paper's per-PMU
+// counting. Because the preset expands to one sampling event per core
+// PMU, each sample carries the core type of the PMU that fired and the
+// time its period crossing landed.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "base/strings.hpp"
@@ -60,24 +61,33 @@ int main() {
     return histogram[index];
   };
 
-  const Status installed = (*lib)->set_overflow(
-      set, 0, 5'000'000,  // one sample every 5M retired instructions
-      [&](const papi::Library::OverflowEvent& event) {
-        Bucket& bucket = bucket_for(kernel.now().seconds());
-        if (event.native_name.rfind("adl_glc", 0) == 0) {
-          bucket.p += event.periods;
-        } else {
-          bucket.e += event.periods;
-        }
-      });
-  if (!installed.is_ok()) {
-    std::fprintf(stderr, "set_overflow: %s\n", installed.to_string().c_str());
+  const Status armed = (*lib)->set_overflow(
+      set, 0, 5'000'000, nullptr);  // one sample every 5M instructions
+  if (!armed.is_ok()) {
+    std::fprintf(stderr, "set_overflow: %s\n", armed.to_string().c_str());
     return 1;
   }
 
   (void)(*lib)->start(set);
   kernel.run_until_idle(std::chrono::seconds(120));
   const auto values = (*lib)->stop(set);
+
+  // One drain after stop() returns every record the rings hold.
+  papi::SampleBatch batch;
+  const Status drained = (*lib)->read_samples_into(set, batch);
+  if (!drained.is_ok()) {
+    std::fprintf(stderr, "read_samples: %s\n", drained.to_string().c_str());
+    return 1;
+  }
+  const std::string p_core = (*lib)->core_type_for_pmu("adl_glc");
+  for (const papi::Sample& sample : batch.samples) {
+    Bucket& bucket = bucket_for(static_cast<double>(sample.time_ns) / 1e9);
+    if (sample.core_type == p_core) {
+      ++bucket.p;
+    } else {
+      ++bucket.e;
+    }
+  }
 
   std::printf("sampling profile: one sample per 5M instructions\n");
   std::printf("%-8s %-28s %-28s\n", "t (s)", "P-core samples", "E-core samples");

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "base/status.hpp"
@@ -59,22 +58,13 @@ class Backend {
                       "backend has no user-page mapping");
   }
 
-  /// Overflow (sampling) delivery. Backends without a notification path
-  /// report kNotSupported.
-  using OverflowHandler =
-      std::function<void(int fd, std::uint64_t value, std::uint64_t periods)>;
-  virtual Status perf_set_overflow_handler(int fd, OverflowHandler handler) {
-    (void)fd;
-    (void)handler;
-    return make_error(StatusCode::kNotSupported,
-                      "backend has no overflow delivery");
-  }
-
   /// mmap(2) the event's sample ring (control page + data area) for a
   /// sampling-mode event. The view must stay valid until perf_close(fd).
-  /// A denied or unsupported ring is survivable: the PAPI drain loop
-  /// degrades that slot to counting mode (overflow callbacks still fire
-  /// through perf_set_overflow_handler). Default: no ring.
+  /// The ring is the only sample delivery path, as on real Linux: the
+  /// PAPI drain loop decodes it and fires the overflow callbacks. A
+  /// denied or unsupported ring is survivable: the slot degrades to
+  /// counting mode and delivers no samples and no callbacks. Default: no
+  /// ring.
   virtual Expected<simkernel::PerfRingView> perf_mmap_ring(int fd) {
     (void)fd;
     return make_error(StatusCode::kNotSupported,

@@ -64,10 +64,8 @@ struct SlotRequest {
   std::uint64_t sample_period = 0;
   int eventset_id = -1;
   int user_event_index = -1;
-  /// Non-null when sampling: stable pointer into the owning EventSet.
-  const OverflowCallback* overflow = nullptr;
-  /// Non-null when sampling: the Library-owned names every sample and
-  /// overflow event of this slot points into.
+  /// Non-null when sampling: the Library-owned names every sample of
+  /// this slot points into.
   const SampleSource* sample_source = nullptr;
 };
 

@@ -11,31 +11,6 @@ std::unique_ptr<ComponentState> PerfBackedComponent::create_state() const {
   return std::make_unique<PerfState>();
 }
 
-Status PerfBackedComponent::install_handler(const Slot& slot) const {
-  if (slot.request.sample_period == 0 || slot.request.overflow == nullptr) {
-    return Status::ok();
-  }
-  // Capture what the callback needs; the EventSet (which owns the
-  // callback the pointer refers to) outlives the fd, and the Library
-  // (which owns the sample source) outlives both. Nothing captured
-  // allocates per crossing.
-  const int set_id = slot.request.eventset_id;
-  const int user_index = slot.request.user_event_index;
-  const SampleSource* source = slot.request.sample_source;
-  const OverflowCallback* callback = slot.request.overflow;
-  return env_.backend->perf_set_overflow_handler(
-      slot.fd, [set_id, user_index, source, callback](
-                   int, std::uint64_t value, std::uint64_t periods) {
-        OverflowEvent event;
-        event.eventset = set_id;
-        event.user_event_index = user_index;
-        event.native_name = source->native_name;
-        event.value = value;
-        event.periods = periods;
-        (*callback)(event);
-      });
-}
-
 void PerfBackedComponent::map_ring(Slot& slot) const {
   if (slot.request.sample_period == 0) return;
   auto ring = env_.backend->perf_mmap_ring(slot.fd);
@@ -100,17 +75,8 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
     new_group.members.push_back(static_cast<int>(ps.slots.size()));
     ps.groups.push_back(new_group);
     ps.slots.push_back(Slot{request, *fd});
-    const Status installed = install_handler(ps.slots.back());
-    if (!installed.is_ok()) {
-      // Undo the half-opened leader: a failed open_slot must leave the
-      // state exactly as it was, fd included.
-      (void)env_.backend->perf_close(*fd);
-      ps.slots.pop_back();
-      ps.groups.pop_back();
-      return installed;
-    }
     map_ring(ps.slots.back());
-    return installed;
+    return Status::ok();
   }
 
   attr.disabled = false;  // siblings gate on their leader
@@ -123,15 +89,8 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
   }
   group->members.push_back(static_cast<int>(ps.slots.size()));
   ps.slots.push_back(Slot{request, *fd});
-  const Status installed = install_handler(ps.slots.back());
-  if (!installed.is_ok()) {
-    (void)env_.backend->perf_close(*fd);
-    ps.slots.pop_back();
-    group->members.pop_back();
-    return installed;
-  }
   map_ring(ps.slots.back());
-  return installed;
+  return Status::ok();
 }
 
 Status PerfBackedComponent::close_all(ComponentState& state) {
@@ -396,8 +355,8 @@ Status PerfBackedComponent::drain_samples(ComponentState& state,
   for (Slot& slot : ps.slots) {
     if (slot.request.sample_period == 0 || slot.fd < 0) continue;
     if (slot.ring_denied || !slot.ring_mapped) {
-      // Counting-mode degradation: overflow callbacks still fire, but
-      // there is no ring to drain.
+      // Counting-mode degradation: no ring, so no samples and no
+      // callbacks — the slot only counts.
       ++batch.rings_denied;
       continue;
     }

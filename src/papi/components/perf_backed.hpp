@@ -1,8 +1,8 @@
 // Shared machinery for components whose counters live behind the
 // kernel's perf_event syscalls: group bookkeeping (one group per PMU
 // type, or one per event when multiplexed), leader-disabled open
-// protocol, overflow-handler installation, the cached read-plan fan-out
-// and the rdpmc singleton fast path (§IV-E, §V-5).
+// protocol, the sample-ring drain, the cached read-plan fan-out and the
+// rdpmc singleton fast path (§IV-E, §V-5).
 //
 // Concrete subclasses only decide *where* an event binds — to the
 // EventSet's target thread/cpu (perf_core) or to the PMU's designated
@@ -54,7 +54,7 @@ class PerfBackedComponent : public Component {
     int fd = -1;
     /// Sample-ring mapping for sampling slots (sample_period > 0). A
     /// denied mmap is survivable: the slot degrades to counting mode
-    /// (overflow callbacks still fire, no sample records).
+    /// (no sample records, so no overflow callbacks).
     simkernel::PerfRingView ring{};
     bool ring_mapped = false;
     bool ring_denied = false;
@@ -112,7 +112,6 @@ class PerfBackedComponent : public Component {
     return static_cast<const PerfState&>(state);
   }
 
-  Status install_handler(const Slot& slot) const;
   /// Decode the slot's unread ring span into `batch` and advance
   /// data_tail (one PerfRingCursor pass).
   static void drain_ring(const Slot& slot, SampleBatch& batch);

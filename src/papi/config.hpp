@@ -117,11 +117,11 @@ struct QualifiedReading {
   bool degraded = false;
 };
 
-/// The names a sampled native event stamps on every OverflowEvent and
-/// Sample it produces. The Library interns one per native event the
-/// first time the event is armed for sampling and never frees it while
-/// the Library lives, so the string_views in those structs stay valid
-/// until the Library is destroyed — past destroy_eventset and re-arming.
+/// The names a sampled native event stamps on every Sample it produces.
+/// The Library interns one per native event the first time the event is
+/// armed for sampling and never frees it while the Library lives, so the
+/// string_views in each Sample stay valid until the Library is destroyed
+/// — past destroy_eventset and re-arming.
 struct SampleSource {
   std::string native_name;  // canonical, e.g. "adl_glc::INST_RETIRED:ANY"
   std::string pmu_name;     // pfm table name, e.g. "adl_glc"
@@ -130,20 +130,6 @@ struct SampleSource {
   /// non-core PMUs.
   std::string core_type;
 };
-
-/// PAPI_overflow delivery: which user event of which EventSet crossed
-/// its threshold, attributed to the constituent native event that fired
-/// (so hybrid callers can split samples per core type).
-struct OverflowEvent {
-  int eventset = -1;
-  int user_event_index = -1;
-  /// Constituent that crossed the threshold; a view into the Library's
-  /// SampleSource table.
-  std::string_view native_name;
-  std::uint64_t value = 0;
-  std::uint64_t periods = 1;
-};
-using OverflowCallback = std::function<void(const OverflowEvent&)>;
 
 /// One decoded PERF_RECORD_SAMPLE, attributed back to the user event
 /// whose constituent native event wrote it — what the drain loop
@@ -163,6 +149,11 @@ struct Sample {
   std::uint64_t period = 0;   // counts this sample represents
 };
 
+/// PAPI_overflow delivery: called once per Sample a drain pass
+/// (Library::read_samples / read_samples_into) decodes from the ring, so
+/// hybrid callers can split samples per core type as they arrive.
+using OverflowCallback = std::function<void(const Sample&)>;
+
 /// The result of one drain pass over an EventSet's sample rings.
 struct SampleBatch {
   std::vector<Sample> samples;
@@ -171,7 +162,8 @@ struct SampleBatch {
   /// Records the cursor resynchronized past after a malformed header.
   std::uint64_t malformed = 0;
   /// Slots running in counting-mode degradation: their ring mmap was
-  /// denied, so they deliver overflow callbacks but no samples.
+  /// denied, so they keep counting but deliver no samples and no
+  /// overflow callbacks — what real Linux gives a reader without a ring.
   int rings_denied = 0;
   /// Slots skipped this pass because the poll/wakeup surface kept
   /// failing transiently (stalled drain); their records stay queued for

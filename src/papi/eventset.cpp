@@ -42,7 +42,6 @@ Status EventSetCore::open_slot(std::size_t native_idx) {
   request.sample_period = slot.sample_period;
   request.eventset_id = id_;
   request.user_event_index = slot.user_event_index;
-  request.overflow = overflow_callback_ ? &overflow_callback_ : nullptr;
   if (slot.sample_period > 0 && sample_source_resolver_) {
     request.sample_source = sample_source_resolver_(slot.enc);
   }
@@ -284,9 +283,9 @@ Status EventSetCore::set_overflow(int user_event_index,
     }
   }
   // Snapshot for rollback: arming is transactional. If the sampling
-  // layout cannot be opened (a constituent refuses sample_period, the
-  // handler install fails mid-set), the previous counting configuration
-  // is restored instead of emptying a working set.
+  // layout cannot be opened (a constituent refuses sample_period), the
+  // previous counting configuration is restored instead of emptying a
+  // working set.
   FixedVector<std::uint64_t, kMaxEventSetEvents> old_periods;
   for (const NativeSlot& slot : natives_) {
     old_periods.push_back(slot.sample_period);
@@ -326,11 +325,19 @@ Status EventSetCore::drain_samples(SampleBatch& batch) {
                       "EventSet has no sampling events; call set_overflow "
                       "first");
   }
+  // The ring drain is the only delivery path, as on real Linux: the
+  // callback sees each record this pass appended, once, in ring order.
+  const std::size_t first_new = batch.samples.size();
   for (ComponentUse& use : uses_) {
     if (!use.component->caps().overflow) continue;
     const Status drained = use.component->drain_samples(*use.state, batch);
     if (!drained.is_ok() && drained.code() != StatusCode::kNotSupported) {
       return drained;
+    }
+  }
+  if (overflow_callback_) {
+    for (std::size_t i = first_new; i < batch.samples.size(); ++i) {
+      overflow_callback_(batch.samples[i]);
     }
   }
   return Status::ok();

@@ -69,7 +69,8 @@ class EventSetCore {
                       OverflowCallback callback);
 
   /// Drain every sampling slot's mmap ring into `batch` (append-only),
-  /// fanning across the components in use. Components without a
+  /// fanning across the components in use, then call the overflow
+  /// callback once per sample this pass appended. Components without a
   /// sampling surface are skipped. kInvalidArgument when no event of
   /// this set is in overflow mode.
   Status drain_samples(SampleBatch& batch);

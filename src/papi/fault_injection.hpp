@@ -122,9 +122,6 @@ class FaultInjectingBackend final : public Backend {
   Expected<const simkernel::PerfUserPage*> perf_mmap_user_page(
       int fd) override;
   Status perf_close(int fd) override;
-  Status perf_set_overflow_handler(int fd, OverflowHandler handler) override {
-    return inner_->perf_set_overflow_handler(fd, std::move(handler));
-  }
   Expected<simkernel::PerfRingView> perf_mmap_ring(int fd) override;
   Expected<bool> perf_ring_poll(int fd) override;
 

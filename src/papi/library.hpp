@@ -125,14 +125,19 @@ class Library {
   /// must advertise the multiplex capability.
   Status set_multiplex(int eventset);
 
-  /// PAPI_overflow equivalent: install a sampling handler on one of the
-  /// EventSet's user events. The set must be stopped; its constituent
-  /// native events are re-opened in sampling mode with `threshold` as
-  /// the period. On a hybrid machine a derived preset samples on every
-  /// constituent PMU — the callback reports which native event fired, so
-  /// callers can attribute samples per core type.
-  using OverflowEvent = ::hetpapi::papi::OverflowEvent;
+  /// PAPI_overflow equivalent: arm sampling on one of the EventSet's
+  /// user events. The set must be stopped; its constituent native events
+  /// are re-opened in sampling mode with `threshold` as the period. On a
+  /// hybrid machine a derived preset samples on every constituent PMU.
+  /// Samples reach the caller only through the mmap rings, as on real
+  /// Linux: `callback` (may be null) fires from read_samples /
+  /// read_samples_into, once per Sample that drain decodes, so each call
+  /// names the native event — and core type — that fired. A slot whose
+  /// ring mmap was denied keeps counting but delivers no callbacks.
   using OverflowCallback = ::hetpapi::papi::OverflowCallback;
+  /// What a callback receives: the drained Sample itself. The name is
+  /// kept for callers written against the earlier callback type.
+  using OverflowEvent = Sample;
   Status set_overflow(int eventset, int user_event_index,
                       std::uint64_t threshold, OverflowCallback callback);
 
@@ -141,9 +146,10 @@ class Library {
   /// into typed samples labelled per core type (the core_type_for_pmu
   /// ladder), summing PERF_RECORD_LOST drops, and reporting the
   /// degradation counters (denied rings, stalled drains, dropped
-  /// wakeups). Callable while running or after stop; each record is
-  /// returned exactly once, and one call after stop() returns every
-  /// record and every LOST count. A sample's names are views into
+  /// wakeups). The set's overflow callback fires once per decoded
+  /// sample before this returns. Callable while running or after stop;
+  /// each record is returned exactly once, and one call after stop()
+  /// returns every record and every LOST count. A sample's names are views into
   /// Library-owned storage, valid until the Library is destroyed.
   /// kInvalidArgument when the set has no event in overflow mode.
   Expected<SampleBatch> read_samples(int eventset);

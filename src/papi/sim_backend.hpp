@@ -34,14 +34,6 @@ class SimBackend final : public Backend {
   }
   Status perf_close(int fd) override { return kernel_->perf_close(fd); }
 
-  Status perf_set_overflow_handler(int fd, OverflowHandler handler) override {
-    return kernel_->perf_set_overflow_handler(
-        fd, [handler = std::move(handler)](
-                const simkernel::PerfSubsystem::OverflowInfo& info) {
-          handler(info.fd, info.value, info.overflows);
-        });
-  }
-
   Expected<simkernel::PerfRingView> perf_mmap_ring(int fd) override {
     return kernel_->perf_mmap_ring(fd);
   }

@@ -97,19 +97,8 @@ class SimKernel {
     return perf_.mmap_user_page(fd);
   }
   Status perf_close(int fd);
-  Status perf_set_overflow_handler(int fd,
-                                   PerfSubsystem::OverflowHandler handler) {
-    return perf_.set_overflow_handler(fd, std::move(handler));
-  }
   Expected<std::uint64_t> perf_overflow_count(int fd) const {
     return perf_.overflow_count(fd);
-  }
-  Expected<std::vector<PerfSubsystem::SampleRecord>> perf_read_samples(
-      int fd) {
-    return perf_.read_samples(fd);
-  }
-  Expected<std::uint64_t> perf_lost_samples(int fd) const {
-    return perf_.lost_samples(fd);
   }
   Expected<PerfRingView> perf_mmap_ring(int fd) {
     return perf_.mmap_ring(fd);

@@ -310,7 +310,7 @@ inline bool perf_ring_write(PerfUserPage& page, std::uint8_t* data,
 }
 
 /// The safe drain loop over a PerfRingView, shared by every reader (the
-/// sim kernel's own read_samples, the PAPI drain, tools): walks
+/// PAPI drain, tools, tests): walks
 /// [data_tail, data_head), handles wrap-around, bounds-checks every
 /// header before trusting header.size, and only advances data_tail on
 /// commit() — the reader half of the ring protocol.

@@ -468,8 +468,7 @@ void PerfSubsystem::on_execution(Tid tid, Tid leader, int cpu,
   // The slice touches events bound to the thread itself plus events
   // opened with attr.inherit on the process-group leader. Both index
   // lists are fd-sorted; merge them so events are visited in fd order,
-  // exactly as the old full-table scan did (overflow handlers observe
-  // that order).
+  // exactly as the old full-table scan did.
   static const std::vector<EventObj*> kEmpty;
   const auto direct_it = tid_index_.find(tid);
   const std::vector<EventObj*>& direct =
@@ -512,7 +511,7 @@ void PerfSubsystem::on_execution(Tid tid, Tid leader, int cpu,
       continue;
     }
     ev->core_match = true;
-    apply_counts(*ev, counts, dt, dt, cpu, core_type, tid, now, ip);
+    apply_counts(*ev, counts, dt, dt, cpu, tid, now, ip);
   }
 }
 
@@ -526,7 +525,7 @@ void PerfSubsystem::on_cpu_execution(int cpu, cpumodel::CoreTypeId core_type,
     if (!ev->enabled) continue;
     if (ev->pmu->pmu_class != PmuClass::kCore) continue;
     if (ev->pmu->core_type != core_type) continue;
-    apply_counts(*ev, counts, dt, dt, cpu, core_type, tid, now, ip);
+    apply_counts(*ev, counts, dt, dt, cpu, tid, now, ip);
   }
 }
 
@@ -570,7 +569,6 @@ void PerfSubsystem::ring_emit_sample(EventObj& ev, std::uint64_t ip, Tid tid,
   // A deferred LOST record goes in front of any newer sample so the
   // stream stays ordered; until it fits, new samples keep dropping.
   if (!ring_flush_lost(ev)) {
-    ++ev.samples_lost;
     ++ev.pending_lost;
     return;
   }
@@ -602,7 +600,6 @@ void PerfSubsystem::ring_emit_sample(EventObj& ev, std::uint64_t ip, Tid tid,
   if (sample_type & kSamplePeriod) put64(ev.attr.sample_period);
 
   if (!ring_write(ev, buf, at)) {
-    ++ev.samples_lost;
     ++ev.pending_lost;
     return;
   }
@@ -616,8 +613,8 @@ void PerfSubsystem::ring_emit_sample(EventObj& ev, std::uint64_t ip, Tid tid,
 
 void PerfSubsystem::apply_counts(EventObj& ev, const ExecCounts& counts,
                                  SimDuration wall, SimDuration running,
-                                 int cpu, cpumodel::CoreTypeId core_type,
-                                 Tid tid, SimTime now, std::uint64_t ip) {
+                                 int cpu, Tid tid, SimTime now,
+                                 std::uint64_t ip) {
   ev.time_enabled += wall;
   if (!ev.scheduled) {
     publish_user_page(ev);  // keep the page's time_enabled moving
@@ -627,42 +624,18 @@ void PerfSubsystem::apply_counts(EventObj& ev, const ExecCounts& counts,
   ev.value += counts.get(ev.kind);
   publish_user_page(ev);
 
-  // Sampling: deliver one notification per slice that crosses period
-  // boundaries (coalesced, as an interrupt storm would be), advancing
-  // the threshold past the current value.
+  // Sampling: one ring record per period crossed, coalesced at the
+  // slice end (interrupt storms coalesce the same way on hardware), with
+  // the threshold advanced past the current value.
   if (ev.attr.sample_period > 0 && ev.value >= ev.next_overflow_at) {
     const std::uint64_t periods =
         (ev.value - ev.next_overflow_at) / ev.attr.sample_period + 1;
     ev.total_overflows += periods;
     ev.next_overflow_at += periods * ev.attr.sample_period;
-    // Ring-buffer records: one per period, coalesced at the slice end
-    // (interrupt storms coalesce the same way on hardware).
     for (std::uint64_t i = 0; i < periods; ++i) {
       ring_emit_sample(ev, ip, tid, cpu, now);
     }
-    if (ev.overflow_handler) {
-      OverflowInfo info;
-      info.fd = ev.fd;
-      info.value = ev.value;
-      info.overflows = periods;
-      info.cpu = cpu;
-      info.core_type = core_type;
-      ev.overflow_handler(info);
-    }
   }
-}
-
-Status PerfSubsystem::set_overflow_handler(int fd, OverflowHandler handler) {
-  EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
-  if (ev->attr.sample_period == 0) {
-    return make_error(StatusCode::kInvalidArgument,
-                      "event was opened in counting mode (no sample_period)");
-  }
-  ev->overflow_handler = std::move(handler);
-  return Status::ok();
 }
 
 Expected<std::uint64_t> PerfSubsystem::overflow_count(int fd) const {
@@ -671,46 +644,6 @@ Expected<std::uint64_t> PerfSubsystem::overflow_count(int fd) const {
     return make_error(StatusCode::kInvalidArgument, "bad fd");
   }
   return ev->total_overflows;
-}
-
-Expected<std::vector<PerfSubsystem::SampleRecord>> PerfSubsystem::read_samples(
-    int fd) {
-  EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
-  if (ev->attr.sample_period == 0) {
-    return make_error(StatusCode::kInvalidArgument,
-                      "event is in counting mode: no sample ring");
-  }
-  std::vector<SampleRecord> out;
-  if (ev->user_page == nullptr || ev->ring_data.empty()) return out;
-  PerfRingCursor cursor(ring_view(*ev));
-  PerfEventHeader hdr;
-  std::uint8_t body[sizeof(PerfEventHeader) + 5 * 8];
-  while (cursor.next(&hdr, body, sizeof(body))) {
-    if (hdr.type != kPerfRecordSample) continue;  // LOST is in samples_lost
-    PerfSampleParsed parsed;
-    if (!perf_parse_sample(ev->attr.sample_type, body,
-                           hdr.size - sizeof(PerfEventHeader), &parsed)) {
-      continue;
-    }
-    SampleRecord rec;
-    rec.ip = parsed.ip;
-    rec.time_ns = parsed.time;
-    rec.cpu = static_cast<int>(parsed.cpu);
-    rec.tid = static_cast<Tid>(parsed.tid);
-    // SAMPLE records carry no core type on real kernels either; the
-    // event's PMU implies it — apply_counts only fires on a matching
-    // core type.
-    rec.core_type = ev->pmu->core_type;
-    rec.period = parsed.period;
-    out.push_back(rec);
-  }
-  cursor.commit();
-  ev->wakeups_pending = 0;
-  ev->samples_since_wakeup = 0;
-  return out;
 }
 
 Expected<PerfRingView> PerfSubsystem::mmap_ring(int fd) {
@@ -751,14 +684,6 @@ Expected<bool> PerfSubsystem::ring_poll(int fd) {
   const bool fired = ev->wakeups_pending > 0;
   ev->wakeups_pending = 0;
   return fired;
-}
-
-Expected<std::uint64_t> PerfSubsystem::lost_samples(int fd) const {
-  const EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
-  return ev->samples_lost;
 }
 
 void PerfSubsystem::on_software(Tid tid, CountKind kind, std::uint64_t delta) {

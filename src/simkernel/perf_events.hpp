@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -148,42 +147,10 @@ class PerfSubsystem {
   /// Count of groups currently multiplexing (diagnostics).
   int multiplexing_contexts() const;
 
-  /// Overflow delivery for sampling events (attr.sample_period > 0): the
-  /// handler runs synchronously when the counter crosses a period
-  /// boundary — the simulator's stand-in for the SIGIO the kernel sends.
-  struct OverflowInfo {
-    int fd = -1;
-    std::uint64_t value = 0;      // counter value at delivery
-    std::uint64_t overflows = 1;  // periods crossed in this slice
-    int cpu = -1;                 // where the thread was running
-    cpumodel::CoreTypeId core_type = 0;
-  };
-  using OverflowHandler = std::function<void(const OverflowInfo&)>;
-  Status set_overflow_handler(int fd, OverflowHandler handler);
-
-  /// Total overflows recorded for an event.
+  /// Total period crossings recorded for a sampling event — the
+  /// simulator's ground truth: every crossing is either a SAMPLE record
+  /// in the ring or counted by an in-band PERF_RECORD_LOST.
   Expected<std::uint64_t> overflow_count(int fd) const;
-
-  /// One PERF_RECORD_SAMPLE record, decoded from the event's ring
-  /// buffer. The ring itself stores ABI bytes (PerfEventHeader + body
-  /// per attr.sample_type); this is the convenience view read_samples
-  /// hands back after running the shared PerfRingCursor drain.
-  struct SampleRecord {
-    std::uint64_t ip = 0;      // ExecSlice::sample_ip of the slice
-    std::uint64_t time_ns = 0;
-    int cpu = -1;
-    Tid tid = kInvalidTid;
-    cpumodel::CoreTypeId core_type = 0;
-    std::uint64_t period = 0;  // counts represented by this sample
-  };
-
-  /// Drain the event's sample ring (the mmap-buffer read): decode the
-  /// ABI records between data_tail and data_head and advance data_tail.
-  /// Only sampling-mode events have a ring.
-  Expected<std::vector<SampleRecord>> read_samples(int fd);
-
-  /// Samples dropped because the ring was full (PERF_RECORD_LOST).
-  Expected<std::uint64_t> lost_samples(int fd) const;
 
   /// mmap(2) of the event's full perf region: the control page plus the
   /// sample ring data area. Only sampling-mode core events carry a ring;
@@ -234,12 +201,10 @@ class PerfSubsystem {
     /// Sampling state.
     std::uint64_t next_overflow_at = 0;  // value threshold
     std::uint64_t total_overflows = 0;
-    OverflowHandler overflow_handler;
     /// The mmap ring data area (ABI record bytes; sampling core events
     /// only). data_head/data_tail live in the user page, exactly as the
     /// kernel keeps them in the mmap control page.
     std::vector<std::uint8_t> ring_data;
-    std::uint64_t samples_lost = 0;   // cumulative, lost_samples()
     /// Drops not yet surfaced as an in-band PERF_RECORD_LOST record
     /// (written the next time ring space frees up, kernel-style).
     std::uint64_t pending_lost = 0;
@@ -293,9 +258,8 @@ class PerfSubsystem {
                      SimTime now) const;
 
   void apply_counts(EventObj& ev, const ExecCounts& counts,
-                    SimDuration wall, SimDuration running, int cpu,
-                    cpumodel::CoreTypeId core_type, Tid tid, SimTime now,
-                    std::uint64_t ip);
+                    SimDuration wall, SimDuration running, int cpu, Tid tid,
+                    SimTime now, std::uint64_t ip);
 
   /// A PerfRingView over the event's own ring (writer side).
   static PerfRingView ring_view(EventObj& ev);

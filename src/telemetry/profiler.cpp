@@ -85,10 +85,10 @@ Expected<ProfileReport> run_simplemoc_profile(const ProfileOptions& options) {
     for (const std::string& name : events) {
       HETPAPI_RETURN_IF_ERROR((*lib)->add_event(*set, name));
     }
-    // The callback side of PAPI_overflow still fires on every period
-    // crossing; the profiler itself consumes the ring records.
-    HETPAPI_RETURN_IF_ERROR((*lib)->set_overflow(
-        *set, 0, options.period, [](const papi::Library::OverflowEvent&) {}));
+    // No callback: the profiler consumes the drained batches directly
+    // (a callback would only see the same samples once more).
+    HETPAPI_RETURN_IF_ERROR(
+        (*lib)->set_overflow(*set, 0, options.period, nullptr));
     HETPAPI_RETURN_IF_ERROR((*lib)->start(*set));
     sets.push_back(*set);
   }

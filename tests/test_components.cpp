@@ -228,7 +228,7 @@ TEST_F(ComponentTest, SysinfoRejectsMultiplexAndRaplRejectsOverflow) {
   ASSERT_TRUE(lib->attach(*rapl_set, tid).is_ok());
   ASSERT_TRUE(lib->add_event(*rapl_set, "rapl::RAPL_ENERGY_PKG").is_ok());
   const Status overflow = lib->set_overflow(
-      *rapl_set, 0, 1000, [](const papi::OverflowEvent&) {});
+      *rapl_set, 0, 1000, [](const papi::Sample&) {});
   ASSERT_FALSE(overflow.is_ok());
   EXPECT_EQ(overflow.code(), StatusCode::kNotSupported);
   EXPECT_NE(overflow.message().find("does not support overflow sampling"),

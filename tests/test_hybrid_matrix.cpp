@@ -50,6 +50,12 @@ struct MatrixCase {
   Pinning pinning;
 };
 
+// Print the case, not its bytes: ctest puts the printed parameter in the
+// test name, and the strings' heap pointers change from run to run.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.machine_name << ' ' << c.preset << ' ' << to_string(c.pinning);
+}
+
 std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   std::string name = info.param.machine_name + "_" + info.param.preset + "_" +
                      to_string(info.param.pinning);
@@ -177,6 +183,10 @@ struct QualifiedCase {
   std::string machine_name;  // any cpumodel::machine_preset_names() entry
   EventFlavor flavor;
 };
+
+void PrintTo(const QualifiedCase& c, std::ostream* os) {
+  *os << c.machine_name << ' ' << to_string(c.flavor);
+}
 
 std::string qualified_case_name(
     const ::testing::TestParamInfo<QualifiedCase>& info) {

@@ -1,12 +1,13 @@
 // Sampling / overflow support (PAPI_overflow equivalent): period
-// arithmetic at the kernel layer, delivery through the library, and the
-// hybrid twist — a derived preset samples on every core PMU and reports
-// which one fired.
+// arithmetic at the kernel layer, delivery through the library's ring
+// drain, and the hybrid twist — a derived preset samples on every core
+// PMU and reports which one fired.
 #include <gtest/gtest.h>
 
 #include "cpumodel/machine.hpp"
 #include "papi/library.hpp"
 #include "papi/sim_backend.hpp"
+#include "ring_drain.hpp"
 #include "simkernel/kernel.hpp"
 #include "workload/programs.hpp"
 
@@ -43,36 +44,18 @@ TEST(PerfOverflow, FiresOncePerPeriod) {
       sampling_attr(pmu->type_id, CountKind::kInstructions, 1'000'000), tid,
       -1, -1);
   ASSERT_TRUE(fd.has_value());
-  std::uint64_t delivered = 0;
-  ASSERT_TRUE(kernel
-                  .perf_set_overflow_handler(
-                      *fd,
-                      [&](const simkernel::PerfSubsystem::OverflowInfo& info) {
-                        delivered += info.overflows;
-                        EXPECT_EQ(info.fd, *fd);
-                        EXPECT_EQ(info.core_type, 0);  // P core
-                      })
-                  .is_ok());
   kernel.run_until_idle(std::chrono::seconds(10));
   EXPECT_EQ(*kernel.perf_overflow_count(*fd), 10u)
       << "10M instructions / 1M period";
-  EXPECT_EQ(delivered, 10u);
-}
 
-TEST(PerfOverflow, HandlerRequiresSamplingMode) {
-  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
-  PhaseSpec phase;
-  const Tid tid = kernel.spawn(
-      std::make_shared<FixedWorkProgram>(phase, 1'000'000), CpuSet::of({0}));
-  const auto* pmu = kernel.pmus().find_by_name("cpu_core");
-  PerfEventAttr counting;
-  counting.type = pmu->type_id;
-  counting.config = static_cast<std::uint64_t>(CountKind::kInstructions);
-  auto fd = kernel.perf_event_open(counting, tid, -1, -1);
-  ASSERT_TRUE(fd.has_value());
-  const Status status = kernel.perf_set_overflow_handler(
-      *fd, [](const simkernel::PerfSubsystem::OverflowInfo&) {});
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  // Each crossing is one SAMPLE record in the mmap ring.
+  const testing_support::RingDrain drained =
+      testing_support::drain_ring(kernel, *fd);
+  EXPECT_EQ(drained.samples.size(), 10u);
+  EXPECT_EQ(drained.lost, 0u);
+  for (const auto& sample : drained.samples) {
+    EXPECT_EQ(kernel.machine().cpus[sample.cpu].type, 0);  // P core
+  }
 }
 
 TEST(PerfOverflow, ResetRearmsThePeriod) {
@@ -117,16 +100,16 @@ TEST(PapiOverflow, DerivedPresetSamplesOnBothPmusAndNamesTheSource) {
   std::uint64_t e_samples = 0;
   ASSERT_TRUE((*lib)
                   ->set_overflow(*set, 0, 10'000'000,
-                                 [&](const Library::OverflowEvent& event) {
-                                   EXPECT_EQ(event.user_event_index, 0);
-                                   if (event.native_name ==
+                                 [&](const papi::Sample& sample) {
+                                   EXPECT_EQ(sample.user_event_index, 0);
+                                   if (sample.native_name ==
                                        "adl_glc::INST_RETIRED:ANY") {
-                                     p_samples += event.periods;
-                                   } else if (event.native_name ==
+                                     ++p_samples;
+                                   } else if (sample.native_name ==
                                               "adl_grt::INST_RETIRED:ANY") {
-                                     e_samples += event.periods;
+                                     ++e_samples;
                                    } else {
-                                     ADD_FAILURE() << event.native_name;
+                                     ADD_FAILURE() << sample.native_name;
                                    }
                                  })
                   .is_ok());
@@ -134,6 +117,10 @@ TEST(PapiOverflow, DerivedPresetSamplesOnBothPmusAndNamesTheSource) {
   kernel.run_until_idle(std::chrono::seconds(60));
   auto values = (*lib)->stop(*set);
   ASSERT_TRUE(values.has_value());
+  EXPECT_EQ(p_samples + e_samples, 0u) << "callbacks fire from the drain";
+  auto batch = (*lib)->read_samples(*set);
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(p_samples + e_samples, batch->samples.size());
 
   EXPECT_GT(p_samples, 0u) << "samples attributed to the P-core event";
   EXPECT_GT(e_samples, 0u) << "samples attributed to the E-core event";
@@ -181,14 +168,13 @@ TEST(PapiOverflow, CountingEventsInSameSetAreUnaffected) {
   int samples = 0;
   ASSERT_TRUE((*lib)
                   ->set_overflow(*set, 0, 10'000'000,
-                                 [&](const Library::OverflowEvent&) {
-                                   ++samples;
-                                 })
+                                 [&](const papi::Sample&) { ++samples; })
                   .is_ok());
   ASSERT_TRUE((*lib)->start(*set).is_ok());
   kernel.run_until_idle(std::chrono::seconds(10));
   auto values = (*lib)->stop(*set);
   ASSERT_TRUE(values.has_value());
+  ASSERT_TRUE((*lib)->read_samples(*set).has_value());
   EXPECT_GE((*values)[0], 50'000'000);  // sampling event still counts
   EXPECT_GT((*values)[1], 0);           // sibling unaffected
   EXPECT_EQ(samples, 5);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cpumodel/machine.hpp"
+#include "ring_drain.hpp"
 #include "simkernel/kernel.hpp"
 #include "workload/programs.hpp"
 
@@ -19,6 +20,8 @@ using simkernel::PerfEventHeader;
 using simkernel::PerfRingCursor;
 using simkernel::SimKernel;
 using simkernel::Tid;
+using testing_support::drain_ring;
+using testing_support::RingDrain;
 using workload::FixedWorkProgram;
 using workload::PhaseSpec;
 
@@ -40,17 +43,18 @@ TEST(SampleRing, RecordsCarryTimeCpuTidAndCoreType) {
                                    tid, -1, -1);
   ASSERT_TRUE(fd.has_value());
   kernel.run_until_idle(std::chrono::seconds(10));
-  auto samples = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(samples.has_value());
-  ASSERT_EQ(samples->size(), 5u) << "50M instructions / 10M period";
+  const RingDrain drained = drain_ring(kernel, *fd);
+  ASSERT_EQ(drained.samples.size(), 5u) << "50M instructions / 10M period";
   std::uint64_t last_time = 0;
-  for (const auto& sample : *samples) {
-    EXPECT_EQ(sample.cpu, 2);
-    EXPECT_EQ(sample.tid, tid);
-    EXPECT_EQ(sample.core_type, 0);
+  for (const auto& sample : drained.samples) {
+    EXPECT_EQ(sample.cpu, 2u);
+    EXPECT_EQ(sample.tid, static_cast<std::uint32_t>(tid));
+    // Records carry no core type, on real kernels either: the cpu
+    // implies it.
+    EXPECT_EQ(kernel.machine().cpus[sample.cpu].type, 0);
     EXPECT_EQ(sample.period, 10'000'000u);
-    EXPECT_GE(sample.time_ns, last_time) << "monotonic timestamps";
-    last_time = sample.time_ns;
+    EXPECT_GE(sample.time, last_time) << "monotonic timestamps";
+    last_time = sample.time;
   }
 }
 
@@ -65,15 +69,12 @@ TEST(SampleRing, DrainEmptiesTheRing) {
                                    tid, -1, -1);
   ASSERT_TRUE(fd.has_value());
   kernel.run_for(std::chrono::milliseconds(5));
-  auto first = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_GT(first->size(), 0u);
-  auto empty = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty()) << "drain removes delivered records";
+  EXPECT_GT(drain_ring(kernel, *fd).samples.size(), 0u);
+  EXPECT_TRUE(drain_ring(kernel, *fd).samples.empty())
+      << "drain removes delivered records";
   kernel.run_for(std::chrono::milliseconds(5));
-  auto second = kernel.perf_read_samples(*fd);
-  EXPECT_GT(second->size(), 0u) << "new records keep arriving";
+  EXPECT_GT(drain_ring(kernel, *fd).samples.size(), 0u)
+      << "new records keep arriving";
 }
 
 TEST(SampleRing, FullRingDropsAndCountsLostRecords) {
@@ -88,13 +89,17 @@ TEST(SampleRing, FullRingDropsAndCountsLostRecords) {
                                    tid, -1, -1);
   ASSERT_TRUE(fd.has_value());
   kernel.run_until_idle(std::chrono::seconds(10));
-  auto samples = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(samples.has_value());
-  EXPECT_EQ(samples->size(), 16u) << "capacity-bounded";
-  auto lost = kernel.perf_lost_samples(*fd);
-  ASSERT_TRUE(lost.has_value());
-  EXPECT_EQ(samples->size() + *lost, 500u)
-      << "delivered + lost = total periods";
+  const RingDrain full = drain_ring(kernel, *fd);
+  EXPECT_EQ(full.samples.size(), 16u) << "capacity-bounded";
+  // The full ring held its LOST record back; the poll after the drain
+  // freed space publishes it.
+  ASSERT_TRUE(kernel.perf_ring_poll(*fd).has_value());
+  const RingDrain tail = drain_ring(kernel, *fd);
+  EXPECT_TRUE(tail.samples.empty());
+  EXPECT_EQ(full.samples.size() + full.lost + tail.lost,
+            *kernel.perf_overflow_count(*fd))
+      << "delivered + lost = every period crossing";
+  EXPECT_EQ(*kernel.perf_overflow_count(*fd), 500u);
 }
 
 TEST(SampleRing, CountingEventsHaveNoRing) {
@@ -108,7 +113,7 @@ TEST(SampleRing, CountingEventsHaveNoRing) {
   counting.config = static_cast<std::uint64_t>(CountKind::kInstructions);
   auto fd = kernel.perf_event_open(counting, tid, -1, -1);
   ASSERT_TRUE(fd.has_value());
-  EXPECT_EQ(kernel.perf_read_samples(*fd).status().code(),
+  EXPECT_EQ(kernel.perf_mmap_ring(*fd).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -129,17 +134,17 @@ TEST(SampleRing, MigratingThreadProducesSamplesFromBothCoreTypes) {
   ASSERT_TRUE(p_fd.has_value());
   ASSERT_TRUE(e_fd.has_value());
   kernel.run_until_idle(std::chrono::seconds(60));
-  auto p_samples = kernel.perf_read_samples(*p_fd);
-  auto e_samples = kernel.perf_read_samples(*e_fd);
-  EXPECT_GT(p_samples->size(), 0u);
-  EXPECT_GT(e_samples->size(), 0u);
-  for (const auto& sample : *p_samples) {
-    EXPECT_EQ(sample.core_type, 0);
-    EXPECT_LT(sample.cpu, 16) << "P samples only from P cpus";
+  const RingDrain p_drain = drain_ring(kernel, *p_fd);
+  const RingDrain e_drain = drain_ring(kernel, *e_fd);
+  EXPECT_GT(p_drain.samples.size(), 0u);
+  EXPECT_GT(e_drain.samples.size(), 0u);
+  for (const auto& sample : p_drain.samples) {
+    EXPECT_EQ(kernel.machine().cpus[sample.cpu].type, 0);
+    EXPECT_LT(sample.cpu, 16u) << "P samples only from P cpus";
   }
-  for (const auto& sample : *e_samples) {
-    EXPECT_EQ(sample.core_type, 1);
-    EXPECT_GE(sample.cpu, 16) << "E samples only from E cpus";
+  for (const auto& sample : e_drain.samples) {
+    EXPECT_EQ(kernel.machine().cpus[sample.cpu].type, 1);
+    EXPECT_GE(sample.cpu, 16u) << "E samples only from E cpus";
   }
 }
 

@@ -16,6 +16,7 @@
 #include "papi/fault_injection.hpp"
 #include "papi/library.hpp"
 #include "papi/sim_backend.hpp"
+#include "ring_drain.hpp"
 #include "simkernel/kernel.hpp"
 #include "simkernel/perf_abi.hpp"
 #include "telemetry/profiler.hpp"
@@ -35,6 +36,8 @@ using simkernel::CpuSet;
 using simkernel::PerfEventAttr;
 using simkernel::SimKernel;
 using simkernel::Tid;
+using testing_support::drain_ring;
+using testing_support::RingDrain;
 using workload::FixedWorkProgram;
 using workload::PhaseSpec;
 
@@ -83,10 +86,7 @@ TEST(Sampling, PeriodReconciliationIsExactOnHybridPresets) {
       ASSERT_TRUE(
           (*lib)->attach(*set, tids[static_cast<std::size_t>(t)]).is_ok());
       ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
-      ASSERT_TRUE((*lib)
-                      ->set_overflow(*set, 0, kPeriod,
-                                     [](const Library::OverflowEvent&) {})
-                      .is_ok());
+      ASSERT_TRUE((*lib)->set_overflow(*set, 0, kPeriod, nullptr).is_ok());
       ASSERT_TRUE((*lib)->start(*set).is_ok());
       sets.push_back(*set);
     }
@@ -159,10 +159,7 @@ TEST(Sampling, SamplesCarryPhaseIpsFromTheWorkload) {
   ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
   // Off-round period (coprime with the 200k-instruction segment) so the
   // crossings spread across phases instead of aliasing onto one.
-  ASSERT_TRUE((*lib)
-                  ->set_overflow(*set, 0, 1'111'111,
-                                 [](const Library::OverflowEvent&) {})
-                  .is_ok());
+  ASSERT_TRUE((*lib)->set_overflow(*set, 0, 1'111'111, nullptr).is_ok());
   ASSERT_TRUE((*lib)->start(*set).is_ok());
   kernel.run_until_idle(std::chrono::seconds(60));
   ASSERT_TRUE((*lib)->stop(*set).has_value());
@@ -199,10 +196,7 @@ TEST(Sampling, RepeatedDrainsReturnEachRecordExactlyOnce) {
   ASSERT_TRUE((*lib)->attach(*set, tid).is_ok());
   ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
   constexpr std::uint64_t kPeriod = 1'000'000;
-  ASSERT_TRUE((*lib)
-                  ->set_overflow(*set, 0, kPeriod,
-                                 [](const Library::OverflowEvent&) {})
-                  .is_ok());
+  ASSERT_TRUE((*lib)->set_overflow(*set, 0, kPeriod, nullptr).is_ok());
   ASSERT_TRUE((*lib)->start(*set).is_ok());
 
   // Drain while the workload is still running...
@@ -256,12 +250,15 @@ TEST(Sampling, ReadSamplesRequiresOverflowMode) {
 // layout instead of leaving it half-armed or empty.
 // ---------------------------------------------------------------------
 
-/// Forwards everything to a SimBackend but refuses sampling-mode opens
-/// while `deny_sampling` is set — the shape of a kernel that allows
-/// counting but rejects the sampling variant of the same event.
-class SamplingDeniedBackend final : public papi::Backend {
+/// Forwards exactly what LinuxBackend implements — the perf syscalls,
+/// the user page, the sample ring and its poll — so no delivery path
+/// the real kernel lacks can stand in for the ring. While
+/// `deny_sampling` is set it refuses sampling-mode opens: the shape of a
+/// kernel that allows counting but rejects the sampling variant of the
+/// same event.
+class RingOnlyBackend final : public papi::Backend {
  public:
-  explicit SamplingDeniedBackend(SimBackend* inner) : inner_(inner) {}
+  explicit RingOnlyBackend(SimBackend* inner) : inner_(inner) {}
 
   bool deny_sampling = false;
 
@@ -291,9 +288,6 @@ class SamplingDeniedBackend final : public papi::Backend {
       int fd) override {
     return inner_->perf_mmap_user_page(fd);
   }
-  Status perf_set_overflow_handler(int fd, OverflowHandler handler) override {
-    return inner_->perf_set_overflow_handler(fd, std::move(handler));
-  }
   Expected<simkernel::PerfRingView> perf_mmap_ring(int fd) override {
     return inner_->perf_mmap_ring(fd);
   }
@@ -310,7 +304,7 @@ class SamplingDeniedBackend final : public papi::Backend {
 TEST(SamplingOverflow, ArmingFailureRollsBackToCountingLayout) {
   SimKernel kernel(cpumodel::raptor_lake_i7_13700());
   SimBackend backend(&kernel);
-  SamplingDeniedBackend denier(&backend);
+  RingOnlyBackend denier(&backend);
   PhaseSpec phase;
   const Tid tid = kernel.spawn(
       std::make_shared<FixedWorkProgram>(phase, 500'000'000), CpuSet::of({0}));
@@ -324,8 +318,7 @@ TEST(SamplingOverflow, ArmingFailureRollsBackToCountingLayout) {
   ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_CYC").is_ok());
 
   denier.deny_sampling = true;
-  const Status armed = (*lib)->set_overflow(
-      *set, 0, 1'000'000, [](const Library::OverflowEvent&) {});
+  const Status armed = (*lib)->set_overflow(*set, 0, 1'000'000, nullptr);
   EXPECT_FALSE(armed.is_ok());
 
   // The set must still work in its original counting layout.
@@ -343,10 +336,7 @@ TEST(SamplingOverflow, ArmingFailureRollsBackToCountingLayout) {
   // Once the policy clears, the same set arms and samples flow.
   denier.deny_sampling = false;
   constexpr std::uint64_t kPeriod = 1'000'000;
-  ASSERT_TRUE((*lib)
-                  ->set_overflow(*set, 0, kPeriod,
-                                 [](const Library::OverflowEvent&) {})
-                  .is_ok());
+  ASSERT_TRUE((*lib)->set_overflow(*set, 0, kPeriod, nullptr).is_ok());
   ASSERT_TRUE((*lib)->start(*set).is_ok());
   kernel.run_until_idle(std::chrono::seconds(60));
   auto values = (*lib)->stop(*set);
@@ -356,6 +346,43 @@ TEST(SamplingOverflow, ArmingFailureRollsBackToCountingLayout) {
   EXPECT_GT(batch->samples.size(), 0u);
   EXPECT_EQ(batch->samples.size() + batch->lost,
             static_cast<std::uint64_t>((*values)[0]) / kPeriod);
+}
+
+// ---------------------------------------------------------------------
+// One delivery path: the mmap ring. A backend with nothing but the
+// surface the real-kernel backend implements must arm, sample and fire
+// overflow callbacks — from the drain.
+// ---------------------------------------------------------------------
+
+TEST(SamplingOverflow, CallbacksFireFromTheDrainOnARingOnlyBackend) {
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend backend(&kernel);
+  RingOnlyBackend ring_only(&backend);
+  PhaseSpec phase;
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(phase, 50'000'000), CpuSet::of({0}));
+  backend.set_default_target(tid);
+
+  auto lib = Library::init(&ring_only);
+  ASSERT_TRUE(lib.has_value());
+  auto set = (*lib)->create_eventset();
+  ASSERT_TRUE(set.has_value());
+  ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
+  std::uint64_t callbacks = 0;
+  const Status armed = (*lib)->set_overflow(
+      *set, 0, 10'000'000, [&](const papi::Sample&) { ++callbacks; });
+  ASSERT_TRUE(armed.is_ok()) << armed.to_string();
+  ASSERT_TRUE((*lib)->start(*set).is_ok());
+  kernel.run_until_idle(std::chrono::seconds(10));
+  ASSERT_TRUE((*lib)->stop(*set).has_value());
+  EXPECT_EQ(callbacks, 0u) << "nothing is delivered outside the drain";
+
+  auto batch = (*lib)->read_samples(*set);
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->rings_denied, 0);
+  EXPECT_EQ(batch->samples.size(), 5u) << "50M instructions / 10M period";
+  EXPECT_EQ(callbacks, batch->samples.size())
+      << "one callback per drained sample";
 }
 
 // ---------------------------------------------------------------------
@@ -409,15 +436,15 @@ TEST(SamplingRing, MappedRingDecodesWithPlainAbiRules) {
   EXPECT_FALSE(cursor.malformed());
   ASSERT_EQ(decoded.size(), 5u) << "50M instructions / 10M period";
 
-  // The simulator's own reader agrees record-for-record — the manual
+  // A committing reader pass agrees record-for-record — the manual
   // walk did not consume anything (commit() was never called).
-  auto samples = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(samples.has_value());
-  ASSERT_EQ(samples->size(), decoded.size());
+  const RingDrain drained = drain_ring(kernel, *fd);
+  ASSERT_EQ(drained.samples.size(), decoded.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
-    EXPECT_EQ((*samples)[i].time_ns, decoded[i].time);
-    EXPECT_EQ((*samples)[i].cpu, static_cast<int>(decoded[i].cpu));
+    EXPECT_EQ(drained.samples[i].time, decoded[i].time);
+    EXPECT_EQ(drained.samples[i].cpu, decoded[i].cpu);
   }
+  EXPECT_EQ(drained.samples.size(), *kernel.perf_overflow_count(*fd));
 }
 
 TEST(SamplingRing, LostRecordsAppearInBandBeforeLaterSamples) {
@@ -438,10 +465,10 @@ TEST(SamplingRing, LostRecordsAppearInBandBeforeLaterSamples) {
   // the first record of the refill must be the in-band LOST entry
   // covering the drop window.
   kernel.run_for(std::chrono::milliseconds(50));
-  auto first = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_EQ(first->size(), 4u) << "capacity-bounded first drain";
-  std::uint64_t delivered = first->size();
+  const RingDrain first = drain_ring(kernel, *fd);
+  ASSERT_EQ(first.samples.size(), 4u) << "capacity-bounded first drain";
+  ASSERT_EQ(first.lost, 0u) << "the full ring held its LOST record back";
+  std::uint64_t delivered = first.samples.size();
 
   kernel.run_until_idle(std::chrono::seconds(60));
   auto view = kernel.perf_mmap_ring(*fd);
@@ -457,13 +484,18 @@ TEST(SamplingRing, LostRecordsAppearInBandBeforeLaterSamples) {
                                          &lost_record));
   EXPECT_GT(lost_record.lost, 0u);
 
-  auto tail = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(tail.has_value());
-  delivered += tail->size();
-  auto lost = kernel.perf_lost_samples(*fd);
-  ASSERT_TRUE(lost.has_value());
-  EXPECT_EQ(delivered + *lost, kWork / kPeriod)
+  RingDrain tail = drain_ring(kernel, *fd);
+  delivered += tail.samples.size();
+  std::uint64_t lost = tail.lost;
+  // The poll after a drain publishes the final LOST record the full
+  // ring held back.
+  ASSERT_TRUE(kernel.perf_ring_poll(*fd).has_value());
+  tail = drain_ring(kernel, *fd);
+  EXPECT_TRUE(tail.samples.empty());
+  lost += tail.lost;
+  EXPECT_EQ(delivered + lost, *kernel.perf_overflow_count(*fd))
       << "delivered + lost covers every period crossing exactly";
+  EXPECT_EQ(*kernel.perf_overflow_count(*fd), kWork / kPeriod);
 }
 
 TEST(SamplingRing, WakeupEventsGateRingPollAsEdgeTrigger) {
@@ -485,9 +517,7 @@ TEST(SamplingRing, WakeupEventsGateRingPollAsEdgeTrigger) {
   ASSERT_TRUE(consumed.has_value());
   EXPECT_FALSE(*consumed) << "poll consumes the pending wakeups";
   // The hint being consumed does not affect the data path.
-  auto samples = kernel.perf_read_samples(*fd);
-  ASSERT_TRUE(samples.has_value());
-  EXPECT_EQ(samples->size(), 10u);
+  EXPECT_EQ(drain_ring(kernel, *fd).samples.size(), 10u);
 }
 
 TEST(SamplingRing, UnknownSampleTypeBitsAreRejected) {
@@ -528,11 +558,9 @@ TEST(SamplingChaos, DeniedRingMmapDegradesToCountingMode) {
     std::uint64_t callbacks = 0;
     ASSERT_TRUE((*lib)
                     ->set_overflow(*set, 0, 10'000'000,
-                                   [&](const Library::OverflowEvent& event) {
-                                     callbacks += event.periods;
-                                   })
+                                   [&](const papi::Sample&) { ++callbacks; })
                     .is_ok())
-        << "a denied ring must not fail arming — callbacks still work";
+        << "a denied ring must not fail arming";
     ASSERT_TRUE((*lib)->start(*set).is_ok());
     kernel.run_until_idle(std::chrono::seconds(10));
     auto batch = (*lib)->read_samples(*set);
@@ -542,7 +570,8 @@ TEST(SamplingChaos, DeniedRingMmapDegradesToCountingMode) {
     auto values = (*lib)->stop(*set);
     ASSERT_TRUE(values.has_value());
     EXPECT_GE((*values)[0], 50'000'000) << "counting survives the denial";
-    EXPECT_EQ(callbacks, 5u) << "overflow delivery survives the denial";
+    EXPECT_EQ(callbacks, 0u)
+        << "no ring, no callbacks — what real Linux gives without a ring";
   }
   EXPECT_EQ(injector.open_fd_count(), 0u)
       << "leaked: " << testing::PrintToString(injector.leaked_fds());
@@ -566,10 +595,7 @@ TEST(SamplingChaos, DroppedWakeupsAndStalledDrainsNeverLoseRecords) {
     ASSERT_TRUE(set.has_value());
     ASSERT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
     constexpr std::uint64_t kPeriod = 1'000'000;
-    ASSERT_TRUE((*lib)
-                    ->set_overflow(*set, 0, kPeriod,
-                                   [](const Library::OverflowEvent&) {})
-                    .is_ok());
+    ASSERT_TRUE((*lib)->set_overflow(*set, 0, kPeriod, nullptr).is_ok());
     ASSERT_TRUE((*lib)->start(*set).is_ok());
 
     // Periodic drains while faults fire: stalled passes leave records
@@ -671,8 +697,8 @@ TEST(SampleViews, NamesOutliveDestroyAndRearm) {
   SamplingWorld world(/*cpu=*/16, 60'000'000);  // an E core: intel_atom
   ASSERT_NE(world.lib, nullptr);
   std::string_view fired_name;
-  int set = world.arm(5'000'000, [&](const Library::OverflowEvent& event) {
-    fired_name = event.native_name;
+  int set = world.arm(5'000'000, [&](const papi::Sample& sample) {
+    fired_name = sample.native_name;
   });
   ASSERT_TRUE(world.lib->start(set).is_ok());
   world.kernel.run_until_idle(std::chrono::seconds(10));
@@ -685,11 +711,8 @@ TEST(SampleViews, NamesOutliveDestroyAndRearm) {
   // Destroy the set, then re-arm a new one twice: each set_overflow
   // re-opens the slots, none may free the names the old batch views.
   ASSERT_TRUE(world.lib->destroy_eventset(set).is_ok());
-  set = world.arm(7'000'000, [](const Library::OverflowEvent&) {});
-  ASSERT_TRUE(world.lib
-                  ->set_overflow(set, 0, 3'000'000,
-                                 [](const Library::OverflowEvent&) {})
-                  .is_ok());
+  set = world.arm(7'000'000, nullptr);
+  ASSERT_TRUE(world.lib->set_overflow(set, 0, 3'000'000, nullptr).is_ok());
 
   for (const papi::Sample& sample : batch->samples) {
     EXPECT_EQ(sample.native_name, "adl_grt::INST_RETIRED:ANY");
@@ -699,7 +722,7 @@ TEST(SampleViews, NamesOutliveDestroyAndRearm) {
         << "one interned copy per native event";
   }
   EXPECT_EQ(fired_name, "adl_grt::INST_RETIRED:ANY")
-      << "overflow events view the same table";
+      << "callbacks view the same table";
 }
 
 TEST(SampleViews, ReadSamplesIntoReusesTheBatchAndMatchesReadSamples) {
@@ -709,9 +732,8 @@ TEST(SampleViews, ReadSamplesIntoReusesTheBatchAndMatchesReadSamples) {
   SamplingWorld reused(/*cpu=*/0, 2'000'000'000);
   ASSERT_NE(fresh.lib, nullptr);
   ASSERT_NE(reused.lib, nullptr);
-  const int fresh_set = fresh.arm(1'000'000, [](const Library::OverflowEvent&) {});
-  const int reused_set =
-      reused.arm(1'000'000, [](const Library::OverflowEvent&) {});
+  const int fresh_set = fresh.arm(1'000'000, nullptr);
+  const int reused_set = reused.arm(1'000'000, nullptr);
   ASSERT_TRUE(fresh.lib->start(fresh_set).is_ok());
   ASSERT_TRUE(reused.lib->start(reused_set).is_ok());
 

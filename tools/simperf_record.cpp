@@ -21,7 +21,6 @@
 
 using namespace hetpapi;
 using simkernel::CountKind;
-using simkernel::PerfSubsystem;
 
 int main(int argc, char** argv) {
   std::string machine_name = "raptorlake";
@@ -88,15 +87,45 @@ int main(int argc, char** argv) {
   kernel.run_until_idle(std::chrono::seconds(3600));
   const double elapsed = kernel.now().seconds();
 
-  // Collect and aggregate.
-  std::vector<PerfSubsystem::SampleRecord> samples;
+  // Collect: walk each cpu's mmap ring with the ABI cursor, as perf
+  // record does. The poll between the two passes is the reader's trip
+  // into the kernel that publishes a LOST record a full ring held back;
+  // the second pass picks it up. Records carry no core type: the fd's
+  // cpu implies it.
+  struct Record {
+    std::uint64_t time_ns = 0;
+    int cpu = -1;
+    cpumodel::CoreTypeId core_type = 0;
+  };
+  std::vector<Record> samples;
   std::uint64_t lost = 0;
-  for (const int fd : fds) {
-    auto drained = kernel.perf_read_samples(fd);
-    if (drained) {
-      samples.insert(samples.end(), drained->begin(), drained->end());
+  for (int cpu = 0; cpu < machine.num_cpus(); ++cpu) {
+    const int fd = fds[static_cast<std::size_t>(cpu)];
+    const auto ring = kernel.perf_mmap_ring(fd);
+    if (!ring) continue;
+    const cpumodel::CoreTypeId core_type =
+        machine.cpus[static_cast<std::size_t>(cpu)].type;
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) (void)kernel.perf_ring_poll(fd);
+      simkernel::PerfRingCursor cursor(*ring);
+      simkernel::PerfEventHeader header;
+      std::uint8_t body[64];
+      while (cursor.next(&header, body, sizeof body)) {
+        const std::size_t body_size = header.size - sizeof header;
+        simkernel::PerfSampleParsed parsed;
+        simkernel::PerfLostParsed dropped;
+        if (header.type == simkernel::kPerfRecordSample &&
+            simkernel::perf_parse_sample(ring->sample_type, body, body_size,
+                                         &parsed)) {
+          samples.push_back(
+              {parsed.time, static_cast<int>(parsed.cpu), core_type});
+        } else if (header.type == simkernel::kPerfRecordLost &&
+                   simkernel::perf_parse_lost(body, body_size, &dropped)) {
+          lost += dropped.lost;
+        }
+      }
+      cursor.commit();
     }
-    lost += kernel.perf_lost_samples(fd).value_or(0);
   }
 
   std::printf("simperf record: %zu samples (%llu lost), period %llu, "
