@@ -32,7 +32,6 @@ struct Fixture {
 
   explicit Fixture(const std::vector<std::string>& events,
                    bool multiplex = false, bool use_rdpmc = false,
-                   bool cache_read_plan = true,
                    const char* fault_profile = nullptr,
                    const char* machine_preset = "raptorlake") {
     kernel = std::make_unique<SimKernel>(
@@ -50,7 +49,6 @@ struct Fixture {
     backend->set_default_target(tid);
     LibraryConfig config;
     config.use_rdpmc = use_rdpmc;
-    config.cache_read_plan = cache_read_plan;
     config.call_overhead_instructions = 0;  // measuring, not modelling
     auto created = Library::init(
         injector ? static_cast<papi::Backend*>(injector.get())
@@ -123,7 +121,7 @@ BENCHMARK(BM_ReadQualified_DerivedPreset_Hybrid);
 void BM_Read_ThreeGroups_TriHybrid(benchmark::State& state) {
   Fixture f({"mtl_rwc::INST_RETIRED:ANY", "mtl_cmt::INST_RETIRED:ANY",
              "mtl_lpe::INST_RETIRED:ANY"},
-            false, false, true, nullptr, "meteorlake");
+            false, false, nullptr, "meteorlake");
   for (auto _ : state) {
     auto values = f.lib->read(f.set);
     benchmark::DoNotOptimize(values);
@@ -133,7 +131,7 @@ BENCHMARK(BM_Read_ThreeGroups_TriHybrid);
 
 void BM_Read_DerivedPreset_TriHybrid(benchmark::State& state) {
   // One preset, three constituents folded into the transparent sum.
-  Fixture f({"PAPI_TOT_INS", "PAPI_TOT_CYC"}, false, false, true, nullptr,
+  Fixture f({"PAPI_TOT_INS", "PAPI_TOT_CYC"}, false, false, nullptr,
             "meteorlake");
   for (auto _ : state) {
     auto values = f.lib->read(f.set);
@@ -144,7 +142,7 @@ BENCHMARK(BM_Read_DerivedPreset_TriHybrid);
 
 void BM_ReadQualified_DerivedPreset_TriHybrid(benchmark::State& state) {
   // The qualified breakdown now carries three labelled parts per slot.
-  Fixture f({"PAPI_TOT_INS", "PAPI_TOT_CYC"}, false, false, true, nullptr,
+  Fixture f({"PAPI_TOT_INS", "PAPI_TOT_CYC"}, false, false, nullptr,
             "meteorlake");
   for (auto _ : state) {
     auto readings = f.lib->read_qualified(f.set);
@@ -170,7 +168,7 @@ void BM_Read_ThroughIdleFaultInjector(benchmark::State& state) {
   // The fault-injection decorator with the "none" profile: what the
   // chaos seam costs when plumbed in but idle (one ledger lookup and a
   // forwarded virtual call per backend operation).
-  Fixture f({"PAPI_TOT_INS", "PAPI_TOT_CYC"}, false, false, true, "none");
+  Fixture f({"PAPI_TOT_INS", "PAPI_TOT_CYC"}, false, false, "none");
   for (auto _ : state) {
     auto values = f.lib->read(f.set);
     benchmark::DoNotOptimize(values);
@@ -219,33 +217,6 @@ void BM_Read_MultiplexedTwelveGroups(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Read_MultiplexedTwelveGroups);
-
-void BM_Read_CachedReadPlan(benchmark::State& state) {
-  // The cached group fan-out: collect() resolves which leader fds to
-  // read and where each value lands once, then reuses the plan.
-  Fixture f({"adl_glc::INST_RETIRED:ANY", "adl_grt::INST_RETIRED:ANY",
-             "adl_glc::CPU_CLK_UNHALTED:THREAD",
-             "adl_grt::CPU_CLK_UNHALTED:THREAD"},
-            false, false, /*cache_read_plan=*/true);
-  for (auto _ : state) {
-    auto values = f.lib->read(f.set);
-    benchmark::DoNotOptimize(values);
-  }
-}
-BENCHMARK(BM_Read_CachedReadPlan);
-
-void BM_Read_UncachedReadPlan(benchmark::State& state) {
-  // Historical behaviour: the fan-out is re-derived on every read.
-  Fixture f({"adl_glc::INST_RETIRED:ANY", "adl_grt::INST_RETIRED:ANY",
-             "adl_glc::CPU_CLK_UNHALTED:THREAD",
-             "adl_grt::CPU_CLK_UNHALTED:THREAD"},
-            false, false, /*cache_read_plan=*/false);
-  for (auto _ : state) {
-    auto values = f.lib->read(f.set);
-    benchmark::DoNotOptimize(values);
-  }
-}
-BENCHMARK(BM_Read_UncachedReadPlan);
 
 void BM_Read_RdpmcFastPath(benchmark::State& state) {
   // A singleton group served by the userspace counter read.

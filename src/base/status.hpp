@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -62,13 +63,29 @@ constexpr std::string_view to_string(StatusCode code) noexcept {
   return "UNKNOWN";
 }
 
-/// A status: code plus an optional context message.
+/// A status: code plus an optional context message. The message lives
+/// behind a pointer, so an OK status — what every hot-path call returns —
+/// is two words to build and nothing to destroy.
 class [[nodiscard]] Status {
  public:
   Status() = default;
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(message.empty()
+                     ? nullptr
+                     : std::make_unique<std::string>(std::move(message))) {}
   explicit Status(StatusCode code) : code_(code) {}
+  Status(const Status& other)
+      : code_(other.code_),
+        message_(other.message_
+                     ? std::make_unique<std::string>(*other.message_)
+                     : nullptr) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) *this = Status(other);
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status ok() { return Status{}; }
 
@@ -76,13 +93,16 @@ class [[nodiscard]] Status {
   explicit operator bool() const noexcept { return is_ok(); }
 
   StatusCode code() const noexcept { return code_; }
-  const std::string& message() const noexcept { return message_; }
+  const std::string& message() const noexcept {
+    static const std::string kNone;
+    return message_ ? *message_ : kNone;
+  }
 
   std::string to_string() const {
     std::string out{hetpapi::to_string(code_)};
-    if (!message_.empty()) {
+    if (message_) {
       out += ": ";
-      out += message_;
+      out += *message_;
     }
     return out;
   }
@@ -93,7 +113,7 @@ class [[nodiscard]] Status {
 
  private:
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  std::unique_ptr<std::string> message_;
 };
 
 inline Status make_error(StatusCode code, std::string message = {}) {

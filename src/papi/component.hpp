@@ -69,6 +69,16 @@ struct SlotRequest {
   const SampleSource* sample_source = nullptr;
 };
 
+/// One member of a kernel event group: the group's leader fd (the one to
+/// read(2)), the member's own fd and its native slot. A group's members
+/// are listed together, leader first, in the order that read returns
+/// them.
+struct KernelGroupMember {
+  int leader_fd = -1;
+  int fd = -1;
+  std::size_t native = 0;
+};
+
 /// Per-EventSet state a component keeps (its slots, fds, groups, read
 /// plans). Owned by the EventSet, created via Component::create_state.
 class ComponentState {
@@ -102,24 +112,30 @@ class Component {
   virtual Status stop(ComponentState& state) = 0;
   virtual Status reset(ComponentState& state) = 0;
 
-  /// Read every open slot into values[slot.global_index]. `scale`
-  /// requests multiplex-scaled estimates where supported.
-  ///
-  /// `valid` selects the failure policy. nullptr (the strict, default
-  /// path behind read()/stop()/accum()) fails the whole call when any
-  /// slot cannot deliver. Non-null (the tolerant path behind
-  /// read_checked()/read_qualified()) must be sized like `values`; a
-  /// slot whose counter cannot deliver — dead fd, retry budget
-  /// exhausted — gets its entry cleared to 0 and a 0.0 value while the
-  /// remaining slots still report, so one dead counter degrades one
-  /// slot instead of aborting the collection.
-  virtual Status read(const ComponentState& state, bool scale,
-                      std::vector<double>& values,
-                      std::vector<std::uint8_t>* valid = nullptr) const = 0;
+  /// Append this state's kernel group members to `out`. Perf-backed
+  /// components return true: the EventSet compiles their groups into its
+  /// flat read plan and never calls read(). The rest (sysinfo) return
+  /// false.
+  virtual bool kernel_groups(const ComponentState& /*state*/,
+                             std::vector<KernelGroupMember>& /*out*/) const {
+    return false;
+  }
 
-  /// Kernel-level groups currently held — the unit of per-call overhead
-  /// accounting and of eventset_group_count().
-  virtual int group_count(const ComponentState& state) const = 0;
+  /// Read every open slot into values[slot.global_index] — the seam for
+  /// components without kernel groups. `scale` requests multiplex-scaled
+  /// estimates where supported.
+  ///
+  /// `valid` selects the failure policy. nullptr (the strict path behind
+  /// read()/stop()/accum()) fails the whole call when any slot cannot
+  /// deliver. Non-null (the tolerant path behind read_checked() and the
+  /// qualified reads) must be sized like `values`; a slot that cannot
+  /// deliver gets its entry cleared to 0 and a 0.0 value while the
+  /// remaining slots still report.
+  virtual Status read(const ComponentState& /*state*/, bool /*scale*/,
+                      std::vector<double>& /*values*/,
+                      std::vector<std::uint8_t>* /*valid*/ = nullptr) const {
+    return make_error(StatusCode::kBug, "read through kernel groups");
+  }
 
   /// Drain every sampling slot's mmap ring into `batch` (append-only:
   /// callers may fan one batch across components). Components without a

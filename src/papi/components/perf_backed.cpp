@@ -1,7 +1,6 @@
 #include "papi/components/perf_backed.hpp"
 
 #include "papi/retry.hpp"
-#include "papi/user_page_read.hpp"
 
 namespace hetpapi::papi {
 
@@ -26,7 +25,6 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
                                       const SlotRequest& request,
                                       const MeasureTarget& target) {
   PerfState& ps = perf_state(state);
-  ps.read_plan_valid = false;
   if (request.sample_period > 0 && request.sample_source == nullptr) {
     return make_error(StatusCode::kBug, "sampling slot without a source");
   }
@@ -95,7 +93,6 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
 
 Status PerfBackedComponent::close_all(ComponentState& state) {
   PerfState& ps = perf_state(state);
-  ps.read_plan_valid = false;
   Status first_error = Status::ok();
   // Close siblings before leaders to avoid the kernel's sibling
   // promotion path.
@@ -185,119 +182,16 @@ Status PerfBackedComponent::reset(ComponentState& state) {
   return Status::ok();
 }
 
-void PerfBackedComponent::build_read_plan(const PerfState& ps) const {
-  ps.read_plan.clear();
-  ps.plan_members.clear();
-  ps.plan_pages.clear();
-  ps.read_plan.reserve(ps.groups.size());
+bool PerfBackedComponent::kernel_groups(
+    const ComponentState& state, std::vector<KernelGroupMember>& out) const {
+  const PerfState& ps = perf_state(state);
   for (const Group& group : ps.groups) {
-    ReadPlanEntry entry;
-    entry.leader_fd = group.leader_fd;
-    entry.member_begin = ps.plan_members.size();
-    entry.member_count = group.members.size();
-    // Classify every member — not just singletons — as rdpmc-servable:
-    // the group goes to the page path iff each member's user page mapped
-    // and advertises cap_user_rdpmc. Residency is NOT checked here; it
-    // changes per tick and the per-read seqlock loop handles it.
-    bool all_pages = env_.config->use_rdpmc && !group.members.empty();
     for (int member : group.members) {
       const Slot& slot = ps.slots[static_cast<std::size_t>(member)];
-      ps.plan_members.push_back(slot.request.global_index);
-      const simkernel::PerfUserPage* page = nullptr;
-      if (env_.config->use_rdpmc) {
-        if (auto mapped = env_.backend->perf_mmap_user_page(slot.fd)) {
-          if (((*mapped)->capabilities & simkernel::kCapUserRdpmc) != 0) {
-            page = *mapped;
-          }
-        }
-      }
-      ps.plan_pages.push_back(page);
-      all_pages = all_pages && page != nullptr;
-    }
-    entry.rdpmc_group = all_pages;
-    ps.read_plan.push_back(entry);
-  }
-}
-
-Status PerfBackedComponent::read(const ComponentState& state, bool scale,
-                                 std::vector<double>& values,
-                                 std::vector<std::uint8_t>* valid) const {
-  // Gather per-slot raw/scaled values across all groups. The fan-out
-  // (which leader fds to read, where each returned value lands) is
-  // pre-resolved into a read plan; with cache_read_plan off it is
-  // rebuilt on every call, the historical behaviour the overhead bench
-  // compares against.
-  const PerfState& ps = perf_state(state);
-  if (!ps.read_plan_valid) {
-    build_read_plan(ps);
-    ps.read_plan_valid = env_.config->cache_read_plan;
-  }
-
-  const int retries = env_.config->transient_retry_attempts;
-  const int page_retries = env_.config->rdpmc_max_retries;
-  for (const ReadPlanEntry& entry : ps.read_plan) {
-    // Fast path first (§V-5): every member served from its mmap'd user
-    // page with the seqlock retry loop — no syscall, and scaled reads
-    // take time_enabled/time_running from the page so a multiplexed
-    // event returns the same scaled estimate as the fd path. Any member
-    // that cannot be served (not resident: disabled, multiplexed out,
-    // or migrated core types; rdpmc revoked; retries exhausted) sends
-    // the WHOLE group to the fd path so group values stay mutually
-    // consistent.
-    if (entry.rdpmc_group) {
-      bool served = true;
-      for (std::size_t i = 0; i < entry.member_count; ++i) {
-        const simkernel::PerfUserPage* page =
-            ps.plan_pages[entry.member_begin + i];
-        UserPageSample sample;
-        if (read_user_page(*page, sample, page_retries) !=
-            UserPageReadResult::kOk) {
-          served = false;
-          break;
-        }
-        double value = static_cast<double>(sample.value);
-        if (scale) {
-          PerfValue pv;
-          pv.value = sample.value;
-          pv.time_enabled_ns = sample.time_enabled_ns;
-          pv.time_running_ns = sample.time_running_ns;
-          value = pv.scaled();
-        }
-        values[ps.plan_members[entry.member_begin + i]] = value;
-      }
-      if (served) continue;  // partial writes are overwritten below
-    }
-    std::vector<PerfValue>& group_values = ps.group_scratch;
-    Status read_status = read_group_with_retry(
-        *env_.backend, entry.leader_fd, group_values, retries);
-    if (read_status.is_ok() && group_values.size() != entry.member_count) {
-      read_status = make_error(StatusCode::kBug, "group read size mismatch");
-    }
-    if (!read_status.is_ok()) {
-      // Strict callers abort the collection; tolerant callers degrade
-      // this group's slots (value 0, validity cleared) and keep reading
-      // the other groups — one dead counter costs one group, not the
-      // whole EventSet.
-      if (valid == nullptr) return read_status;
-      for (std::size_t i = 0; i < entry.member_count; ++i) {
-        const std::size_t slot = ps.plan_members[entry.member_begin + i];
-        values[slot] = 0.0;
-        (*valid)[slot] = 0;
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < entry.member_count; ++i) {
-      const PerfValue& pv = group_values[i];
-      double value = static_cast<double>(pv.value);
-      if (scale) value = pv.scaled();
-      values[ps.plan_members[entry.member_begin + i]] = value;
+      out.push_back({group.leader_fd, slot.fd, slot.request.global_index});
     }
   }
-  return Status::ok();
-}
-
-int PerfBackedComponent::group_count(const ComponentState& state) const {
-  return static_cast<int>(perf_state(state).groups.size());
+  return true;
 }
 
 void PerfBackedComponent::drain_ring(const Slot& slot, SampleBatch& batch) {

@@ -1,8 +1,9 @@
 // Shared machinery for components whose counters live behind the
 // kernel's perf_event syscalls: group bookkeeping (one group per PMU
 // type, or one per event when multiplexed), leader-disabled open
-// protocol, the sample-ring drain, the cached read-plan fan-out and the
-// rdpmc singleton fast path (§IV-E, §V-5).
+// protocol and the sample-ring drain (§IV-E). Reads do not come through
+// here: the component hands its groups to the EventSet's flat read plan
+// (kernel_groups), which reads them through the Backend directly.
 //
 // Concrete subclasses only decide *where* an event binds — to the
 // EventSet's target thread/cpu (perf_core) or to the PMU's designated
@@ -25,10 +26,8 @@ class PerfBackedComponent : public Component {
   Status start(ComponentState& state) override;
   Status stop(ComponentState& state) override;
   Status reset(ComponentState& state) override;
-  Status read(const ComponentState& state, bool scale,
-              std::vector<double>& values,
-              std::vector<std::uint8_t>* valid = nullptr) const override;
-  int group_count(const ComponentState& state) const override;
+  bool kernel_groups(const ComponentState& state,
+                     std::vector<KernelGroupMember>& out) const override;
   /// The safe drain loop: for every sampling slot, consult the wakeup
   /// surface (advisory; transient stalls retry within the budget, a
   /// persistent stall skips the slot for this pass), then decode the
@@ -67,39 +66,11 @@ class PerfBackedComponent : public Component {
     FixedVector<int, kMaxEventSetEvents> members;
   };
 
-  /// One pre-resolved group read in the collect fan-out. Value
-  /// destinations are resolved to global (EventSet-wide) indices at plan
-  /// build time so the read loop does no slot-table chasing.
-  struct ReadPlanEntry {
-    int leader_fd = -1;
-    /// Every member of this group has a mapped user page advertising
-    /// cap_user_rdpmc: the whole group is served by seqlock page reads
-    /// (§V-5), with the fd path as the per-read fallback when any member
-    /// is not resident or the retry budget exhausts.
-    bool rdpmc_group = false;
-    /// Members' global value indices in sibling order, flattened into
-    /// PerfState::plan_members.
-    std::size_t member_begin = 0;
-    std::size_t member_count = 0;
-  };
-
   struct PerfState final : ComponentState {
     std::vector<Slot> slots;
     /// One entry per PMU type normally; one per event when multiplexed,
     /// hence sized for the worst case.
     FixedVector<Group, kMaxEventSetEvents> groups;
-    /// Cached read fan-out (mutable: read() is logically const).
-    /// Invalidated by any group-layout change (open_slot / close_all).
-    mutable bool read_plan_valid = false;
-    mutable std::vector<ReadPlanEntry> read_plan;
-    mutable std::vector<std::size_t> plan_members;
-    /// Reused group-read buffer for the fd path: sized by the first
-    /// read of the largest group, then every read is allocation-free.
-    mutable std::vector<PerfValue> group_scratch;
-    /// Per plan-member mmap'd user page (nullptr when unmapped), in
-    /// plan_members order; populated at plan build, pointers live until
-    /// the fds close (which also invalidates the plan).
-    mutable std::vector<const simkernel::PerfUserPage*> plan_pages;
     /// Between a successful start() and the next stop(): the kernel may
     /// still write into the sample rings.
     bool enabled = false;
@@ -119,7 +90,6 @@ class PerfBackedComponent : public Component {
   /// absorbed (ring_denied), never surfaced: ISSUE-10 graceful
   /// degradation to counting mode.
   void map_ring(Slot& slot) const;
-  void build_read_plan(const PerfState& state) const;
 };
 
 }  // namespace hetpapi::papi

@@ -43,12 +43,6 @@ class SysinfoComponent final : public Component {
   Status read(const ComponentState& state, bool scale,
               std::vector<double>& values,
               std::vector<std::uint8_t>* valid = nullptr) const override;
-  /// Software reads hold no kernel groups: they add nothing to the
-  /// per-call overhead model and never perturb the measured thread.
-  int group_count(const ComponentState& state) const override {
-    (void)state;
-    return 0;
-  }
 
  private:
   enum class Reading { kContextSwitches, kCpuTimeMs, kPackageTempMc };

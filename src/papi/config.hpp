@@ -41,11 +41,6 @@ struct LibraryConfig {
   /// Seqlock retry budget per page read before falling back to the fd
   /// path; generous, since a stuck-odd page means a dead writer.
   int rdpmc_max_retries = 16;
-  /// Cache the per-EventSet group read fan-out (which leader fds to
-  /// read, which native slot each returned value lands in) instead of
-  /// re-deriving it on every read/stop/accum. Off reproduces the
-  /// per-call recomputation cost the overhead bench quantifies.
-  bool cache_read_plan = true;
   /// Attempt budget for transient (EINTR/EAGAIN -> kInterrupted)
   /// syscall failures: every backend call site retries up to this many
   /// total attempts before surfacing the error.
@@ -79,7 +74,8 @@ struct EventInfo {
 /// one. A slot is degraded when its event opened on only a subset of
 /// its PMUs, or when a live counter failed to deliver this collection
 /// (stale fd, retry budget exhausted) — the value is then the sum of
-/// the constituents that did report.
+/// the constituents that did report. Library::read_checked_into fills a
+/// reused Reading in place, without allocating.
 struct Reading {
   std::vector<long long> values;            // one per user event, add order
   std::vector<std::uint8_t> value_degraded; // 1 = values[i] is partial
@@ -87,14 +83,18 @@ struct Reading {
 };
 
 /// One constituent of a qualified (per-PMU) read: the raw value the
-/// native event counted on its PMU, before derived summation.
+/// native event counted on its PMU, before derived summation. The three
+/// labels are views into names the Library interns once per native
+/// event (see SampleSource): valid for the Library's lifetime, whatever
+/// happens to the EventSet, and refilled by pointer assignment on every
+/// read_qualified_into.
 struct QualifiedValue {
-  std::string native_name;  // canonical, e.g. "adl_glc::INST_RETIRED:ANY"
-  std::string pmu_name;     // pfm table name, e.g. "adl_glc"
+  std::string_view native_name;  // canonical, e.g. "adl_glc::INST_RETIRED:ANY"
+  std::string_view pmu_name;     // pfm table name, e.g. "adl_glc"
   /// Detected core-type label serving this PMU ("intel_core",
   /// "capacity-1024", ...); empty for non-core PMUs (rapl, uncore,
   /// software).
-  std::string core_type;
+  std::string_view core_type;
   /// +1 / -1 weight this constituent contributes to the derived total.
   int sign = 1;
   long long value = 0;
@@ -108,7 +108,8 @@ struct QualifiedValue {
 /// derived total (identical to what read() returns for the slot) plus
 /// the per-PMU breakdown it was summed from (§V-2).
 struct QualifiedReading {
-  std::string display_name;
+  /// What the user added, interned by the Library like the part labels.
+  std::string_view display_name;
   bool is_preset = false;
   long long total = 0;
   std::vector<QualifiedValue> parts;
@@ -117,11 +118,11 @@ struct QualifiedReading {
   bool degraded = false;
 };
 
-/// The names a sampled native event stamps on every Sample it produces.
-/// The Library interns one per native event the first time the event is
-/// armed for sampling and never frees it while the Library lives, so the
-/// string_views in each Sample stay valid until the Library is destroyed
-/// — past destroy_eventset and re-arming.
+/// The names of one native event: what every Sample it produces and
+/// every qualified part it reads as point into. The Library interns one
+/// per native event the first time the event is added and never frees
+/// it while the Library lives, so those string_views stay valid until
+/// the Library is destroyed — past destroy_eventset and re-adding.
 struct SampleSource {
   std::string native_name;  // canonical, e.g. "adl_glc::INST_RETIRED:ANY"
   std::string pmu_name;     // pfm table name, e.g. "adl_glc"

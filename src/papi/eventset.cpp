@@ -3,8 +3,103 @@
 #include <algorithm>
 
 #include "base/strings.hpp"
+#include "papi/retry.hpp"
+#include "papi/user_page_read.hpp"
 
 namespace hetpapi::papi {
+
+const SampleSource* NameTable::labels(const pfm::Encoding& enc) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = labels_.find(enc.canonical_name);
+  if (it == labels_.end()) {
+    // The core-type label is resolved once here, not per read or record
+    // (§V-2).
+    it = labels_
+             .emplace(enc.canonical_name,
+                      SampleSource{enc.canonical_name, enc.pmu_name,
+                                   core_type_(enc.pmu_name)})
+             .first;
+  }
+  return &it->second;
+}
+
+std::string_view NameTable::intern(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = names_.find(name);
+  if (it == names_.end()) it = names_.emplace(name).first;
+  return *it;
+}
+
+namespace {
+
+/// Folds members' values into slot totals. Unscaled values are exact
+/// integers and fold as such, in any order. Multiplex-scaled estimates
+/// are summed as doubles per user event — in native order, since a
+/// multiplexed set's groups are singletons opened in that order — and
+/// truncated, exactly as one double sum per slot would be.
+struct Fold {
+  double* sums;  // non-null for a scaled collection
+
+  void into(long long& total, const auto& entry, double value) const {
+    if (sums != nullptr) {
+      total = static_cast<long long>(sums[entry.user] += entry.sign * value);
+    } else {
+      total += entry.sign * static_cast<long long>(value);
+    }
+  }
+};
+
+/// read_into, stop, accum: totals only; a group that cannot deliver
+/// fails the call.
+struct TotalsSink : Fold {
+  static constexpr bool kTolerant = false;
+  long long* totals;
+  void add(const auto& entry, double value) {
+    into(totals[entry.user], entry, value);
+  }
+  void fail(const auto&) {}
+};
+
+/// read_checked_into: totals plus per-slot degradation.
+struct CheckedSink : Fold {
+  static constexpr bool kTolerant = true;
+  Reading* out;
+  void add(const auto& entry, double value) {
+    into(out->values[entry.user], entry, value);
+  }
+  void fail(const auto& entry) {
+    out->value_degraded[entry.user] = 1;
+    out->degraded = true;
+  }
+};
+
+/// read_qualified_into: each part's own value and validity, plus totals.
+/// A failed part keeps the invalid, zero state set before collecting.
+struct QualifiedSink : Fold {
+  static constexpr bool kTolerant = true;
+  QualifiedReading* out;
+  void add(const auto& entry, double value) {
+    QualifiedValue& part = out[entry.user].parts[entry.part];
+    part.value = static_cast<long long>(value);
+    part.valid = true;
+    into(out[entry.user].total, entry, value);
+  }
+  void fail(const auto& entry) { out[entry.user].degraded = true; }
+};
+
+/// The fold a collection starts with: zeroed sums when scaled.
+Fold begin_fold(bool scaled, std::vector<double>& sums) {
+  if (!scaled) return Fold{nullptr};
+  std::fill(sums.begin(), sums.end(), 0.0);
+  return Fold{sums.data()};
+}
+
+void set_labels(QualifiedValue& part, const SampleSource& labels, int sign) {
+  part = QualifiedValue{labels.native_name, labels.pmu_name, labels.core_type,
+                        sign, 0, false};
+}
+
+}  // namespace
 
 Status EventSetCore::attach(Tid tid) {
   if (running()) {
@@ -42,9 +137,7 @@ Status EventSetCore::open_slot(std::size_t native_idx) {
   request.sample_period = slot.sample_period;
   request.eventset_id = id_;
   request.user_event_index = slot.user_event_index;
-  if (slot.sample_period > 0 && sample_source_resolver_) {
-    request.sample_source = sample_source_resolver_(slot.enc);
-  }
+  if (slot.sample_period > 0) request.sample_source = slot.labels;
   ComponentUse& use = use_for(slot.component);
   return slot.component->open_slot(*use.state, request, target());
 }
@@ -83,7 +176,10 @@ Status EventSetCore::add_native(const pfm::Encoding& enc, int sign,
   NativeSlot slot;
   slot.enc = enc;
   slot.component = component;
+  slot.labels = names_->labels(enc);
   slot.user_event_index = static_cast<int>(user_events_.size());
+  slot.part = static_cast<std::uint32_t>(user.native_indices.size());
+  slot.sign = sign;
   natives_.push_back(slot);
   const auto native_idx = static_cast<int>(natives_.size() - 1);
 
@@ -93,7 +189,6 @@ Status EventSetCore::add_native(const pfm::Encoding& enc, int sign,
     return opened;
   }
   user.native_indices.push_back(native_idx);
-  user.native_signs.push_back(sign);
   return Status::ok();
 }
 
@@ -101,7 +196,7 @@ Status EventSetCore::add_user_event(
     std::string_view display_name, bool is_preset,
     const std::vector<std::pair<pfm::Encoding, int>>& constituents) {
   UserEvent user;
-  user.display_name = std::string(display_name);
+  user.display_name = names_->intern(display_name);
   user.is_preset = is_preset;
 
   // All-or-nothing by default: remember how much to roll back on
@@ -119,8 +214,7 @@ Status EventSetCore::add_user_event(
     if (!added.is_ok()) {
       if (may_degrade && added.code() != StatusCode::kConflict) {
         if (first_failure.is_ok()) first_failure = added;
-        user.missing.push_back(
-            MissingConstituent{enc, sign, added.to_string()});
+        user.missing.push_back(MissingConstituent{names_->labels(enc), sign});
         continue;
       }
       (void)rollback_natives(natives_before);
@@ -133,6 +227,7 @@ Status EventSetCore::add_user_event(
     return first_failure;
   }
   user_events_.push_back(std::move(user));
+  build_plan();
   return Status::ok();
 }
 
@@ -214,6 +309,7 @@ Status EventSetCore::try_open_slots() {
       return opened;
     }
   }
+  build_plan();
   return Status::ok();
 }
 
@@ -226,6 +322,7 @@ Status EventSetCore::reopen_slots_or_empty() {
     // one state that is always consistent and leak-free: empty.
     natives_.clear();
     user_events_.clear();
+    build_plan();
     return make_error(StatusCode::kComponent,
                       "could not restore the EventSet layout (" +
                           opened.to_string() +
@@ -375,14 +472,11 @@ Status EventSetCore::start() {
     locks_->acquire(*use.component, tgt, id_);
   }
   state_ = SetState::kRunning;
-  // The group layout cannot change while running; every per-call
-  // overhead charge until stop() uses this cached count.
-  running_group_count_ = static_cast<std::uint64_t>(group_count());
 
   if (target_ != simkernel::kInvalidTid) {
     backend_->charge_call_overhead(
         target_,
-        config_->call_overhead_instructions * running_group_count_);
+        config_->call_overhead_instructions * kernel_groups_);
   }
   return Status::ok();
 }
@@ -391,8 +485,8 @@ Expected<std::vector<long long>> EventSetCore::stop() {
   if (!running()) {
     return make_error(StatusCode::kNotRunning, "EventSet is not running");
   }
-  auto values = collect();
-  if (!values) return values.status();
+  std::vector<long long> values;
+  HETPAPI_RETURN_IF_ERROR(collect_totals(values));
 
   const MeasureTarget tgt = target();
   for (ComponentUse& use : uses_) {
@@ -404,7 +498,7 @@ Expected<std::vector<long long>> EventSetCore::stop() {
   if (target_ != simkernel::kInvalidTid) {
     backend_->charge_call_overhead(
         target_,
-        config_->call_overhead_instructions * running_group_count_);
+        config_->call_overhead_instructions * kernel_groups_);
   }
   return values;
 }
@@ -416,102 +510,203 @@ void EventSetCore::charge_read_overhead() const {
   if (config_->call_overhead_instructions == 0) return;
   if (target_ == simkernel::kInvalidTid || !running()) return;
   backend_->charge_call_overhead(
-      target_, config_->call_overhead_instructions * running_group_count_);
+      target_, config_->call_overhead_instructions * kernel_groups_);
 }
 
-Expected<std::vector<long long>> EventSetCore::read() const {
-  auto values = collect();
-  if (values) charge_read_overhead();
-  return values;
+void EventSetCore::build_plan() {
+  plan_.clear();
+  seams_.clear();
+  kernel_groups_ = 0;
+  plan_scaled_ = multiplexed_ && config_->scale_multiplexed;
+  plan_partial_.assign(user_events_.size(), 0);
+  for (std::size_t u = 0; u < user_events_.size(); ++u) {
+    if (!user_events_[u].missing.empty()) plan_partial_[u] = 1;
+  }
+  // Where a native's value folds to: its user event, part and sign.
+  const auto entry_for = [this](std::size_t native) {
+    const NativeSlot& slot = natives_[native];
+    PlanEntry entry;
+    entry.native = static_cast<std::uint32_t>(native);
+    entry.user = static_cast<std::uint32_t>(slot.user_event_index);
+    entry.part = slot.part;
+    entry.sign = slot.sign;
+    return entry;
+  };
+
+  std::size_t widest_group = 0;
+  std::vector<KernelGroupMember> members;
+  for (const ComponentUse& use : uses_) {
+    members.clear();
+    if (!use.component->kernel_groups(*use.state, members)) {
+      PlanSeam& seam = seams_.emplace_back(PlanSeam{&use, {}});
+      for (std::size_t n = 0; n < natives_.size(); ++n) {
+        if (natives_[n].component == use.component) {
+          seam.entries.push_back(entry_for(n));
+        }
+      }
+      continue;
+    }
+    std::size_t first = 0;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const KernelGroupMember& member = members[m];
+      if (m == 0 || member.leader_fd != members[m - 1].leader_fd) {
+        first = plan_.size();
+        ++kernel_groups_;
+      }
+      PlanEntry entry = entry_for(member.native);
+      // A group goes to the page path iff every member's user page
+      // mapped and advertises cap_user_rdpmc. Residency is not checked
+      // here: it changes per tick, and the per-read seqlock loop falls
+      // back to the group read when a member is not resident.
+      if (config_->use_rdpmc) {
+        if (auto page = backend_->perf_mmap_user_page(member.fd);
+            page && ((*page)->capabilities & simkernel::kCapUserRdpmc)) {
+          entry.page = *page;
+        }
+      }
+      plan_.push_back(entry);
+      PlanEntry& leader = plan_[first];
+      leader.leader_fd = member.leader_fd;
+      leader.rdpmc =
+          (leader.count == 0 || leader.rdpmc) && entry.page != nullptr;
+      ++leader.count;
+      widest_group = std::max<std::size_t>(widest_group, leader.count);
+    }
+  }
+
+  group_values_.reserve(widest_group);
+  page_values_.resize(widest_group);
+  scaled_sums_.assign(user_events_.size(), 0.0);
+  seam_values_.assign(natives_.size(), 0.0);
+  seam_valid_.assign(natives_.size(), 1);
 }
 
-Status EventSetCore::read_into(std::vector<long long>& out) const {
-  HETPAPI_RETURN_IF_ERROR(collect_natives());
-  charge_read_overhead();
-  fold_user_events(out);
+bool EventSetCore::read_pages(const PlanEntry* group) const {
+  // Fast path first (§V-5): every member served from its mmap'd user
+  // page with the seqlock retry loop — no syscall; scaled reads take
+  // time_enabled/time_running from the page, so a multiplexed event
+  // gets the same estimate as from the fd. Any member that cannot be
+  // served (not resident: disabled, multiplexed out or migrated core
+  // types; rdpmc revoked; retries exhausted) sends the WHOLE group to
+  // the group read so its values stay mutually consistent.
+  for (std::uint32_t i = 0; i < group->count; ++i) {
+    UserPageSample sample;
+    if (read_user_page(*group[i].page, sample, config_->rdpmc_max_retries) !=
+        UserPageReadResult::kOk) {
+      return false;
+    }
+    page_values_[i] = PerfValue{sample.value, sample.time_enabled_ns,
+                                sample.time_running_ns};
+  }
+  return true;
+}
+
+template <typename Sink>
+Status EventSetCore::collect(Sink& sink) const {
+  const int retries = config_->transient_retry_attempts;
+  const PlanEntry* const end = plan_.data() + plan_.size();
+  for (const PlanEntry* group = plan_.data(); group != end;
+       group += group->count) {
+    const std::uint32_t count = group->count;
+    const PerfValue* values = page_values_.data();
+    if (!group->rdpmc || !read_pages(group)) {
+      Status read = read_group_with_retry(*backend_, group->leader_fd,
+                                          group_values_, retries);
+      if (read.is_ok() && group_values_.size() != count) {
+        read = make_error(StatusCode::kBug, "group read size mismatch");
+      }
+      if (!read.is_ok()) {
+        // Strict callers abort the collection; tolerant callers degrade
+        // this group's slots and keep reading the other groups — one
+        // dead counter costs one group, not the whole EventSet.
+        if constexpr (!Sink::kTolerant) {
+          return read;
+        } else {
+          for (std::uint32_t i = 0; i < count; ++i) sink.fail(group[i]);
+          continue;
+        }
+      }
+      values = group_values_.data();
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      sink.add(group[i], plan_scaled_ ? values[i].scaled()
+                                      : static_cast<double>(values[i].value));
+    }
+  }
+
+  for (const PlanSeam& seam : seams_) {
+    std::vector<std::uint8_t>* valid = nullptr;
+    if constexpr (Sink::kTolerant) {
+      std::fill(seam_valid_.begin(), seam_valid_.end(), 1);
+      valid = &seam_valid_;
+    }
+    HETPAPI_RETURN_IF_ERROR(seam.use->component->read(
+        *seam.use->state, plan_scaled_, seam_values_, valid));
+    for (const PlanEntry& entry : seam.entries) {
+      if (valid == nullptr || seam_valid_[entry.native] != 0) {
+        sink.add(entry, seam_values_[entry.native]);
+      } else {
+        sink.fail(entry);
+      }
+    }
+  }
   return Status::ok();
 }
 
-Expected<std::vector<QualifiedReading>> EventSetCore::read_qualified() const {
-  std::vector<QualifiedReading> out;
-  HETPAPI_RETURN_IF_ERROR(read_qualified_into(out));
-  return out;
+Status EventSetCore::collect_totals(std::vector<long long>& out) const {
+  out.assign(user_events_.size(), 0);
+  TotalsSink sink{begin_fold(plan_scaled_, scaled_sums_), out.data()};
+  return collect(sink);
+}
+
+Status EventSetCore::read_into(std::vector<long long>& out) const {
+  HETPAPI_RETURN_IF_ERROR(collect_totals(out));
+  charge_read_overhead();
+  return Status::ok();
+}
+
+Status EventSetCore::read_checked_into(Reading& out) const {
+  out.values.assign(user_events_.size(), 0);
+  out.value_degraded = plan_partial_;
+  out.degraded = degraded();
+  CheckedSink sink{begin_fold(plan_scaled_, scaled_sums_), &out};
+  HETPAPI_RETURN_IF_ERROR(collect(sink));
+  charge_read_overhead();
+  return Status::ok();
 }
 
 Status EventSetCore::read_qualified_into(
     std::vector<QualifiedReading>& out) const {
-  // One kernel collection — the same fan-out and per-call charge as
-  // read() — then keep the per-native values instead of folding them
-  // away, so the breakdown and the total come from the same instant.
-  // Collection is tolerant: a constituent that cannot deliver comes
-  // back as an invalid part (value 0, excluded from the total) rather
-  // than failing the whole reading, and constituents that never opened
-  // (degraded add) are reported the same way.
-  //
-  // `out` is updated in place: the reading/part structure is fixed for
-  // the lifetime of the set's layout, so a reused buffer only has its
-  // values rewritten — the string labels are verified (cheap equality on
-  // match) and repaired only when the layout actually changed under the
-  // buffer. This is what takes the qualified read from ~700 ns of
-  // per-call allocations down to the plain-read cost.
-  HETPAPI_RETURN_IF_ERROR(collect_checked());
-  charge_read_overhead();
-
-  if (out.size() != user_events_.size()) out.resize(user_events_.size());
+  // One collection — the same plan and per-call charge as read() — that
+  // also keeps each constituent's own value, so the breakdown and the
+  // total come from the same instant. Constituents that never opened
+  // (degraded add) or cannot deliver come back as invalid parts (value
+  // 0, excluded from the total). The shape is fixed for the lifetime of
+  // the layout, so a reused buffer only has views, signs and values
+  // rewritten: no string is compared or copied.
+  out.resize(user_events_.size());
   for (std::size_t u = 0; u < user_events_.size(); ++u) {
     const UserEvent& user = user_events_[u];
     QualifiedReading& reading = out[u];
-    const std::size_t parts_needed =
-        user.native_indices.size() + user.missing.size();
-    if (reading.parts.size() != parts_needed) {
-      reading.parts.clear();
-      reading.parts.resize(parts_needed);
-    }
-    if (reading.display_name != user.display_name) {
-      reading.display_name = user.display_name;
-    }
+    reading.display_name = user.display_name;
     reading.is_preset = user.is_preset;
+    reading.total = 0;
     reading.degraded = !user.missing.empty();
-    double sum = 0.0;
-    for (std::size_t i = 0; i < user.native_indices.size(); ++i) {
-      const auto native_idx =
-          static_cast<std::size_t>(user.native_indices[i]);
-      const NativeSlot& slot = natives_[native_idx];
-      QualifiedValue& part = reading.parts[i];
-      if (part.native_name != slot.enc.canonical_name) {
-        part.native_name = slot.enc.canonical_name;
-        part.pmu_name = slot.enc.pmu_name;
-        part.core_type = core_type_resolver_
-                             ? core_type_resolver_(slot.enc.pmu_name)
-                             : std::string();
-      }
-      part.sign = user.native_signs[i];
-      part.valid = valid_scratch_[native_idx] != 0;
-      if (part.valid) {
-        part.value = static_cast<long long>(native_scratch_[native_idx]);
-        sum += user.native_signs[i] * native_scratch_[native_idx];
-      } else {
-        part.value = 0;
-        reading.degraded = true;
-      }
+    const std::size_t opened = user.native_indices.size();
+    reading.parts.resize(opened + user.missing.size());
+    for (std::size_t i = 0; i < opened; ++i) {
+      const NativeSlot& slot =
+          natives_[static_cast<std::size_t>(user.native_indices[i])];
+      set_labels(reading.parts[i], *slot.labels, slot.sign);
     }
     for (std::size_t m = 0; m < user.missing.size(); ++m) {
-      const MissingConstituent& missing = user.missing[m];
-      QualifiedValue& part =
-          reading.parts[user.native_indices.size() + m];
-      if (part.native_name != missing.enc.canonical_name) {
-        part.native_name = missing.enc.canonical_name;
-        part.pmu_name = missing.enc.pmu_name;
-        part.core_type = core_type_resolver_
-                             ? core_type_resolver_(missing.enc.pmu_name)
-                             : std::string();
-      }
-      part.sign = missing.sign;
-      part.valid = false;
-      part.value = 0;
+      set_labels(reading.parts[opened + m], *user.missing[m].labels,
+                 user.missing[m].sign);
     }
-    reading.total = static_cast<long long>(sum);
   }
+  QualifiedSink sink{begin_fold(plan_scaled_, scaled_sums_), out.data()};
+  HETPAPI_RETURN_IF_ERROR(collect(sink));
+  charge_read_overhead();
   return Status::ok();
 }
 
@@ -523,9 +718,9 @@ Status EventSetCore::accum(std::vector<long long>& values) {
     return make_error(StatusCode::kInvalidArgument,
                       "values array must have one slot per event");
   }
-  HETPAPI_RETURN_IF_ERROR(collect_natives());
-  for (std::size_t u = 0; u < user_events_.size(); ++u) {
-    values[u] += user_event_sum(user_events_[u]);
+  HETPAPI_RETURN_IF_ERROR(collect_totals(accum_values_));
+  for (std::size_t u = 0; u < values.size(); ++u) {
+    values[u] += accum_values_[u];
   }
   return reset();
 }
@@ -538,95 +733,15 @@ Status EventSetCore::reset() {
 }
 
 bool EventSetCore::degraded() const {
-  for (const UserEvent& user : user_events_) {
-    if (!user.missing.empty()) return true;
-  }
-  return false;
-}
-
-Status EventSetCore::collect_checked() const {
-  if (native_scratch_.size() != natives_.size()) {
-    native_scratch_.assign(natives_.size(), 0.0);
-  }
-  valid_scratch_.assign(natives_.size(), 1);
-  const bool scale = multiplexed_ && config_->scale_multiplexed;
-  for (const ComponentUse& use : uses_) {
-    HETPAPI_RETURN_IF_ERROR(use.component->read(
-        *use.state, scale, native_scratch_, &valid_scratch_));
-  }
-  return Status::ok();
-}
-
-Expected<Reading> EventSetCore::read_checked() const {
-  HETPAPI_RETURN_IF_ERROR(collect_checked());
-  charge_read_overhead();
-
-  Reading out;
-  out.values.reserve(user_events_.size());
-  out.value_degraded.reserve(user_events_.size());
-  for (const UserEvent& user : user_events_) {
-    double sum = 0.0;
-    bool slot_degraded = !user.missing.empty();
-    for (std::size_t i = 0; i < user.native_indices.size(); ++i) {
-      const auto native_idx =
-          static_cast<std::size_t>(user.native_indices[i]);
-      if (valid_scratch_[native_idx] != 0) {
-        sum += user.native_signs[i] * native_scratch_[native_idx];
-      } else {
-        slot_degraded = true;
-      }
-    }
-    out.values.push_back(static_cast<long long>(sum));
-    out.value_degraded.push_back(slot_degraded ? 1 : 0);
-    out.degraded = out.degraded || slot_degraded;
-  }
-  return out;
-}
-
-Status EventSetCore::collect_natives() const {
-  // Gather per-native raw/scaled values across every component in use.
-  // Every native belongs to exactly one component which writes its slot
-  // on success, so the scratch needs sizing but not zero-filling on
-  // this hot path.
-  if (native_scratch_.size() != natives_.size()) {
-    native_scratch_.assign(natives_.size(), 0.0);
-  }
-  const bool scale = multiplexed_ && config_->scale_multiplexed;
-  for (const ComponentUse& use : uses_) {
-    HETPAPI_RETURN_IF_ERROR(
-        use.component->read(*use.state, scale, native_scratch_));
-  }
-  return Status::ok();
-}
-
-void EventSetCore::fold_user_events(std::vector<long long>& out) const {
-  out.resize(user_events_.size());  // no-op (no allocation) once sized
-  for (std::size_t u = 0; u < user_events_.size(); ++u) {
-    out[u] = user_event_sum(user_events_[u]);
-  }
-}
-
-long long EventSetCore::user_event_sum(const UserEvent& user) const {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < user.native_indices.size(); ++i) {
-    sum += user.native_signs[i] *
-           native_scratch_[static_cast<std::size_t>(user.native_indices[i])];
-  }
-  return static_cast<long long>(sum);
-}
-
-Expected<std::vector<long long>> EventSetCore::collect() const {
-  std::vector<long long> out;
-  HETPAPI_RETURN_IF_ERROR(collect_natives());
-  fold_user_events(out);
-  return out;
+  return std::find(plan_partial_.begin(), plan_partial_.end(), 1) !=
+         plan_partial_.end();
 }
 
 Expected<std::vector<EventInfo>> EventSetCore::info() const {
   std::vector<EventInfo> out;
   for (const UserEvent& user : user_events_) {
     EventInfo info;
-    info.display_name = user.display_name;
+    info.display_name = std::string(user.display_name);
     info.is_preset = user.is_preset;
     for (int idx : user.native_indices) {
       info.native_names.push_back(
@@ -634,19 +749,12 @@ Expected<std::vector<EventInfo>> EventSetCore::info() const {
     }
     info.degraded = !user.missing.empty();
     for (const MissingConstituent& missing : user.missing) {
-      info.missing_names.push_back(missing.enc.canonical_name);
+      info.missing_names.push_back(missing.labels->native_name);
     }
     out.push_back(std::move(info));
   }
   return out;
 }
 
-int EventSetCore::group_count() const {
-  int total = 0;
-  for (const ComponentUse& use : uses_) {
-    total += use.component->group_count(*use.state);
-  }
-  return total;
-}
 
 }  // namespace hetpapi::papi

@@ -7,7 +7,10 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,17 +22,41 @@
 
 namespace hetpapi::papi {
 
+/// The names a Library interns once and keeps for its lifetime: each
+/// native event's labels and each user event's display name. Samples and
+/// qualified readings hold views into it, so they stay valid past
+/// destroy_eventset. Map and set nodes never move and nothing is erased.
+class NameTable {
+ public:
+  /// `core_type` labels a PMU with its detected core type ("" for
+  /// non-core PMUs).
+  explicit NameTable(std::function<std::string(std::string_view)> core_type)
+      : core_type_(std::move(core_type)) {}
+
+  /// The labels of `enc`, created on first use.
+  const SampleSource* labels(const pfm::Encoding& enc);
+  /// An interned copy of `name`.
+  std::string_view intern(std::string_view name);
+
+ private:
+  std::function<std::string(std::string_view)> core_type_;
+  std::mutex mutex_;
+  std::map<std::string, SampleSource, std::less<>> labels_;
+  std::set<std::string, std::less<>> names_;
+};
+
 class EventSetCore {
  public:
   EventSetCore(int id, Backend* backend, const pfm::PfmLibrary* pfm,
                const LibraryConfig* config, const ComponentRegistry* registry,
-               ComponentLocks* locks)
+               ComponentLocks* locks, NameTable* names)
       : id_(id),
         backend_(backend),
         pfm_(pfm),
         config_(config),
         registry_(registry),
         locks_(locks),
+        names_(names),
         target_(backend->default_target()) {}
 
   EventSetCore(const EventSetCore&) = delete;
@@ -37,7 +64,6 @@ class EventSetCore {
 
   int id() const { return id_; }
   bool running() const { return state_ == SetState::kRunning; }
-  bool has_natives() const { return !natives_.empty(); }
   /// True when any user event opened on only a subset of its
   /// constituent PMUs (LibraryConfig::degrade_partial_presets): plain
   /// read() values for those slots are partial sums.
@@ -77,43 +103,23 @@ class EventSetCore {
 
   Status start();
   Expected<std::vector<long long>> stop();
-  Expected<std::vector<long long>> read() const;
-  /// Allocation-free read(): folds the current counts into `out`
-  /// (resized to one slot per user event; steady-state callers reuse the
-  /// buffer's capacity, so the hot path never allocates). The marker API
-  /// and the low-tens-of-ns read target are built on this.
+  /// The in-place read primitives; the Library's allocating read(),
+  /// read_checked() and read_qualified() wrap them. All three are thin
+  /// wrappers over collect(). read_into folds the current counts
+  /// straight into `out` (one slot per user event; a reused buffer keeps
+  /// its capacity), strictly: a group that cannot deliver fails the call.
   Status read_into(std::vector<long long>& out) const;
-  /// Allocation-free read_qualified(): updates `out` in place when its
-  /// shape matches the set's layout (sizes and part names are verified
-  /// and repaired per call); reshapes — and then allocates — only when
-  /// the layout actually changed.
+  /// Tolerant: a counter that cannot deliver (dead fd, retry budget
+  /// exhausted) flags its group's slots as partial sums instead of
+  /// failing the call.
+  Status read_checked_into(Reading& out) const;
+  /// PAPI_read_qualified, tolerant like read_checked_into: per user
+  /// event the derived total plus the raw per-constituent (per-PMU)
+  /// values. Labels are views into the NameTable, assigned on every
+  /// call, so a reused (or caller-mutated) buffer is refilled without
+  /// comparing or copying strings; it reshapes only when the layout
+  /// changed.
   Status read_qualified_into(std::vector<QualifiedReading>& out) const;
-  /// Resolver from PMU name to detected core-type label, installed by
-  /// the Library facade so read_qualified_into can label parts without a
-  /// round trip through the facade.
-  void set_core_type_resolver(
-      std::function<std::string(std::string_view)> resolver) {
-    core_type_resolver_ = std::move(resolver);
-  }
-  /// Interner from a native event to its Library-owned SampleSource,
-  /// installed by the Library facade; consulted when a slot opens in
-  /// sampling mode.
-  void set_sample_source_resolver(
-      std::function<const SampleSource*(const pfm::Encoding&)> resolver) {
-    sample_source_resolver_ = std::move(resolver);
-  }
-  /// read() plus per-slot degradation tags, collected tolerantly: a
-  /// counter that cannot deliver (dead fd, retry budget exhausted)
-  /// degrades its slot to a partial sum instead of failing the call.
-  /// The strict read() surfaces the same situation as an error.
-  Expected<Reading> read_checked() const;
-  /// PAPI_read_qualified: one reading per user event carrying the raw
-  /// per-constituent (per-PMU) values alongside the derived total. The
-  /// totals are computed from the same collection as read(), so a
-  /// qualified read never disagrees with the transparent sum. Core-type
-  /// labels are filled in by the Library facade, which owns the
-  /// detection result.
-  Expected<std::vector<QualifiedReading>> read_qualified() const;
   Status accum(std::vector<long long>& values);
   Status reset();
 
@@ -121,7 +127,7 @@ class EventSetCore {
 
   /// Kernel groups across every component in use — the unit the
   /// per-call overhead model charges.
-  int group_count() const;
+  int group_count() const { return static_cast<int>(kernel_groups_); }
 
   /// Close every slot of every component and drop the component states.
   /// Safe to call repeatedly; used by destroy and the Library dtor.
@@ -131,37 +137,67 @@ class EventSetCore {
   struct NativeSlot {
     pfm::Encoding enc;
     Component* component = nullptr;
+    /// Interned names: what samples and qualified parts point into.
+    const SampleSource* labels = nullptr;
     /// Sampling period when this slot is in overflow mode (0 = counting).
     std::uint64_t sample_period = 0;
-    /// Which user event this slot belongs to.
+    /// Which user event this slot belongs to, its position among that
+    /// event's constituents and its +1 / -1 weight (DERIVED_SUB presets
+    /// subtract).
     int user_event_index = -1;
+    std::uint32_t part = 0;
+    int sign = 1;
   };
 
   /// A constituent that failed to open under graceful degradation:
   /// remembered so read_qualified() can report it with its validity bit
   /// cleared instead of silently narrowing the breakdown.
   struct MissingConstituent {
-    pfm::Encoding enc;
+    const SampleSource* labels = nullptr;
     int sign = 1;
-    std::string error;  // why the open failed, for reporting
   };
 
   struct UserEvent {
-    std::string display_name;
+    std::string_view display_name;  // interned in the NameTable
     bool is_preset = false;
     FixedVector<int, 2 * kMaxPmuGroups> native_indices;
-    /// +1 / -1 weight per constituent (DERIVED_SUB presets subtract).
-    FixedVector<int, 2 * kMaxPmuGroups> native_signs;
     /// Constituents that refused to open (degrade_partial_presets);
     /// non-empty implies the event's values are partial sums.
     std::vector<MissingConstituent> missing;
   };
 
   /// One component with open slots on behalf of this EventSet, in
-  /// first-use order — the order start/stop/read fan out in.
+  /// first-use order — the order start/stop fan out in.
   struct ComponentUse {
     Component* component = nullptr;
     std::unique_ptr<ComponentState> state;
+  };
+
+  /// One native slot in the flat read plan: where its value comes from
+  /// and where it folds to. Entries of one kernel group are contiguous,
+  /// leader first, in the order the group read returns them; the
+  /// group's first entry also says how to read the group.
+  struct PlanEntry {
+    /// Mapped user page advertising cap_user_rdpmc; set only in rdpmc
+    /// groups.
+    const simkernel::PerfUserPage* page = nullptr;
+    int leader_fd = -1;       // first entry: the fd to read(2)
+    std::uint16_t count = 0;  // first entry: entries in the group
+    /// First entry: every member's page advertises rdpmc, so the group
+    /// is served by seqlock page reads, with the group read as per-call
+    /// fallback when a member is not resident.
+    bool rdpmc = false;
+    std::uint32_t native = 0;  // slot in natives_
+    std::uint32_t user = 0;    // fold target: user-event index
+    std::uint32_t part = 0;    // position among the user event's parts
+    int sign = 1;
+  };
+
+  /// A component without kernel groups (sysinfo), read through
+  /// Component::read, and the plan entries of its natives.
+  struct PlanSeam {
+    const ComponentUse* use = nullptr;
+    std::vector<PlanEntry> entries;
   };
 
   enum class SetState { kStopped, kRunning };
@@ -180,10 +216,10 @@ class EventSetCore {
 
   Status reopen_all();
 
-  /// Open every native slot in order. On failure every fd is closed
-  /// (leak-free) but the slot/user-event layout is preserved, so the
-  /// caller can amend the layout and try again — the building block of
-  /// transactional set_overflow.
+  /// Open every native slot in order and compile the read plan. On
+  /// failure every fd is closed (leak-free) but the slot/user-event
+  /// layout is preserved, so the caller can amend the layout and try
+  /// again — the building block of transactional set_overflow.
   Status try_open_slots();
 
   /// Undo a partially applied multi-native add: drop every native slot
@@ -195,17 +231,22 @@ class EventSetCore {
   /// half-open layout that would read stale values.
   Status reopen_slots_or_empty();
 
-  Expected<std::vector<long long>> collect() const;
-  /// Tolerant collection: per-native validity recorded in
-  /// valid_scratch_, failed slots contribute 0 (see Component::read).
-  Status collect_checked() const;
-  /// Fan the component reads into native_scratch_ (strict; the shared
-  /// first half of collect(), read_into() and accum()).
-  Status collect_natives() const;
-  /// Fold native_scratch_ into per-user-event sums, reusing `out`.
-  void fold_user_events(std::vector<long long>& out) const;
-  /// One user event's signed sum over native_scratch_.
-  long long user_event_sum(const UserEvent& user) const;
+  /// Compile the flat read plan from the open layout. Called on every
+  /// layout change (start() changes none); the read paths never check it.
+  void build_plan();
+
+  /// The one collection behind every read entry point: each group is
+  /// read once (pages, group read or seam) and `sink` folds each value
+  /// straight into the caller's buffer. Strict sinks fail on a group
+  /// that cannot deliver; tolerant ones mark its entries and go on.
+  template <typename Sink>
+  Status collect(Sink& sink) const;
+  /// collect() with totals only, strictly, into `out` (resized to one
+  /// slot per user event). On failure `out` holds a partial fold.
+  Status collect_totals(std::vector<long long>& out) const;
+  /// Serve an rdpmc group from its user pages into page_values_; false
+  /// (fall back to the group read) when any page cannot serve.
+  bool read_pages(const PlanEntry* group) const;
   /// Charge the per-call overhead model for one read-shaped call.
   void charge_read_overhead() const;
 
@@ -215,30 +256,42 @@ class EventSetCore {
   const LibraryConfig* config_;
   const ComponentRegistry* registry_;
   ComponentLocks* locks_;
+  NameTable* names_;
 
   SetState state_ = SetState::kStopped;
-  /// group_count() snapshotted at start(): the layout is frozen while
-  /// running, and the per-call overhead charge sits on the read hot
-  /// path where re-summing the components would cost virtual dispatch.
-  std::uint64_t running_group_count_ = 0;
   Tid target_ = simkernel::kInvalidTid;
   /// >= 0: cpu-scoped measurement (target_ is ignored).
   int target_cpu_ = -1;
   bool multiplexed_ = false;
-  OverflowCallback overflow_callback_;
 
-  FixedVector<NativeSlot, kMaxEventSetEvents> natives_;
+  /// The flat read plan (build_plan): kernel-group entries, then the
+  /// seam components.
+  std::vector<PlanEntry> plan_;
+  std::vector<PlanSeam> seams_;
+  /// Kernel groups in the plan: the per-call overhead unit.
+  std::uint64_t kernel_groups_ = 0;
+  /// Multiplex-scaled collection: fold multiplex estimates as doubles
+  /// (summed in native order, as the estimates are defined).
+  bool plan_scaled_ = false;
+  /// Per user event: 1 when a constituent never opened, so every
+  /// reading of the slot is partial.
+  std::vector<std::uint8_t> plan_partial_;
+
+  /// Collection scratch sized by build_plan (mutable: reads are
+  /// logically const).
+  mutable std::vector<PerfValue> group_values_;
+  mutable std::vector<PerfValue> page_values_;
+  mutable std::vector<double> scaled_sums_;
+  mutable std::vector<double> seam_values_;
+  mutable std::vector<std::uint8_t> seam_valid_;
+
   std::vector<UserEvent> user_events_;
   std::vector<ComponentUse> uses_;
-
-  /// Per-native value scratch for collect() (mutable: read is logically
-  /// const).
-  mutable std::vector<double> native_scratch_;
-  /// Per-native validity scratch for the tolerant collection paths.
-  mutable std::vector<std::uint8_t> valid_scratch_;
-  std::function<std::string(std::string_view)> core_type_resolver_;
-  std::function<const SampleSource*(const pfm::Encoding&)>
-      sample_source_resolver_;
+  OverflowCallback overflow_callback_;
+  /// accum()'s collection target.
+  std::vector<long long> accum_values_;
+  /// Last: the slot table is large and the read path never touches it.
+  FixedVector<NativeSlot, kMaxEventSetEvents> natives_;
 };
 
 }  // namespace hetpapi::papi

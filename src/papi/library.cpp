@@ -6,8 +6,18 @@
 
 namespace hetpapi::papi {
 
+namespace {
+
+Status no_such_set() {
+  return make_error(StatusCode::kNoEventSet, "no such EventSet");
+}
+
+}  // namespace
+
 Library::Library(Backend* backend, LibraryConfig config)
-    : backend_(backend), config_(config) {}
+    : backend_(backend),
+      config_(config),
+      names_([this](std::string_view pmu) { return core_type_for_pmu(pmu); }) {}
 
 Library::~Library() {
   for (const auto& set : sets_) {
@@ -104,20 +114,14 @@ const EventSetCore* Library::find_set(int eventset) const {
 Expected<int> Library::create_eventset() {
   const int id = next_set_id_++;
   auto set = std::make_unique<EventSetCore>(id, backend_, &pfm_, &config_,
-                                            &registry_, &locks_);
-  set->set_core_type_resolver(
-      [this](std::string_view pmu) { return core_type_for_pmu(pmu); });
-  set->set_sample_source_resolver(
-      [this](const pfm::Encoding& enc) { return sample_source(enc); });
+                                            &registry_, &locks_, &names_);
   sets_.push_back(std::move(set));
   return id;
 }
 
 Status Library::destroy_eventset(int eventset) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   if (set->running()) {
     return make_error(StatusCode::kAlreadyRunning,
                       "stop the EventSet before destroying it");
@@ -129,9 +133,7 @@ Status Library::destroy_eventset(int eventset) {
 
 Status Library::force_destroy_eventset(int eventset) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   // Teardown-grade: a backend that faults during stop must not pin the
   // set (and its fds) forever. Stop is best-effort, every component
   // close runs regardless, and the set is always erased; the first
@@ -144,17 +146,13 @@ Status Library::force_destroy_eventset(int eventset) {
 
 Status Library::attach(int eventset, Tid tid) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->attach(tid);
 }
 
 Status Library::attach_cpu(int eventset, int cpu) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   if (set->running()) {
     return make_error(StatusCode::kAlreadyRunning, "EventSet is running");
   }
@@ -235,9 +233,7 @@ Expected<std::string> Library::canonical_event_name(
 
 Status Library::add_event(int eventset, std::string_view name) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   if (set->running()) {
     return make_error(StatusCode::kAlreadyRunning,
                       "cannot add events while running");
@@ -310,9 +306,7 @@ Status Library::add_event(int eventset, std::string_view name) {
 
 Status Library::remove_event(int eventset, std::string_view name) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   if (set->running()) {
     return make_error(StatusCode::kAlreadyRunning,
                       "cannot remove events while running");
@@ -322,9 +316,7 @@ Status Library::remove_event(int eventset, std::string_view name) {
 
 Status Library::set_multiplex(int eventset) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->set_multiplex();
 }
 
@@ -332,25 +324,8 @@ Status Library::set_overflow(int eventset, int user_event_index,
                              std::uint64_t threshold,
                              OverflowCallback callback) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->set_overflow(user_event_index, threshold, std::move(callback));
-}
-
-const SampleSource* Library::sample_source(const pfm::Encoding& enc) {
-  const std::lock_guard<std::mutex> lock(sample_sources_mutex_);
-  auto it = sample_sources_.find(enc.canonical_name);
-  if (it == sample_sources_.end()) {
-    // The core-type label is resolved once here, not per record — the
-    // same ladder read_qualified uses (§V-2).
-    it = sample_sources_
-             .emplace(enc.canonical_name,
-                      SampleSource{enc.canonical_name, enc.pmu_name,
-                                   core_type_for_pmu(enc.pmu_name)})
-             .first;
-  }
-  return &it->second;
 }
 
 Expected<SampleBatch> Library::read_samples(int eventset) {
@@ -361,9 +336,7 @@ Expected<SampleBatch> Library::read_samples(int eventset) {
 
 Status Library::read_samples_into(int eventset, SampleBatch& batch) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   // Reset every counter but keep the samples' capacity.
   std::vector<Sample> samples = std::move(batch.samples);
   samples.clear();
@@ -376,58 +349,54 @@ Status Library::read_samples_into(int eventset, SampleBatch& batch) {
 
 Status Library::start(int eventset) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->start();
 }
 
 Expected<std::vector<long long>> Library::stop(int eventset) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->stop();
 }
 
 Expected<std::vector<long long>> Library::read(int eventset) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
-  return set->read();
+  if (set == nullptr) return no_such_set();
+  std::vector<long long> out;
+  HETPAPI_RETURN_IF_ERROR(set->read_into(out));
+  return out;
 }
 
 Status Library::read_into(int eventset, std::vector<long long>& out) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->read_into(out);
 }
 
 Status Library::read_qualified_into(int eventset,
                                     std::vector<QualifiedReading>& out) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->read_qualified_into(out);
+}
+
+Status Library::read_checked_into(int eventset, Reading& out) const {
+  const EventSetCore* set = find_set(eventset);
+  if (set == nullptr) return no_such_set();
+  return set->read_checked_into(out);
 }
 
 Expected<Reading> Library::read_checked(int eventset) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
-  return set->read_checked();
+  if (set == nullptr) return no_such_set();
+  Reading out;
+  HETPAPI_RETURN_IF_ERROR(set->read_checked_into(out));
+  return out;
 }
 
 Expected<bool> Library::eventset_degraded(int eventset) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->degraded();
 }
 
@@ -440,51 +409,39 @@ std::string Library::core_type_for_pmu(std::string_view pmu_name) const {
 Expected<std::vector<QualifiedReading>> Library::read_qualified(
     int eventset) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
-  // Core-type labels are filled by the set's resolver (installed at
-  // create_eventset), so the in-place path and this one agree.
-  return set->read_qualified();
+  if (set == nullptr) return no_such_set();
+  std::vector<QualifiedReading> out;
+  HETPAPI_RETURN_IF_ERROR(set->read_qualified_into(out));
+  return out;
 }
 
 Status Library::accum(int eventset, std::vector<long long>& values) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->accum(values);
 }
 
 Expected<Library::SetStatePublic> Library::state(int eventset) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->running() ? SetStatePublic::kRunning : SetStatePublic::kStopped;
 }
 
 Status Library::reset(int eventset) {
   EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->reset();
 }
 
 Expected<std::vector<EventInfo>> Library::eventset_info(int eventset) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->info();
 }
 
 Expected<int> Library::eventset_group_count(int eventset) const {
   const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) {
-    return make_error(StatusCode::kNoEventSet, "no such EventSet");
-  }
+  if (set == nullptr) return no_such_set();
   return set->group_count();
 }
 

@@ -18,9 +18,7 @@
 //    (§V-3; the historical exclusive uncore component is retired).
 #pragma once
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -162,23 +160,28 @@ class Library {
   /// Stop counting; returns the final values (one per added event, in
   /// add order).
   Expected<std::vector<long long>> stop(int eventset);
+  /// Current values, one per added event in add order. Every read below
+  /// wraps one allocation-free collection over the set's flat read plan
+  /// (DESIGN.md §10).
   Expected<std::vector<long long>> read(int eventset) const;
   /// Allocation-free read(): folds the current counts into `out`
-  /// (resized to one slot per event; steady-state callers reuse the
-  /// buffer's capacity so the hot path never allocates). The marker API
-  /// and the rdpmc read-latency target are built on this.
+  /// (resized to one slot per event; a reused buffer keeps its capacity,
+  /// so the hot path never allocates). Strict: any group that cannot
+  /// deliver fails the call, and `out` is then unspecified. The marker
+  /// API is built on this.
   Status read_into(int eventset, std::vector<long long>& out) const;
-  /// Allocation-free read_qualified(): updates `out` in place when its
-  /// shape still matches the set's layout; reshapes (and then
-  /// allocates) only when the layout changed since the last call.
+  /// Allocation-free read_qualified(): rewrites `out` in place, label
+  /// views included; reshapes only when the set's layout changed.
   Status read_qualified_into(int eventset,
                              std::vector<QualifiedReading>& out) const;
   /// read() plus degradation tags, collected tolerantly: one dead
-  /// counter (stale fd, exhausted retry budget) degrades its slot to a
-  /// partial sum with Reading::value_degraded[i] set, instead of
-  /// failing the whole call the way the strict read() does. The
-  /// resilience surface the telemetry sampler reads through.
+  /// counter (stale fd, exhausted retry budget) degrades its group's
+  /// slots to partial sums with Reading::value_degraded[i] set, instead
+  /// of failing the whole call the way the strict read() does.
   Expected<Reading> read_checked(int eventset) const;
+  /// Allocation-free read_checked() into a reused Reading: the surface
+  /// the telemetry sampler and the counter-service daemon tick through.
+  Status read_checked_into(int eventset, Reading& out) const;
   /// True when any event in the set opened on only a subset of its
   /// constituent PMUs (LibraryConfig::degrade_partial_presets) — plain
   /// read() values are partial sums for those slots.
@@ -188,6 +191,9 @@ class Library {
   /// with every constituent labelled by its detected core type (§V-2's
   /// per-core-type reporting). For non-derived events the breakdown is
   /// the single constituent; totals always equal what read() returns.
+  /// Collected tolerantly, like read_checked(). Labels are views into
+  /// names the Library interns once: valid for the Library's lifetime,
+  /// past destroy_eventset.
   Expected<std::vector<QualifiedReading>> read_qualified(int eventset) const;
   /// Detected core-type label serving `pmu_name` ("" when the PMU is not
   /// a core PMU or is unknown).
@@ -221,9 +227,6 @@ class Library {
   /// Expand a custom (file-defined) preset into the set.
   Status add_custom_preset(EventSetCore& set, std::string_view name);
 
-  /// The interned SampleSource for a native event, created on first use.
-  const SampleSource* sample_source(const pfm::Encoding& enc);
-
   Backend* backend_;
   LibraryConfig config_;
   pfm::PfmLibrary pfm_;
@@ -233,11 +236,8 @@ class Library {
   ComponentLocks locks_;
   std::vector<std::unique_ptr<EventSetCore>> sets_;
   int next_set_id_ = 0;
-  /// Keyed by canonical native name. Map nodes never move and entries
-  /// are never erased, so views handed out in samples stay valid for
-  /// the Library's lifetime.
-  std::mutex sample_sources_mutex_;
-  std::map<std::string, SampleSource, std::less<>> sample_sources_;
+  /// What samples and qualified readings point into.
+  NameTable names_;
 };
 
 }  // namespace hetpapi::papi

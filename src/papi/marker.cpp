@@ -45,7 +45,7 @@ struct MarkerManager::ThreadState {
   int depth = 0;
 
   std::vector<RegionAccum> regions;  // first-begin order
-  std::vector<long long> scratch;    // read_into destination
+  std::vector<long long> scratch;    // region_end's read_into destination
 
   /// Region index for `name`, created on first sight (the only
   /// allocating path; steady-state begin/end never allocates).
@@ -135,11 +135,11 @@ Status MarkerManager::region_begin(std::string_view name) {
                       "kMaxMarkerDepth");
   }
   const int region = state->region_index(name);
-  HETPAPI_RETURN_IF_ERROR(
-      state->lib->read_into(state->eventset, state->scratch));
+  // The snapshot lands straight in the frame (capacity reuse: no alloc
+  // steady-state); a failed read leaves the frame uncommitted.
   ThreadState::Frame& frame = state->frames[state->depth];
+  HETPAPI_RETURN_IF_ERROR(state->lib->read_into(state->eventset, frame.snap));
   frame.region = region;
-  frame.snap = state->scratch;  // capacity reuse: no alloc steady-state
   frame.t0 = time_fn_(time_ctx_);
   ++state->depth;
   return Status::ok();

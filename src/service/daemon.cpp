@@ -840,15 +840,15 @@ void Daemon::read_into_sample(SharedSubscription& sub) {
     return;
   }
   sample.parts.clear();
-  auto reading = library_->read_checked(sub.eventset);
-  if (!reading) {
+  if (!library_->read_checked_into(sub.eventset, sub.checked).is_ok()) {
     sample.counters_ok = 0;
     sample.values.clear();
     sample.degraded.clear();
     return;
   }
-  sample.values = std::move(reading->values);
-  sample.degraded = std::move(reading->value_degraded);
+  sample.values.assign(sub.checked.values.begin(), sub.checked.values.end());
+  sample.degraded.assign(sub.checked.value_degraded.begin(),
+                         sub.checked.value_degraded.end());
 }
 
 void Daemon::serve_subscriptions() {

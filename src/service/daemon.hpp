@@ -219,9 +219,10 @@ class Daemon {
     /// The refcount is subscribers.size().
     std::vector<Rider> subscribers;
     // Per-tick scratch, reused so a steady tick does not allocate: the
-    // qualified reading, the sample it becomes, and the template frames
-    // (the leaf AggSample one only while aggregate riders exist).
+    // qualified or plain reading, the sample it becomes, and the template
+    // frames (the leaf AggSample one only while aggregate riders exist).
     std::vector<papi::QualifiedReading> reading;
+    papi::Reading checked;
     WireSample sample;
     std::vector<std::uint8_t> frame;
     std::vector<std::uint8_t> agg_frame;

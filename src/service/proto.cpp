@@ -533,10 +533,10 @@ void WireSample::encode_frame_into(std::vector<std::uint8_t>& frame) const {
 }
 
 Expected<WireSample> WireSample::decode(const Frame& frame) {
-  // Decoded in place: the sample is never moved out of a temporary.
+  // Decoded in place, inside the Expected that is returned.
   Expected<WireSample> out{WireSample{}};
-  Status s = decode_into(frame.payload.data(), frame.payload.size(), *out);
-  if (!s.is_ok()) out = std::move(s);
+  HETPAPI_RETURN_IF_ERROR(
+      decode_into(frame.payload.data(), frame.payload.size(), *out));
   return out;
 }
 

@@ -305,12 +305,7 @@ Status SimKernel::perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags) {
 }
 
 Expected<PerfValue> SimKernel::perf_read(int fd) const {
-  return perf_.read(fd, package_counters(), now_);
-}
-
-Status SimKernel::perf_read_group_into(int fd,
-                                       std::vector<PerfValue>& out) const {
-  return perf_.read_group_into(fd, package_counters(), now_, out);
+  return perf_.read(fd, lazy_package_counters(), now_);
 }
 
 Expected<std::uint64_t> SimKernel::perf_rdpmc(int fd) const {

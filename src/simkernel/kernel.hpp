@@ -85,8 +85,10 @@ class SimKernel {
                                 int group_fd, std::uint64_t flags = 0);
   Status perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags = 0);
   Expected<PerfValue> perf_read(int fd) const;
-  /// Group read into a reused buffer (cleared; capacity kept).
-  Status perf_read_group_into(int fd, std::vector<PerfValue>& out) const;
+  /// Group read into a reused buffer (resized; capacity kept).
+  Status perf_read_group_into(int fd, std::vector<PerfValue>& out) const {
+    return perf_.read_group_into(fd, lazy_package_counters(), now_, out);
+  }
   Expected<std::vector<PerfValue>> perf_read_group(int fd) const {
     std::vector<PerfValue> out;
     HETPAPI_RETURN_IF_ERROR(perf_read_group_into(fd, out));
@@ -126,6 +128,14 @@ class SimKernel {
   const cpumodel::PackageGovernor& governor() const { return governor_; }
 
   PackageCounters package_counters() const;
+  /// package_counters(), computed only if a read-through event asks.
+  LazyPackageCounters lazy_package_counters() const {
+    return LazyPackageCounters(
+        [](const void* kernel) {
+          return static_cast<const SimKernel*>(kernel)->package_counters();
+        },
+        this);
+  }
 
   /// Total threads ever spawned (tests).
   int spawned_count() const { return next_tid_; }

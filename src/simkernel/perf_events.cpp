@@ -347,26 +347,18 @@ Status PerfSubsystem::ioctl(int fd, PerfIoctl op, std::uint32_t flags,
   return Status::ok();
 }
 
-PerfValue PerfSubsystem::snapshot(const EventObj& ev,
-                                  const PackageCounters& pkg,
-                                  SimTime now) const {
-  PerfValue out;
-  out.value = ev.value;
-  out.time_enabled_ns =
-      static_cast<std::uint64_t>(ev.time_enabled.count());
-  out.time_running_ns =
-      static_cast<std::uint64_t>(ev.time_running.count());
-  if (ev.is_readthrough() && ev.enabled) {
-    out.value += pkg.get(ev.kind) - ev.base;
-    const auto window =
-        static_cast<std::uint64_t>((now - ev.enabled_at).count());
-    out.time_enabled_ns += window;
-    out.time_running_ns += window;
-  }
-  return out;
+void PerfSubsystem::add_package_window(const EventObj& ev,
+                                       const LazyPackageCounters& pkg,
+                                       SimTime now, PerfValue& out) const {
+  out.value += pkg.get().get(ev.kind) - ev.base;
+  const auto window =
+      static_cast<std::uint64_t>((now - ev.enabled_at).count());
+  out.time_enabled_ns += window;
+  out.time_running_ns += window;
 }
 
-Expected<PerfValue> PerfSubsystem::read(int fd, const PackageCounters& pkg,
+Expected<PerfValue> PerfSubsystem::read(int fd,
+                                        const LazyPackageCounters& pkg,
                                         SimTime now) const {
   const EventObj* ev = find(fd);
   if (ev == nullptr) {
@@ -375,25 +367,27 @@ Expected<PerfValue> PerfSubsystem::read(int fd, const PackageCounters& pkg,
   return snapshot(*ev, pkg, now);
 }
 
-Status PerfSubsystem::read_group_into(int fd, const PackageCounters& pkg,
+Status PerfSubsystem::read_group_into(int fd,
+                                      const LazyPackageCounters& pkg,
                                       SimTime now,
                                       std::vector<PerfValue>& out) const {
-  out.clear();
   const EventObj* leader = find(fd);
   if (leader == nullptr) {
+    out.clear();
     return make_error(StatusCode::kInvalidArgument, "bad fd");
   }
   if (!leader->is_leader()) {
+    out.clear();
     return make_error(StatusCode::kInvalidArgument,
                       "group read requires the leader fd");
   }
   // The sibling fan-out uses the cached pointers: no per-sibling fd
   // lookup on this per-sample hot path, and no allocation once `out`
   // has grown to the group's size.
-  out.reserve(1 + leader->sibling_ptrs.size());
-  out.push_back(snapshot(*leader, pkg, now));
-  for (const EventObj* sib : leader->sibling_ptrs) {
-    out.push_back(snapshot(*sib, pkg, now));
+  out.resize(1 + leader->sibling_ptrs.size());
+  out[0] = snapshot(*leader, pkg, now);
+  for (std::size_t i = 0; i < leader->sibling_ptrs.size(); ++i) {
+    out[i + 1] = snapshot(*leader->sibling_ptrs[i], pkg, now);
   }
   return Status::ok();
 }

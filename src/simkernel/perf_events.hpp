@@ -57,6 +57,31 @@ struct PackageCounters {
   }
 };
 
+/// The package counters one read consults, computed on first use and
+/// then held for the rest of that read: only read-through (RAPL/uncore)
+/// events need them, so a core-PMU read never pays for the energy
+/// arithmetic.
+class LazyPackageCounters {
+ public:
+  using Compute = PackageCounters (*)(const void* context);
+  LazyPackageCounters(Compute compute, const void* context)
+      : compute_(compute), context_(context) {}
+
+  const PackageCounters& get() const {
+    if (!ready_) {
+      value_ = compute_(context_);
+      ready_ = true;
+    }
+    return value_;
+  }
+
+ private:
+  Compute compute_;
+  const void* context_;
+  mutable bool ready_ = false;
+  mutable PackageCounters value_;
+};
+
 class PerfSubsystem {
  public:
   struct Config {
@@ -88,14 +113,14 @@ class PerfSubsystem {
                const PackageCounters& pkg, SimTime now);
 
   /// read(2) on a single event fd.
-  Expected<PerfValue> read(int fd, const PackageCounters& pkg,
+  Expected<PerfValue> read(int fd, const LazyPackageCounters& pkg,
                            SimTime now) const;
 
   /// read(2) with PERF_FORMAT_GROUP on the leader: leader first, then
-  /// siblings in creation order. `out` is cleared but keeps its
-  /// capacity, so a reused buffer reads without allocating.
-  Status read_group_into(int fd, const PackageCounters& pkg, SimTime now,
-                         std::vector<PerfValue>& out) const;
+  /// siblings in creation order. `out` is resized to the group and keeps
+  /// its capacity, so a reused buffer reads without allocating.
+  Status read_group_into(int fd, const LazyPackageCounters& pkg,
+                         SimTime now, std::vector<PerfValue>& out) const;
 
   Status close(int fd);
 
@@ -166,19 +191,27 @@ class PerfSubsystem {
 
  private:
   struct EventObj {
+    // What a read(2) consults comes first, so a group read touches one
+    // or two cache lines per event.
     int fd = -1;
-    PerfEventAttr attr;
-    const PmuDesc* pmu = nullptr;
-    CountKind kind = CountKind::kInstructions;
-    Tid tid = kInvalidTid;  // -1 for cpu scope
-    int cpu = -1;           // -1 for any cpu
     int leader_fd = -1;     // == fd for leaders
+    bool enabled = false;
+    std::uint64_t value = 0;
+    SimDuration time_enabled{0};
+    SimDuration time_running{0};
+    /// Snapshot base for read-through package counters.
+    std::uint64_t base = 0;
+    SimTime enabled_at{};
+    const PmuDesc* pmu = nullptr;
     /// Leader only: the sibling EventObjs in creation order. The fd
     /// table owns each event through a unique_ptr, so addresses are
     /// stable and group reads and ioctls fan out without one fd lookup
     /// per sibling.
     std::vector<EventObj*> sibling_ptrs;
-    bool enabled = false;
+    PerfEventAttr attr;
+    CountKind kind = CountKind::kInstructions;
+    Tid tid = kInvalidTid;  // -1 for cpu scope
+    int cpu = -1;           // -1 for any cpu
     bool scheduled = false;  // resident on a counter right now
     /// False while the event's thread last executed on a core type the
     /// event's PMU does not serve — the migration case whose page must
@@ -192,12 +225,6 @@ class PerfSubsystem {
     /// The event's perf_event_mmap_page (core-PMU events only). Heap
     /// allocated so mmap_user_page can hand out a stable pointer.
     std::unique_ptr<PerfUserPage> user_page;
-    std::uint64_t value = 0;
-    SimDuration time_enabled{0};
-    SimDuration time_running{0};
-    /// Snapshot base for read-through package counters.
-    std::uint64_t base = 0;
-    SimTime enabled_at{};
     /// Sampling state.
     std::uint64_t next_overflow_at = 0;  // value threshold
     std::uint64_t total_overflows = 0;
@@ -254,8 +281,21 @@ class PerfSubsystem {
 
   int gp_counters_needed(const EventObj& leader) const;
 
-  PerfValue snapshot(const EventObj& ev, const PackageCounters& pkg,
-                     SimTime now) const;
+  /// The event's read(2) value at `now`. Read-through package events
+  /// add the counters' movement since enable (out of line: the core-PMU
+  /// hot path never takes it).
+  PerfValue snapshot(const EventObj& ev, const LazyPackageCounters& pkg,
+                     SimTime now) const {
+    PerfValue out{ev.value,
+                  static_cast<std::uint64_t>(ev.time_enabled.count()),
+                  static_cast<std::uint64_t>(ev.time_running.count())};
+    if (ev.is_readthrough() && ev.enabled) {
+      add_package_window(ev, pkg, now, out);
+    }
+    return out;
+  }
+  void add_package_window(const EventObj& ev, const LazyPackageCounters& pkg,
+                          SimTime now, PerfValue& out) const;
 
   void apply_counts(EventObj& ev, const ExecCounts& counts,
                     SimDuration wall, SimDuration running, int cpu, Tid tid,

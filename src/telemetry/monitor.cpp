@@ -120,10 +120,11 @@ RunResult run_monitored_hpl(simkernel::SimKernel& kernel,
           std::vector<std::string> names;
           names.reserve(reading.parts.size());
           for (const papi::QualifiedValue& part : reading.parts) {
-            names.push_back(part.core_type.empty()
-                                ? part.native_name
-                                : part.native_name + "[" + part.core_type +
-                                      "]");
+            std::string name(part.native_name);
+            if (!part.core_type.empty()) {
+              name.append("[").append(part.core_type).append("]");
+            }
+            names.push_back(std::move(name));
           }
           result.counter_part_names.push_back(std::move(names));
         }

@@ -135,8 +135,9 @@ void Sampler::sample_counters(Sample& s) {
   // Collect this tick's per-slot (value, validity) pairs — same shape
   // for the plain and qualified paths, so the drop bookkeeping below is
   // shared. The scratch buffers persist across ticks (capacity reuse),
-  // and the qualified path reads in place through read_qualified_into,
-  // so a steady-state tick allocates only the Sample's own vectors.
+  // and both paths read in place (read_qualified_into /
+  // read_checked_into), so a steady-state tick allocates only the
+  // Sample's own vectors.
   std::vector<double>& values = values_scratch_;
   std::vector<std::uint8_t>& valid = valid_tick_scratch_;
   values.clear();
@@ -165,17 +166,17 @@ void Sampler::sample_counters(Sample& s) {
       s.counter_parts.push_back(std::move(parts));
     }
   } else {
-    const auto reading = library_->read_checked(eventset_);
-    if (!reading) {
+    papi::Reading& reading = checked_scratch_;
+    if (!library_->read_checked_into(eventset_, reading).is_ok()) {
       fail_tick();
       return;
     }
-    values.reserve(reading->values.size());
-    valid.reserve(reading->values.size());
-    for (std::size_t i = 0; i < reading->values.size(); ++i) {
-      values.push_back(static_cast<double>(reading->values[i]));
-      valid.push_back(i < reading->value_degraded.size() &&
-                              reading->value_degraded[i] != 0
+    values.reserve(reading.values.size());
+    valid.reserve(reading.values.size());
+    for (std::size_t i = 0; i < reading.values.size(); ++i) {
+      values.push_back(static_cast<double>(reading.values[i]));
+      valid.push_back(i < reading.value_degraded.size() &&
+                              reading.value_degraded[i] != 0
                           ? 0
                           : 1);
     }

@@ -106,9 +106,11 @@ class Sampler {
   CounterHealth health_;
   /// Consecutive failed/degraded ticks per slot (drop bookkeeping).
   std::vector<int> consecutive_invalid_;
-  /// Per-tick scratch, persistent for capacity reuse: the qualified
-  /// in-place read target and the shared (value, validity) staging.
+  /// Per-tick scratch, persistent for capacity reuse: the qualified and
+  /// plain in-place read targets and the shared (value, validity)
+  /// staging.
   std::vector<papi::QualifiedReading> qualified_scratch_;
+  papi::Reading checked_scratch_;
   std::vector<double> values_scratch_;
   std::vector<std::uint8_t> valid_tick_scratch_;
   int consecutive_set_failures_ = 0;

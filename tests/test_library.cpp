@@ -432,63 +432,66 @@ TEST_F(LibraryTest, RemoveEventDropsAllConstituentsOfDerivedPreset) {
 }
 
 TEST(LibraryReadPlanTest, CacheSurvivesAddAndRemove) {
-  // The cached group-read fan-out must be invalidated whenever the
-  // slot layout changes; a read after add/remove has to report one
-  // correct value per surviving event, matching an uncached library.
-  // Each run gets its own kernel so the deterministic sim replays the
-  // exact same history for both configurations.
-  const auto run_sequence = [](bool cache_read_plan) {
-    SimKernel kernel(cpumodel::raptor_lake_i7_13700());
-    SimBackend backend(&kernel);
-    PhaseSpec phase;
-    const Tid tid = kernel.spawn(
-        std::make_shared<FixedWorkProgram>(phase, 1'000'000'000'000ULL),
-        CpuSet::of({0}));
-    backend.set_default_target(tid);
-    LibraryConfig config;
-    config.cache_read_plan = cache_read_plan;
-    auto created = Library::init(&backend, config);
-    EXPECT_TRUE(created.has_value());
-    auto lib = std::move(*created);
-    auto set = lib->create_eventset();
-    EXPECT_TRUE(lib->add_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
-    EXPECT_TRUE(lib->start(*set).is_ok());
-    kernel.run_for(std::chrono::milliseconds(20));
-    auto first = lib->read(*set);  // builds (and maybe caches) the plan
-    EXPECT_TRUE(first.has_value());
-    EXPECT_EQ(first->size(), 1u);
-    EXPECT_TRUE(lib->stop(*set).has_value());
+  // The compiled read plan must follow every layout change: a read after
+  // add/remove and a restart reports one value per surviving event, each
+  // equal to the kernel's ground truth since that start() exactly (no
+  // caliper overhead, so reads perturb nothing).
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend backend(&kernel);
+  PhaseSpec phase;
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(phase, 1'000'000'000'000ULL),
+      CpuSet::of({0}));
+  backend.set_default_target(tid);
+  LibraryConfig config;
+  config.call_overhead_instructions = 0;
+  auto created = Library::init(&backend, config);
+  ASSERT_TRUE(created.has_value());
+  auto lib = std::move(*created);
+  auto set = lib->create_eventset();
+  ASSERT_TRUE(set.has_value());
 
-    EXPECT_TRUE(
-        lib->add_event(*set, "adl_glc::CPU_CLK_UNHALTED:THREAD").is_ok());
-    EXPECT_TRUE(lib->add_event(*set, "adl_grt::INST_RETIRED:ANY").is_ok());
-    EXPECT_TRUE(lib->start(*set).is_ok());
+  // One expected slot: a ground-truth field on one core type (0 = P).
+  struct Slot {
+    std::size_t type;
+    std::uint64_t simkernel::ExecCounts::*field;
+  };
+  const Slot p_ins{0, &simkernel::ExecCounts::instructions};
+  const Slot p_cyc{0, &simkernel::ExecCounts::cycles};
+  const Slot e_ins{1, &simkernel::ExecCounts::instructions};
+  const auto restart_and_check = [&](const std::vector<Slot>& slots) {
+    ASSERT_TRUE(lib->start(*set).is_ok());
+    const std::vector<simkernel::ExecCounts> at_start =
+        kernel.ground_truth(tid)->per_type;
     kernel.run_for(std::chrono::milliseconds(20));
-    auto grown = lib->read(*set);
-    EXPECT_TRUE(grown.has_value());
-    EXPECT_EQ(grown->size(), 3u);
-    EXPECT_TRUE(lib->stop(*set).has_value());
-
-    EXPECT_TRUE(lib->remove_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
-    EXPECT_TRUE(lib->start(*set).is_ok());
-    kernel.run_for(std::chrono::milliseconds(20));
-    auto shrunk = lib->read(*set);
-    EXPECT_TRUE(shrunk.has_value());
-    EXPECT_EQ(shrunk->size(), 2u);
-    EXPECT_TRUE(lib->stop(*set).has_value());
-    return std::make_pair(*grown, *shrunk);
+    auto values = lib->read(*set);
+    ASSERT_TRUE(values.has_value());
+    ASSERT_EQ(values->size(), slots.size());
+    const std::vector<simkernel::ExecCounts>& now =
+        kernel.ground_truth(tid)->per_type;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Slot& slot = slots[i];
+      EXPECT_EQ(static_cast<std::uint64_t>((*values)[i]),
+                now[slot.type].*slot.field - at_start[slot.type].*slot.field)
+          << "slot " << i;
+    }
+    ASSERT_TRUE(lib->stop(*set).has_value());
   };
 
-  // Deterministic sim + identical call sequence: the cached plan must
-  // reproduce the uncached (rebuilt-every-read) values exactly.
-  const auto cached = run_sequence(true);
-  const auto uncached = run_sequence(false);
-  EXPECT_EQ(cached.first, uncached.first);
-  EXPECT_EQ(cached.second, uncached.second);
-  EXPECT_GT(cached.first[0], 0) << "P-core instructions";
-  EXPECT_GT(cached.first[1], 0) << "P-core cycles";
-  EXPECT_EQ(cached.first[2], 0) << "E-core event on a P-pinned thread";
-  EXPECT_GT(cached.second[0], 0) << "cycles survive the removal";
+  ASSERT_TRUE(lib->add_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
+  restart_and_check({p_ins});
+
+  ASSERT_TRUE(
+      lib->add_event(*set, "adl_glc::CPU_CLK_UNHALTED:THREAD").is_ok());
+  ASSERT_TRUE(lib->add_event(*set, "adl_grt::INST_RETIRED:ANY").is_ok());
+  restart_and_check({p_ins, p_cyc, e_ins});
+
+  ASSERT_TRUE(lib->remove_event(*set, "adl_glc::INST_RETIRED:ANY").is_ok());
+  restart_and_check({p_cyc, e_ins});
+  auto values = lib->read(*set);
+  ASSERT_TRUE(values.has_value());
+  EXPECT_GT((*values)[0], 0) << "cycles survive the removal";
+  EXPECT_EQ((*values)[1], 0) << "E-core event on a P-pinned thread";
 }
 
 // --- homogeneous control machine ------------------------------------------
