@@ -58,23 +58,27 @@ Status MachineSpec::validate() const {
     }
   }
   for (const CoreTypeSpec& type : core_types) {
+    // Power must not fall as frequency rises: the governor's level
+    // search relies on it.
     if (type.dvfs.freq_min.value <= 0 ||
-        type.dvfs.freq_max < type.dvfs.freq_min) {
+        type.dvfs.freq_max < type.dvfs.freq_min ||
+        type.dvfs.volt_slope_per_ghz < 0 || type.power.c_dyn < 0) {
       return make_error(StatusCode::kInvalidArgument,
-                        type.name + ": bad DVFS range");
+                        type.name + ": bad DVFS range or power curve");
     }
     if (type.num_gp_counters <= 0) {
       return make_error(StatusCode::kInvalidArgument,
                         type.name + ": PMU needs at least one counter");
     }
   }
-  if (!cluster_thermal.empty()) {
-    for (const CpuSlot& slot : cpus) {
-      if (slot.cluster_id < 0 ||
-          slot.cluster_id >= static_cast<int>(cluster_thermal.size())) {
-        return make_error(StatusCode::kInvalidArgument,
-                          "cpu cluster id out of range");
-      }
+  // Cluster ids index per-cluster state: never negative, and below the
+  // thermal node count when clusters have their own nodes.
+  for (const CpuSlot& slot : cpus) {
+    if (slot.cluster_id < 0 ||
+        (!cluster_thermal.empty() &&
+         slot.cluster_id >= static_cast<int>(cluster_thermal.size()))) {
+      return make_error(StatusCode::kInvalidArgument,
+                        "cpu cluster id out of range");
     }
   }
   return Status::ok();

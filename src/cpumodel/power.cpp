@@ -40,10 +40,13 @@ void RaplModel::step(SimDuration dt, Watts power) {
   const double dt_s = std::chrono::duration<double>(dt).count();
   if (dt_s <= 0.0) return;
   total_energy_ += power * dt;
-  const double a_long = 1.0 - std::exp(-dt_s / spec_.tau_long_s);
-  const double a_short = 1.0 - std::exp(-dt_s / spec_.tau_short_s);
-  avg_long_ += (power.value - avg_long_) * a_long;
-  avg_short_ += (power.value - avg_short_) * a_short;
+  if (dt_s != factors_dt_s_) {
+    factors_dt_s_ = dt_s;
+    a_long_ = 1.0 - std::exp(-dt_s / spec_.tau_long_s);
+    a_short_ = 1.0 - std::exp(-dt_s / spec_.tau_short_s);
+  }
+  avg_long_ += (power.value - avg_long_) * a_long_;
+  avg_short_ += (power.value - avg_short_) * a_short_;
 }
 
 std::uint32_t RaplModel::energy_status_uj() const {

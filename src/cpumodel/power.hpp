@@ -53,6 +53,11 @@ class RaplModel {
   double avg_long_ = 0.0;   // EWMA over tau_long
   double avg_short_ = 0.0;  // EWMA over tau_short
   Joules total_energy_{0.0};
+  /// The two EWMA factors for the last step's dt: a tick length rarely
+  /// changes, so step() pays for its two exp() calls once.
+  double factors_dt_s_ = 0.0;
+  double a_long_ = 0.0;
+  double a_short_ = 0.0;
 };
 
 /// Wall-socket power meter (WattsUpPro stand-in for the OrangePi board,

@@ -30,9 +30,6 @@ class ThermalNode {
     return Celsius{spec_.ambient.value + power.value * spec_.r_thermal_c_per_w};
   }
 
-  /// Reset to the settled pre-run temperature (the paper waits for the
-  /// package to settle at 35 C before each run).
-  void reset() { temp_ = spec_.idle_settle; }
   void set_temperature(Celsius t) { temp_ = t; }
 
  private:

@@ -40,30 +40,27 @@ Tid SimKernel::spawn(std::shared_ptr<Program> program, const CpuSet& affinity) {
   thread.truth.per_type.resize(machine_.core_types.size());
   thread.truth.time_per_type.resize(machine_.core_types.size(),
                                     SimDuration{0});
-  const Tid tid = thread.tid;
-  const auto it = threads_.emplace(tid, std::move(thread)).first;
-  by_tid_.push_back(&it->second);
-  placed_.push_back(-1);
+  threads_.push_back(std::move(thread));
   ++alive_count_;
-  return tid;
+  return threads_.back().tid;
 }
 
 Expected<Tid> SimKernel::spawn_in_group(std::shared_ptr<Program> program,
                                         const CpuSet& affinity, Tid leader) {
-  const auto it = threads_.find(leader);
-  if (it == threads_.end()) {
+  const SimThread* lead = find_thread(leader);
+  if (lead == nullptr) {
     return make_error(StatusCode::kNotFound, "no such group leader");
   }
   const Tid tid = spawn(std::move(program), affinity);
   // Join the leader's group (transitively flattened, like thread-group
   // ids on Linux).
-  threads_.at(tid).group_leader = it->second.group_leader;
+  threads_.back().group_leader = lead->group_leader;
   return tid;
 }
 
 Status SimKernel::set_affinity(Tid tid, const CpuSet& affinity) {
-  const auto it = threads_.find(tid);
-  if (it == threads_.end()) {
+  SimThread* thread = find_thread(tid);
+  if (thread == nullptr) {
     return make_error(StatusCode::kNotFound, "no such thread");
   }
   if (affinity.empty()) {
@@ -75,22 +72,24 @@ Status SimKernel::set_affinity(Tid tid, const CpuSet& affinity) {
                         "cpu " + std::to_string(cpu) + " does not exist");
     }
   }
-  it->second.affinity = affinity;
+  thread->affinity = affinity;
   return Status::ok();
 }
 
 bool SimKernel::thread_alive(Tid tid) const {
-  const auto it = threads_.find(tid);
-  return it != threads_.end() && it->second.state != ThreadState::kExited;
+  const SimThread* thread = find_thread(tid);
+  return thread != nullptr && thread->state != ThreadState::kExited;
 }
 
 const ThreadGroundTruth* SimKernel::ground_truth(Tid tid) const {
-  const auto it = threads_.find(tid);
-  return it == threads_.end() ? nullptr : &it->second.truth;
+  const SimThread* thread = find_thread(tid);
+  return thread == nullptr ? nullptr : &thread->truth;
 }
 
 void SimKernel::inject_instructions(Tid tid, std::uint64_t count) {
-  pending_injections_[tid] += count;
+  if (SimThread* thread = find_thread(tid)) {
+    thread->pending_instructions += count;
+  }
 }
 
 // --- time loop ---------------------------------------------------------------
@@ -137,24 +136,14 @@ void SimKernel::tick_once() {
 
   // 1. Schedule.
   runnable_.clear();
-  runnable_.reserve(threads_.size());
-  for (auto& [tid, thread] : threads_) {
+  for (SimThread& thread : threads_) {
     if (thread.state != ThreadState::kExited) runnable_.push_back(&thread);
   }
   scheduler_.assign(runnable_, dt, assignment_);
 
   // 2. Context-switch / migration accounting.
-  for (const SimThread* thread : runnable_) {
-    placed_[static_cast<std::size_t>(thread->tid)] = -1;
-  }
-  for (std::size_t cpu = 0; cpu < num_cpus; ++cpu) {
-    if (assignment_[cpu] != kInvalidTid) {
-      placed_[static_cast<std::size_t>(assignment_[cpu])] =
-          static_cast<int>(cpu);
-    }
-  }
   for (SimThread* thread : runnable_) {
-    const int new_cpu = placed_[static_cast<std::size_t>(thread->tid)];
+    const int new_cpu = thread->placed_cpu;
     if (thread->current_cpu >= 0 && new_cpu != thread->current_cpu) {
       ++thread->truth.context_switches;
       perf_.on_software(thread->tid, CountKind::kContextSwitches, 1);
@@ -184,7 +173,7 @@ void SimKernel::tick_once() {
   for (std::size_t cpu = 0; cpu < num_cpus; ++cpu) {
     const Tid tid = assignment_[cpu];
     if (tid == kInvalidTid) continue;
-    SimThread& thread = *by_tid_[static_cast<std::size_t>(tid)];
+    SimThread& thread = threads_[static_cast<std::size_t>(tid)];
 
     ExecContext ctx;
     const cpumodel::CoreTypeId type_id = machine_.cpus[cpu].type;
@@ -210,13 +199,12 @@ void SimKernel::tick_once() {
     // Fold in measurement-overhead instructions injected by the library
     // layer (they execute as part of the thread on whatever core it is
     // currently on, exactly like the real PAPI calipers).
-    const auto inj = pending_injections_.find(tid);
-    if (inj != pending_injections_.end() && inj->second > 0) {
-      const std::uint64_t extra = inj->second;
+    std::uint64_t& extra = thread.pending_instructions;
+    if (extra > 0) {
       slice.counts.instructions += extra;
       slice.counts.cycles += extra / 2;
       slice.counts.branches += extra / 8;
-      pending_injections_.erase(inj);
+      extra = 0;
     }
 
     // Ground truth + perf attribution.
@@ -290,7 +278,7 @@ PackageCounters SimKernel::package_counters() const {
 Expected<int> SimKernel::perf_event_open(const PerfEventAttr& attr, Tid tid,
                                          int cpu, int group_fd,
                                          std::uint64_t flags) {
-  if (tid >= 0 && !threads_.contains(tid)) {
+  if (tid >= 0 && find_thread(tid) == nullptr) {
     return make_error(StatusCode::kNotFound, "no such thread (ESRCH)");
   }
   if (cpu >= machine_.num_cpus()) {

@@ -8,7 +8,7 @@
 // Linux kernel presents.
 #pragma once
 
-#include <map>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,24 +158,27 @@ class SimKernel {
   Rng rng_;
   SimTime now_{};
 
-  std::map<Tid, SimThread> threads_;
-  /// tid -> thread, O(1): tids are dense and never reused, and std::map
-  /// nodes are pointer-stable.
-  std::vector<SimThread*> by_tid_;
+  /// Indexed by tid: tids are dense and never reused, and a deque keeps
+  /// every thread at a stable address as it grows.
+  std::deque<SimThread> threads_;
+  SimThread* find_thread(Tid tid) {
+    return tid >= 0 && static_cast<std::size_t>(tid) < threads_.size()
+               ? &threads_[static_cast<std::size_t>(tid)]
+               : nullptr;
+  }
+  const SimThread* find_thread(Tid tid) const {
+    return const_cast<SimKernel*>(this)->find_thread(tid);
+  }
   /// Threads not yet exited. Zero enables the idle fast-path tick: with
   /// no runnable thread, scheduling, placement accounting and execution
   /// consume no RNG and change no state, so they can be skipped
   /// bit-exactly while power/thermal/rotation still advance.
   std::size_t alive_count_ = 0;
   Tid next_tid_ = 0;
-  std::map<Tid, std::uint64_t> pending_injections_;
   /// Per-tick scratch, reused to keep the hot loop allocation-free.
   std::vector<SimThread*> runnable_;
   std::vector<Tid> assignment_;
   std::vector<cpumodel::CpuLoad> loads_;
-  /// tid-indexed cpu placement for the current tick (-1 = waiting);
-  /// reset only for runnable tids each tick.
-  std::vector<int> placed_;
   /// Previous tick's cpu assignment, for switch/migration accounting.
   std::vector<Tid> last_assignment_;
   /// Memory-bandwidth contention factor applied to the next tick.

@@ -6,6 +6,10 @@
 
 namespace hetpapi::simkernel {
 
+namespace {
+Status bad_fd() { return make_error(StatusCode::kInvalidArgument, "bad fd"); }
+}  // namespace
+
 void PerfSubsystem::publish_user_page(EventObj& ev) {
   PerfUserPage* page = ev.user_page.get();
   if (page == nullptr) return;
@@ -39,22 +43,20 @@ PerfSubsystem::Context& PerfSubsystem::context_of(const EventObj& ev) {
   return contexts_[{scope_key(ev.tid, ev.cpu), ev.pmu->type_id}];
 }
 
+std::vector<PerfSubsystem::EventObj*>& PerfSubsystem::scope_list(
+    const EventObj& ev) {
+  auto& index = ev.tid >= 0 ? tid_index_ : cpu_index_;
+  const auto slot = static_cast<std::size_t>(ev.tid >= 0 ? ev.tid : ev.cpu);
+  if (slot >= index.size()) index.resize(slot + 1);
+  return index[slot];
+}
+
 void PerfSubsystem::index_event(EventObj& ev) {
-  if (ev.tid >= 0) {
-    tid_index_[ev.tid].push_back(&ev);
-  } else {
-    cpu_index_[ev.cpu].push_back(&ev);
-  }
+  scope_list(ev).push_back(&ev);
 }
 
 void PerfSubsystem::unindex_event(EventObj& ev) {
-  if (ev.tid >= 0) {
-    const auto it = tid_index_.find(ev.tid);
-    if (it != tid_index_.end()) std::erase(it->second, &ev);
-  } else {
-    const auto it = cpu_index_.find(ev.cpu);
-    if (it != cpu_index_.end()) std::erase(it->second, &ev);
-  }
+  std::erase(scope_list(ev), &ev);
 }
 
 int PerfSubsystem::gp_counters_needed(const EventObj& leader) const {
@@ -213,34 +215,26 @@ Expected<int> PerfSubsystem::open(const PerfEventAttr& attr, Tid tid, int cpu,
   return fd;
 }
 
+void PerfSubsystem::set_needs_rotation(Context& ctx, bool needs) {
+  rotating_contexts_ += static_cast<int>(needs) -
+                        static_cast<int>(ctx.needs_rotation);
+  ctx.needs_rotation = needs;
+}
+
 void PerfSubsystem::reschedule(Context& ctx) {
   if (ctx.group_leaders.empty()) {
-    ctx.needs_rotation = false;
+    set_needs_rotation(ctx, false);
     return;
   }
   // All groups in one context share a PMU by construction.
   const EventObj* first = find(ctx.group_leaders.front());
   if (first == nullptr) return;
-  const int total_gp = first->pmu->num_gp_counters;
-  int remaining = total_gp;
+  int remaining = first->pmu->num_gp_counters;
   bool overflow = false;
 
   // Pinned groups first, then rotation order.
-  std::vector<int> order;
-  order.reserve(ctx.group_leaders.size());
-  for (int fd : ctx.group_leaders) {
-    const EventObj* leader = find(fd);
-    if (leader != nullptr && leader->attr.pinned) order.push_back(fd);
-  }
-  for (int fd : ctx.group_leaders) {
-    const EventObj* leader = find(fd);
-    if (leader != nullptr && !leader->attr.pinned) order.push_back(fd);
-  }
-
   int next_slot = 0;
-  for (int fd : order) {
-    EventObj* leader = find(fd);
-    if (leader == nullptr) continue;
+  const auto place = [&](EventObj* leader) {
     const bool active = leader->enabled;
     bool placed = false;
     if (active) {
@@ -260,32 +254,34 @@ void PerfSubsystem::reschedule(Context& ctx) {
       if (sib->scheduled) sib->counter_slot = next_slot++;
       publish_user_page(*sib);
     }
+  };
+  for (const bool pinned : {true, false}) {
+    for (int fd : ctx.group_leaders) {
+      EventObj* leader = find(fd);
+      if (leader != nullptr && leader->attr.pinned == pinned) place(leader);
+    }
   }
-  ctx.needs_rotation = overflow;
+  set_needs_rotation(ctx, overflow);
 }
 
 void PerfSubsystem::rotate(SimTime now) {
+  if (rotating_contexts_ == 0) return;
   for (auto& [key, ctx] : contexts_) {
     if (!ctx.needs_rotation || ctx.group_leaders.size() < 2) continue;
     if (now - ctx.last_rotation < config_.rotation_period) continue;
     ctx.last_rotation = now;
-    // Skip pinned leaders: they never rotate out. Rotate the rest.
-    std::vector<int> pinned;
-    std::vector<int> flexible;
-    for (int fd : ctx.group_leaders) {
-      const EventObj* leader = find(fd);
+    // Pinned leaders move to the front in order (an in-place stable
+    // partition) and never rotate out; the rest rotate by one.
+    auto flexible = ctx.group_leaders.begin();
+    for (auto it = flexible; it != ctx.group_leaders.end(); ++it) {
+      const EventObj* leader = find(*it);
       if (leader != nullptr && leader->attr.pinned) {
-        pinned.push_back(fd);
-      } else {
-        flexible.push_back(fd);
+        std::rotate(flexible++, it, it + 1);
       }
     }
-    if (flexible.size() >= 2) {
-      std::rotate(flexible.begin(), flexible.begin() + 1, flexible.end());
+    if (ctx.group_leaders.end() - flexible >= 2) {
+      std::rotate(flexible, flexible + 1, ctx.group_leaders.end());
     }
-    ctx.group_leaders = std::move(pinned);
-    ctx.group_leaders.insert(ctx.group_leaders.end(), flexible.begin(),
-                             flexible.end());
     reschedule(ctx);
   }
 }
@@ -332,9 +328,7 @@ Status PerfSubsystem::do_ioctl_one(EventObj& ev, PerfIoctl op,
 Status PerfSubsystem::ioctl(int fd, PerfIoctl op, std::uint32_t flags,
                             const PackageCounters& pkg, SimTime now) {
   EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   HETPAPI_RETURN_IF_ERROR(do_ioctl_one(*ev, op, pkg, now));
   if ((flags & kIocFlagGroup) != 0 && ev->is_leader()) {
     for (EventObj* sib : ev->sibling_ptrs) {
@@ -361,9 +355,7 @@ Expected<PerfValue> PerfSubsystem::read(int fd,
                                         const LazyPackageCounters& pkg,
                                         SimTime now) const {
   const EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   return snapshot(*ev, pkg, now);
 }
 
@@ -374,7 +366,7 @@ Status PerfSubsystem::read_group_into(int fd,
   const EventObj* leader = find(fd);
   if (leader == nullptr) {
     out.clear();
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
+    return bad_fd();
   }
   if (!leader->is_leader()) {
     out.clear();
@@ -394,9 +386,7 @@ Status PerfSubsystem::read_group_into(int fd,
 
 Expected<std::uint64_t> PerfSubsystem::rdpmc(int fd) const {
   const EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   if (ev->is_readthrough() ||
       ev->pmu->pmu_class == PmuClass::kSoftware) {
     return make_error(StatusCode::kNotSupported,
@@ -413,9 +403,7 @@ Expected<std::uint64_t> PerfSubsystem::rdpmc(int fd) const {
 
 Expected<const PerfUserPage*> PerfSubsystem::mmap_user_page(int fd) const {
   const EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   if (ev->user_page == nullptr) {
     return make_error(StatusCode::kNotSupported,
                       "only core PMU events carry a user page");
@@ -425,9 +413,7 @@ Expected<const PerfUserPage*> PerfSubsystem::mmap_user_page(int fd) const {
 
 Status PerfSubsystem::close(int fd) {
   EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   unindex_event(*ev);
   if (ev->is_leader()) {
     // Kernel behaviour: closing a leader promotes each sibling to a
@@ -463,14 +449,9 @@ void PerfSubsystem::on_execution(Tid tid, Tid leader, int cpu,
   // opened with attr.inherit on the process-group leader. Both index
   // lists are fd-sorted; merge them so events are visited in fd order,
   // exactly as the old full-table scan did.
-  static const std::vector<EventObj*> kEmpty;
-  const auto direct_it = tid_index_.find(tid);
-  const std::vector<EventObj*>& direct =
-      direct_it != tid_index_.end() ? direct_it->second : kEmpty;
-  const auto leader_it =
-      leader != tid ? tid_index_.find(leader) : tid_index_.end();
-  const std::vector<EventObj*>& inherited =
-      leader_it != tid_index_.end() ? leader_it->second : kEmpty;
+  const std::span<EventObj* const> direct = scope_events(tid_index_, tid);
+  const std::span<EventObj* const> inherited =
+      scope_events(tid_index_, leader != tid ? leader : kInvalidTid);
 
   std::size_t di = 0;
   std::size_t li = 0;
@@ -513,9 +494,7 @@ void PerfSubsystem::on_cpu_execution(int cpu, cpumodel::CoreTypeId core_type,
                                      const ExecCounts& counts,
                                      SimDuration dt, Tid tid, SimTime now,
                                      std::uint64_t ip) {
-  const auto it = cpu_index_.find(cpu);
-  if (it == cpu_index_.end()) return;
-  for (EventObj* ev : it->second) {
+  for (EventObj* ev : scope_events(cpu_index_, cpu)) {
     if (!ev->enabled) continue;
     if (ev->pmu->pmu_class != PmuClass::kCore) continue;
     if (ev->pmu->core_type != core_type) continue;
@@ -634,17 +613,13 @@ void PerfSubsystem::apply_counts(EventObj& ev, const ExecCounts& counts,
 
 Expected<std::uint64_t> PerfSubsystem::overflow_count(int fd) const {
   const EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   return ev->total_overflows;
 }
 
 Expected<PerfRingView> PerfSubsystem::mmap_ring(int fd) {
   EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   if (ev->attr.sample_period == 0) {
     return make_error(StatusCode::kInvalidArgument,
                       "event is in counting mode: no sample ring");
@@ -658,9 +633,7 @@ Expected<PerfRingView> PerfSubsystem::mmap_ring(int fd) {
 
 Expected<bool> PerfSubsystem::ring_poll(int fd) {
   EventObj* ev = find(fd);
-  if (ev == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "bad fd");
-  }
+  if (ev == nullptr) return bad_fd();
   if (ev->attr.sample_period == 0) {
     return make_error(StatusCode::kInvalidArgument,
                       "event is in counting mode: nothing to poll");
@@ -681,9 +654,7 @@ Expected<bool> PerfSubsystem::ring_poll(int fd) {
 }
 
 void PerfSubsystem::on_software(Tid tid, CountKind kind, std::uint64_t delta) {
-  const auto it = tid_index_.find(tid);
-  if (it == tid_index_.end()) return;
-  for (EventObj* ev : it->second) {
+  for (EventObj* ev : scope_events(tid_index_, tid)) {
     if (!ev->enabled) continue;
     if (ev->pmu->pmu_class != PmuClass::kSoftware) continue;
     if (ev->kind != kind) continue;
@@ -696,12 +667,5 @@ bool PerfSubsystem::is_scheduled(int fd) const {
   return ev != nullptr && ev->scheduled;
 }
 
-int PerfSubsystem::multiplexing_contexts() const {
-  int count = 0;
-  for (const auto& [key, ctx] : contexts_) {
-    if (ctx.needs_rotation) ++count;
-  }
-  return count;
-}
 
 }  // namespace hetpapi::simkernel

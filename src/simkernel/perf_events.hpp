@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -169,8 +170,8 @@ class PerfSubsystem {
   /// True if the event is currently scheduled on a counter.
   bool is_scheduled(int fd) const;
 
-  /// Count of groups currently multiplexing (diagnostics).
-  int multiplexing_contexts() const;
+  /// Count of contexts currently multiplexing (diagnostics).
+  int multiplexing_contexts() const { return rotating_contexts_; }
 
   /// Total period crossings recorded for a sampling event — the
   /// simulator's ground truth: every crossing is either a SAMPLE record
@@ -278,6 +279,9 @@ class PerfSubsystem {
   /// Re-run counter scheduling for a context: greedily place groups in
   /// rotation order, pinned leaders first; sets `scheduled` flags.
   void reschedule(Context& ctx);
+  /// The one writer of Context::needs_rotation, keeping
+  /// rotating_contexts_ in step with it.
+  void set_needs_rotation(Context& ctx, bool needs);
 
   int gp_counters_needed(const EventObj& leader) const;
 
@@ -333,6 +337,14 @@ class PerfSubsystem {
   /// Register a newly opened event in the scope index; drop on close.
   void index_event(EventObj& ev);
   void unindex_event(EventObj& ev);
+  /// The event's list in its scope index, grown to reach it.
+  std::vector<EventObj*>& scope_list(const EventObj& ev);
+  using ScopeIndex = std::vector<std::vector<EventObj*>>;
+  static std::span<EventObj* const> scope_events(const ScopeIndex& index,
+                                                 int slot) {
+    if (slot < 0 || static_cast<std::size_t>(slot) >= index.size()) return {};
+    return index[static_cast<std::size_t>(slot)];
+  }
 
   const PmuRegistry* pmus_;
   Config config_;
@@ -345,12 +357,13 @@ class PerfSubsystem {
   std::size_t live_events_ = 0;
   std::map<ContextKey, Context> contexts_;
   /// Scope indexes for the per-tick attribution hooks: thread-bound
-  /// events keyed by tid, cpu-bound (tid < 0) events keyed by cpu, each
-  /// list in ascending-fd order (fds are never reused, so appends keep
-  /// the order sorted). The hooks previously scanned every open event
-  /// per executing slice — O(#events x #running threads) per tick.
-  std::map<Tid, std::vector<EventObj*>> tid_index_;
-  std::map<int, std::vector<EventObj*>> cpu_index_;
+  /// events by tid, cpu-bound (tid < 0) events by cpu, each list in
+  /// ascending-fd order (fds are never reused, so appends keep the order
+  /// sorted). Tids and cpus are dense, so each index is a vector.
+  ScopeIndex tid_index_;
+  ScopeIndex cpu_index_;
+  /// Contexts with needs_rotation set: rotate() is free while it is 0.
+  int rotating_contexts_ = 0;
   int next_fd_ = 3;
 };
 

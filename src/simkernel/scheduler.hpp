@@ -48,7 +48,8 @@ class Scheduler {
 
   /// Decide which thread runs on each cpu for the next `dt`.
   /// `runnable` holds every alive thread; `assignment` is resized to
-  /// num_cpus and filled with tids (kInvalidTid = idle).
+  /// num_cpus and filled with tids (kInvalidTid = idle), and each
+  /// thread's placed_cpu is set (-1 = waits).
   void assign(const std::vector<SimThread*>& runnable, SimDuration dt,
               std::vector<Tid>& assignment);
 
@@ -56,7 +57,7 @@ class Scheduler {
   void charge(SimThread& thread, int cpu, SimDuration consumed) const;
 
  private:
-  int pick_cpu(const SimThread& thread, const std::vector<bool>& cpu_taken,
+  int pick_cpu(const SimThread& thread, const std::vector<Tid>& assignment,
                bool force_move);
   double cpu_weight(int cpu) const {
     return weights_[static_cast<std::size_t>(cpu)];
@@ -69,8 +70,9 @@ class Scheduler {
   /// policy and machine are fixed for the scheduler's lifetime and the
   /// std::pow in the hot pick_cpu loop dominated its cost.
   std::vector<double> weights_;
+  /// Per-cpu vruntime rate, 1024 / capacity, likewise precomputed.
+  std::vector<double> vruntime_scale_;
   /// Scratch for assign(): reused across ticks to avoid reallocation.
-  std::vector<bool> cpu_taken_;
   std::vector<SimThread*> order_;
 };
 

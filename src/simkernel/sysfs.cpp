@@ -228,7 +228,7 @@ Expected<std::string> SimKernel::sysfs_read(std::string_view path) const {
     // scheduler's ground truth — what the sysinfo component consumes.
     std::uint64_t busy_ns = 0;
     std::uint64_t ctxt = 0;
-    for (const auto& [tid, thread] : threads_) {
+    for (const SimThread& thread : threads_) {
       busy_ns +=
           static_cast<std::uint64_t>(thread.truth.total_cpu_time.count());
       ctxt += thread.truth.context_switches;

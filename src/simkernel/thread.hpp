@@ -86,6 +86,10 @@ struct SimThread {
   int current_cpu = -1;
   /// Last cpu it ran on (for migration counting & cache-affinity nudge).
   int last_cpu = -1;
+  /// Where the scheduler placed it for the coming tick (-1 = waits).
+  int placed_cpu = -1;
+  /// Measurement-overhead instructions injected for its next slice.
+  std::uint64_t pending_instructions = 0;
   ThreadGroundTruth truth;
 };
 
