@@ -1,6 +1,7 @@
 #include "service/client.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace hetpapi::service {
@@ -180,7 +181,7 @@ void Client::answer_ping(const Frame& frame) {
 
 void Client::stash_frame(const Frame& frame) {
   if (frame.type == MsgType::kSample) {
-    // Decode straight into the next stash slot, reusing its vectors.
+    // Decode straight into the next stash slot, reusing its buffers.
     if (stashed_ == samples_.size()) samples_.emplace_back();
     WireSample& s = samples_[stashed_];
     if (!WireSample::decode_into(frame.payload.data(), frame.payload.size(), s)
@@ -511,8 +512,12 @@ Status Client::close() {
 }
 
 std::vector<WireSample> Client::take_samples() {
-  std::vector<WireSample> out;
-  take_samples_into(out);
+  if (connected() || reconnect_enabled_) pump_once();
+  // One allocation for the returned vector; the stash keeps its slots,
+  // whose moved-from samples are back on their inline buffers.
+  const auto first = std::make_move_iterator(samples_.begin());
+  std::vector<WireSample> out(first, first + static_cast<std::ptrdiff_t>(stashed_));
+  stashed_ = 0;
   return out;
 }
 

@@ -105,6 +105,8 @@ class Client {
   /// Sample frame collected so far (including ones stashed while an RPC
   /// waited for its reply). Over the unix transport the sweep blocks
   /// until at least one byte arrives, so call it when a sample is due.
+  /// Costs one allocation, the returned vector: the samples move out
+  /// and the stash keeps its slots for the next decodes.
   std::vector<WireSample> take_samples();
   /// take_samples() into a caller-owned buffer: `out` is replaced by the
   /// stashed samples and its previous storage becomes the stash, so a
@@ -207,7 +209,7 @@ class Client {
   std::vector<std::uint8_t> inbox_;
   Frame frame_;
   /// The first stashed_ entries are live; the ones past them are spare
-  /// storage whose vectors the next decodes reuse.
+  /// storage whose buffers the next decodes reuse.
   std::vector<WireSample> samples_;
   std::size_t stashed_ = 0;
   std::vector<AggSample> agg_samples_;

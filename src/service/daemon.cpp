@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <span>
 
 #include "base/log.hpp"
 #include "base/strings.hpp"
@@ -826,13 +827,12 @@ void Daemon::read_into_sample(SharedSubscription& sub) {
     const std::size_t n = sub.reading.size();
     sample.values.resize(n);
     sample.degraded.resize(n);
-    sample.parts.resize(n);
+    sample.parts.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const papi::QualifiedReading& slot = sub.reading[i];
       sample.values[i] = slot.total;
       sample.degraded[i] = slot.degraded ? 1 : 0;
-      std::vector<long long>& parts = sample.parts[i];
-      parts.resize(slot.parts.size());
+      const std::span<long long> parts = sample.parts.add_slot(slot.parts.size());
       for (std::size_t p = 0; p < parts.size(); ++p) {
         parts[p] = slot.parts[p].valid ? slot.parts[p].value : 0;
       }
@@ -903,9 +903,9 @@ void Daemon::serve_subscriptions() {
         slot.count = 1;
         const auto& names = sub.ack.part_names;
         if (s < sample.parts.size() && s < names.size()) {
-          for (std::size_t p = 0;
-               p < sample.parts[s].size() && p < names[s].size(); ++p) {
-            slot.per_core_type.emplace_back(names[s][p], sample.parts[s][p]);
+          const std::span<const long long> parts = sample.parts[s];
+          for (std::size_t p = 0; p < parts.size() && p < names[s].size(); ++p) {
+            slot.per_core_type.emplace_back(names[s][p], parts[p]);
           }
         }
         std::sort(slot.per_core_type.begin(), slot.per_core_type.end());

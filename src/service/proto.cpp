@@ -191,10 +191,10 @@ Status FrameReader::next_into(Frame& out) {
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
     consumed_ = 0;
   }
+  // "No complete frame yet" ends every drain, so it carries no message
+  // to allocate.
   const std::size_t available = buffer_.size() - consumed_;
-  if (available < 4) {
-    return make_error(StatusCode::kNotFound, "no complete frame");
-  }
+  if (available < 4) return Status(StatusCode::kNotFound);
   std::uint32_t length = 0;
   length = load_le<std::uint32_t>(buffer_.data() + consumed_);
   if (length == 0 || length > kMaxFrameBytes) {
@@ -202,7 +202,7 @@ Status FrameReader::next_into(Frame& out) {
     return make_error(StatusCode::kInvalidArgument, "bad frame length");
   }
   if (available < 4 + static_cast<std::size_t>(length)) {
-    return make_error(StatusCode::kNotFound, "no complete frame");
+    return Status(StatusCode::kNotFound);
   }
   out.type = static_cast<MsgType>(buffer_[consumed_ + 4]);
   out.payload.assign(
@@ -575,17 +575,12 @@ Status WireSample::decode_into(const std::uint8_t* p, std::size_t size,
   m.package_temp_c = std::bit_cast<double>(load_le<U64>(at));
   m.package_power_w = std::bit_cast<double>(load_le<U64>(at + 8));
   at = counts + 4 * static_cast<std::size_t>(n);
-  if (part_total == 0) {
-    m.parts.clear();
-  } else {
-    m.parts.resize(n);
-    for (U32 i = 0; i < n; ++i) {
-      std::vector<long long>& slot = m.parts[i];
-      slot.resize(load_le<U32>(counts + 4 * i));
-      for (long long& v : slot) {
-        v = static_cast<long long>(load_le<U64>(at));
-        at += 8;
-      }
+  // A plain stream carries no part at all and decodes to no slots.
+  m.parts.clear();
+  for (U32 i = 0; i < n && part_total != 0; ++i) {
+    for (long long& v : m.parts.add_slot(load_le<U32>(counts + 4 * i))) {
+      v = static_cast<long long>(load_le<U64>(at));
+      at += 8;
     }
   }
   m.seq = load_le<U64>(at);

@@ -30,11 +30,15 @@
 //                     Ping/Pong (liveness, either direction)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "base/small_vector.hpp"
 #include "base/status.hpp"
 
 namespace hetpapi::service {
@@ -335,6 +339,57 @@ struct Unsubscribe {
   static Expected<Unsubscribe> decode(const Frame& frame);
 };
 
+/// Value slots and per-slot parts a decoded Sample keeps inside the
+/// object: this workload's shape (two events, two core types).
+inline constexpr std::size_t kSampleInlineSlots = 2;
+inline constexpr std::size_t kSampleInlineParts = 4;
+
+/// A Sample's per-slot part values as one flat table: every slot's
+/// parts back to back in one buffer, plus where each slot ends.
+/// `parts[i]` is slot i's values in schema order. Holds
+/// kSampleInlineSlots slots of kSampleInlineParts parts in all without
+/// touching the heap; a larger table spills and keeps its blocks
+/// across clear().
+class SampleParts {
+ public:
+  SampleParts() = default;
+  /// A literal table, e.g. {{60, 40}, {}}.
+  SampleParts(std::initializer_list<std::initializer_list<long long>> slots) {
+    for (const auto& slot : slots) {
+      std::copy(slot.begin(), slot.end(), add_slot(slot.size()).begin());
+    }
+  }
+
+  /// Slots in the table: 0 for a plain stream, one per value slot for
+  /// a qualified one.
+  std::size_t size() const { return ends_.size(); }
+  bool empty() const { return ends_.empty(); }
+
+  std::span<const long long> operator[](std::size_t slot) const {
+    const std::uint32_t begin = slot == 0 ? 0 : ends_[slot - 1];
+    return {values_.data() + begin, ends_[slot] - begin};
+  }
+
+  void clear() {
+    values_.clear();
+    ends_.clear();
+  }
+  /// Append a slot of `count` zeroed parts and return them for filling.
+  /// The span is valid until the next add_slot.
+  std::span<long long> add_slot(std::size_t count) {
+    const std::size_t begin = values_.size();
+    values_.resize(begin + count);
+    ends_.push_back(static_cast<std::uint32_t>(values_.size()));
+    return {values_.data() + begin, count};
+  }
+
+  friend bool operator==(const SampleParts&, const SampleParts&) = default;
+
+ private:
+  SmallVector<long long, kSampleInlineParts> values_;
+  SmallVector<std::uint32_t, kSampleInlineSlots> ends_;
+};
+
 /// The streamed measurement record — the wire rendition of a
 /// telemetry::Sample restricted to what the daemon serves: counter
 /// values (plus the qualified per-PMU breakdown on request) and the
@@ -350,14 +405,19 @@ struct Unsubscribe {
 ///
 /// subscription_id leads and seq trails so the daemon's fan-out can
 /// patch both in place in one template frame per read.
+///
+/// In memory a sample of up to kSampleInlineSlots slots and
+/// kSampleInlineParts parts owns no heap block, so decoding one, or
+/// moving one out of the client's stash, allocates nothing.
 struct WireSample {
   std::uint32_t subscription_id = 0;
   std::uint64_t tick = 0;
   double t_seconds = 0.0;
-  std::vector<long long> values;
+  SmallVector<long long, kSampleInlineSlots> values;
   /// One per value slot, 1 = partial sum; decode leaves it empty when
-  /// no slot is degraded (a missing entry encodes as 0).
-  std::vector<std::uint8_t> degraded;
+  /// no slot is degraded (a missing entry encodes as 0). Eight inline
+  /// bytes cost no more room than two.
+  SmallVector<std::uint8_t, 8> degraded;
   std::uint8_t counters_ok = 1;
   /// NaN when the daemon does not attach telemetry.
   double package_temp_c = 0.0;
@@ -365,7 +425,7 @@ struct WireSample {
   /// Per-slot constituent values in the order of the subscription's
   /// SubscribeAck::part_names; empty unless the subscription asked for
   /// qualified reads.
-  std::vector<std::vector<long long>> parts;
+  SampleParts parts;
   /// Per-subscription delivery sequence number, starting at 1 and
   /// incremented per delivered sample.
   std::uint64_t seq = 0;
@@ -375,8 +435,9 @@ struct WireSample {
   /// its capacity.
   void encode_frame_into(std::vector<std::uint8_t>& frame) const;
   static Expected<WireSample> decode(const Frame& frame);
-  /// decode() into `out`, reusing its vectors' capacity. One length
-  /// check covers the whole payload; `out` is unspecified on failure.
+  /// decode() into `out` in one pass, reusing whatever heap blocks its
+  /// buffers have spilled to. One length check covers the whole
+  /// payload; `out` is unspecified on failure.
   static Status decode_into(const std::uint8_t* payload, std::size_t size,
                             WireSample& out);
 };

@@ -2,24 +2,39 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "base/log.hpp"
 #include "base/strings.hpp"
 
 namespace hetpapi::simkernel {
+namespace {
+
+/// `machine`, once it validates. The governor, scheduler and PMU
+/// registry index per-cluster and per-type arrays with the spec's ids,
+/// so an invalid spec stops the process here, before any of them is
+/// built from it.
+cpumodel::MachineSpec validated(cpumodel::MachineSpec machine) {
+  const Status valid = machine.validate();
+  if (!valid.is_ok()) {
+    std::fprintf(stderr, "SimKernel: invalid machine spec: %s\n",
+                 valid.to_string().c_str());
+    std::abort();
+  }
+  return machine;
+}
+
+}  // namespace
 
 SimKernel::SimKernel(cpumodel::MachineSpec machine, Config config)
-    : machine_(std::move(machine)),
+    : machine_(validated(std::move(machine))),
       config_(config),
       pmus_(PmuRegistry::build(machine_)),
       governor_(machine_, config.seed ^ 0x9d2c5680ULL),
       scheduler_(&machine_, config.sched, config.seed ^ 0x5bd1e995ULL),
       perf_(&pmus_, config.perf),
       rng_(config.seed) {
-  const Status valid = machine_.validate();
-  if (!valid.is_ok()) {
-    HETPAPI_ERROR << "invalid machine spec: " << valid.to_string();
-  }
   last_assignment_.assign(static_cast<std::size_t>(machine_.num_cpus()),
                           kInvalidTid);
   build_static_sysfs();

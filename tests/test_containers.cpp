@@ -1,7 +1,9 @@
-// FixedVector (the static-array bookkeeping container), Rng determinism,
-// unit types, and the Status/Expected plumbing.
+// FixedVector (the static-array bookkeeping container), SmallVector (the
+// inline-then-heap buffer), Rng determinism, unit types, and the
+// Status/Expected plumbing.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,6 +11,7 @@
 
 #include "base/fixed_vector.hpp"
 #include "base/rng.hpp"
+#include "base/small_vector.hpp"
 #include "base/status.hpp"
 #include "base/units.hpp"
 
@@ -178,6 +181,140 @@ TEST(Expected, DereferencingAnRvalueMovesTheValueOut) {
   const int* data = v->data();
   const std::vector<int> moved = *std::move(v);
   EXPECT_EQ(moved.data(), data);
+}
+
+// --- SmallVector -----------------------------------------------------------
+
+using Small = SmallVector<long long, 2>;
+
+TEST(SmallVector, InlineThenSpillThenClearKeepsTheBlock) {
+  Small v;
+  const long long* inline_buffer = v.data();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), 2u);
+  v.push_back(1);
+  v.push_back(2);
+  EXPECT_FALSE(v.spilled());
+  EXPECT_EQ(v.data(), inline_buffer);
+
+  v.push_back(3);  // one past the inline capacity
+  EXPECT_TRUE(v.spilled());
+  EXPECT_NE(v.data(), inline_buffer);
+  EXPECT_EQ(v, (Small{1, 2, 3}));
+  const long long* block = v.data();
+  const std::size_t capacity = v.capacity();
+  EXPECT_GE(capacity, 3u);
+
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), capacity);
+  const long long refill[] = {7, 8, 9};
+  v.assign(std::begin(refill), std::end(refill));
+  EXPECT_EQ(v.data(), block) << "a refill within the capacity reuses the block";
+  EXPECT_EQ(v, (Small{7, 8, 9}));
+}
+
+TEST(SmallVector, PushBackOfItsOwnElementWhileGrowing) {
+  Small v{5, 6};
+  v.push_back(v[0]);
+  EXPECT_EQ(v, (Small{5, 6, 5}));
+}
+
+TEST(SmallVector, CopiesAreDeepForInlineAndSpilled) {
+  const Small small{1, 2};
+  Small a = small;
+  EXPECT_EQ(a, small);
+  EXPECT_FALSE(a.spilled());
+  EXPECT_NE(a.data(), small.data());
+
+  const Small big{1, 2, 3, 4};
+  Small b = big;
+  EXPECT_EQ(b, big);
+  EXPECT_TRUE(b.spilled());
+  EXPECT_NE(b.data(), big.data());
+  b[0] = 100;
+  EXPECT_EQ(big[0], 1);
+
+  // Assignment reuses the destination's block when it is large enough.
+  const long long* block = b.data();
+  b = small;
+  EXPECT_EQ(b, small);
+  EXPECT_EQ(b.data(), block);
+  a = big;
+  EXPECT_EQ(a, big);
+  EXPECT_TRUE(a.spilled());
+}
+
+TEST(SmallVector, MovesLeaveTheSourceEmptyOnItsInlineBuffer) {
+  Small inline_src{1, 2};
+  const long long* src_inline = inline_src.data();
+  Small a = std::move(inline_src);
+  EXPECT_EQ(a, (Small{1, 2}));
+  EXPECT_FALSE(a.spilled());
+  EXPECT_TRUE(inline_src.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(inline_src.data(), src_inline);
+  EXPECT_EQ(inline_src.capacity(), 2u);
+
+  Small spilled_src{1, 2, 3};
+  const long long* block = spilled_src.data();
+  Small b = std::move(spilled_src);
+  EXPECT_EQ(b.data(), block) << "a spilled source hands over its block";
+  EXPECT_EQ(b, (Small{1, 2, 3}));
+  EXPECT_TRUE(spilled_src.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(spilled_src.spilled());
+  EXPECT_EQ(spilled_src.capacity(), 2u);
+
+  // Move assignment: a spilled source replaces the destination's block,
+  // an inline one is copied into whatever the destination holds.
+  Small c{9, 9, 9, 9, 9};
+  Small d{4, 5, 6};
+  const long long* d_block = d.data();
+  c = std::move(d);
+  EXPECT_EQ(c.data(), d_block);
+  EXPECT_EQ(c, (Small{4, 5, 6}));
+  EXPECT_TRUE(d.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(d.spilled());
+
+  const long long* c_block = c.data();
+  Small e{7};
+  c = std::move(e);
+  EXPECT_EQ(c.data(), c_block);
+  EXPECT_EQ(c, (Small{7}));
+  EXPECT_TRUE(e.empty());  // NOLINT(bugprone-use-after-move)
+
+  // A moved-from vector is fully usable.
+  e.push_back(1);
+  e.push_back(2);
+  e.push_back(3);
+  EXPECT_EQ(e, (Small{1, 2, 3}));
+}
+
+TEST(SmallVector, ResizeZeroFills) {
+  Small v{5, 6};
+  v.resize(1);
+  EXPECT_EQ(v, (Small{5}));
+  v.resize(2);  // the old 6 must not reappear
+  EXPECT_EQ(v, (Small{5, 0}));
+  v.resize(4);
+  EXPECT_EQ(v, (Small{5, 0, 0, 0}));
+  v.clear();
+  v.resize(3);  // over spilled storage that held values
+  EXPECT_EQ(v, (Small{0, 0, 0}));
+}
+
+TEST(SmallVector, EqualityComparesElementsNotStorage) {
+  EXPECT_EQ(Small{}, Small{});
+  EXPECT_EQ((Small{1, 2}), (Small{1, 2}));
+  EXPECT_NE((Small{1, 2}), (Small{1, 3}));
+  EXPECT_NE((Small{1, 2}), (Small{1, 2, 3}));
+  Small spilled{1, 2, 3};
+  spilled.resize(2);
+  EXPECT_TRUE(spilled.spilled());
+  EXPECT_EQ(spilled, (Small{1, 2})) << "inline and spilled compare equal";
+  const std::vector<long long> from{4, 5, 6};
+  Small copied;
+  copied = from;
+  EXPECT_EQ(copied, (Small{4, 5, 6}));
 }
 
 }  // namespace

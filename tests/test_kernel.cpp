@@ -31,6 +31,25 @@ TEST(Kernel, RunForAdvancesExactWholeTicks) {
   EXPECT_EQ(kernel.now().since_epoch, std::chrono::microseconds(4000));
 }
 
+TEST(Kernel, EveryPresetConstructs) {
+  for (const std::string& name : cpumodel::machine_preset_names()) {
+    SCOPED_TRACE(name);
+    auto machine = cpumodel::machine_preset_by_name(name);
+    ASSERT_TRUE(machine.has_value());
+    SimKernel kernel(*machine, SimKernel::Config{});
+    EXPECT_EQ(kernel.machine().num_cpus(), machine->num_cpus());
+  }
+}
+
+TEST(KernelDeathTest, InvalidMachineStopsBeforeItRuns) {
+  // A negative cluster id would index the governor's per-cluster state
+  // out of bounds; the kernel refuses the spec before building it.
+  cpumodel::MachineSpec machine = cpumodel::homogeneous_xeon(2);
+  machine.cpus[1].cluster_id = -1;
+  EXPECT_DEATH(SimKernel(machine, SimKernel::Config{}),
+               "invalid machine spec: .*cpu cluster id out of range");
+}
+
 TEST(Kernel, RunUntilIdleReturnsElapsedAndStopsAtDeadline) {
   SimKernel kernel(cpumodel::homogeneous_xeon(1));
   PhaseSpec phase;

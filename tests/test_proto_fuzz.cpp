@@ -93,11 +93,13 @@ TargetKind rand_kind(Rng& rng) {
 
 /// A Sample's per-slot part values: either none at all (a plain
 /// stream) or one list per value slot (a qualified one), as on the wire.
-std::vector<std::vector<long long>> rand_sample_parts(Rng& rng,
-                                                      std::size_t slots) {
-  std::vector<std::vector<long long>> out;
+SampleParts rand_sample_parts(Rng& rng, std::size_t slots) {
+  SampleParts out;
   if (rng() % 2 == 0) return out;
-  for (std::size_t i = 0; i < slots; ++i) out.push_back(rand_i64_list(rng));
+  for (std::size_t i = 0; i < slots; ++i) {
+    const std::vector<long long> parts = rand_i64_list(rng);
+    std::copy(parts.begin(), parts.end(), out.add_slot(parts.size()).begin());
+  }
   return out;
 }
 

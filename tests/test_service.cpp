@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -176,6 +177,76 @@ TEST(ServiceProto, SampleRoundTripsThreePerCoreTypeParts) {
   cut.type = MsgType::kSample;
   cut.payload = std::move(bytes);
   EXPECT_FALSE(WireSample::decode(cut).has_value());
+}
+
+TEST(ServiceProto, SampleLargerThanItsInlineBuffersRoundTripsAndReusesThem) {
+  // A decoded sample keeps a few slots and parts inside the object; a
+  // larger one spills to the heap, round-trips byte-identically all the
+  // same, and the next decode_into reuses the spilled blocks.
+  constexpr std::size_t kSlots = 10;
+  constexpr std::size_t kPartsPerSlot = 3;
+  static_assert(kSlots > kSampleInlineSlots);
+  static_assert(kSlots * kPartsPerSlot > kSampleInlineParts);
+  const auto make = [&](long long base) {
+    WireSample m;
+    m.subscription_id = 4;
+    m.tick = static_cast<std::uint64_t>(base);
+    m.counters_ok = 1;
+    m.seq = 9;
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      m.values.push_back(base + static_cast<long long>(i));
+      m.degraded.push_back(i % 3 == 0 ? 1 : 0);
+      std::span<long long> parts = m.parts.add_slot(kPartsPerSlot);
+      for (std::size_t p = 0; p < parts.size(); ++p) {
+        parts[p] = base * 100 + static_cast<long long>(i * kPartsPerSlot + p);
+      }
+    }
+    return m;
+  };
+  const WireSample first = make(1);
+  const std::vector<std::uint8_t> first_bytes = first.encode();
+  ASSERT_EQ(first_bytes.size(), 49u + 13u * kSlots + 8u * kSlots * kPartsPerSlot);
+
+  WireSample out;
+  ASSERT_TRUE(
+      WireSample::decode_into(first_bytes.data(), first_bytes.size(), out).is_ok());
+  EXPECT_EQ(out.encode(), first_bytes);
+  EXPECT_EQ(out.values, first.values);
+  EXPECT_EQ(out.degraded, first.degraded);
+  EXPECT_EQ(out.parts, first.parts);
+  ASSERT_EQ(out.parts.size(), kSlots);
+  EXPECT_EQ(out.parts[kSlots - 1].size(), kPartsPerSlot);
+  EXPECT_TRUE(out.values.spilled());
+  EXPECT_TRUE(out.degraded.spilled());
+  const auto* object = reinterpret_cast<const std::uint8_t*>(&out);
+  const auto* parts_block =
+      reinterpret_cast<const std::uint8_t*>(out.parts[0].data());
+  EXPECT_TRUE(parts_block < object || parts_block >= object + sizeof(out))
+      << "the part values spilled out of the object";
+
+  const long long* values_block = out.values.data();
+  const std::uint8_t* degraded_block = out.degraded.data();
+  const long long* parts_values = out.parts[0].data();
+  const WireSample second = make(2);
+  const std::vector<std::uint8_t> second_bytes = second.encode();
+  ASSERT_TRUE(
+      WireSample::decode_into(second_bytes.data(), second_bytes.size(), out).is_ok());
+  EXPECT_EQ(out.encode(), second_bytes);
+  EXPECT_EQ(out.parts, second.parts);
+  EXPECT_EQ(out.values.data(), values_block);
+  EXPECT_EQ(out.degraded.data(), degraded_block);
+  EXPECT_EQ(out.parts[0].data(), parts_values);
+
+  // A plain sample into the same object: no part slots, blocks kept.
+  WireSample plain;
+  plain.values = {1, 2, 3};
+  const std::vector<std::uint8_t> plain_bytes = plain.encode();
+  ASSERT_TRUE(
+      WireSample::decode_into(plain_bytes.data(), plain_bytes.size(), out).is_ok());
+  EXPECT_TRUE(out.parts.empty());
+  EXPECT_TRUE(out.degraded.empty());
+  EXPECT_EQ(out.values.data(), values_block);
+  EXPECT_EQ(out.encode(), plain_bytes);
 }
 
 TEST(ServiceProto, SampleFrameSizeIsTheFixedWidthFormula) {

@@ -22,6 +22,7 @@
 //                          [--aggregate N] [--stats] [--shards S]
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -273,12 +274,13 @@ int run_monitor(Stack& stack, const Options& opts) {
       // Part values arrive in the order of the ack's schema (the client
       // has checked each sample's part counts against it).
       for (std::size_t i = 0; i < sample.parts.size(); ++i) {
-        if (sample.parts[i].empty()) continue;
+        const std::span<const long long> parts = sample.parts[i];
+        if (parts.empty()) continue;
         std::printf("    %s parts:", spec.events[i].c_str());
         const std::vector<std::string>& names = ack->part_names.at(i);
-        for (std::size_t p = 0; p < sample.parts[i].size(); ++p) {
+        for (std::size_t p = 0; p < parts.size(); ++p) {
           std::printf(" %s=%lld", p < names.size() ? names[p].c_str() : "?",
-                      sample.parts[i][p]);
+                      parts[p]);
         }
         std::printf("\n");
       }
