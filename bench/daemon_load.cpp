@@ -19,6 +19,8 @@
 // stdout stays bit-identical across runs, --threads values, and
 // --shards values, which feed the daemon's encode pool and fan-out
 // partitioning).
+// The daemon now ignores both knobs: every --shards (and --threads) value
+// runs the same serial fan-out on the ticking thread.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -53,10 +53,6 @@ Status Daemon::init() {
     sampler_ = std::make_unique<telemetry::Sampler>(kernel_);
     sampler_->reset();
   }
-  if (config_.encode_threads > 1) {
-    encode_pool_ = std::make_unique<ThreadPool>(config_.encode_threads);
-  }
-  shard_count_ = std::max<std::size_t>(1, config_.shards);
   return Status::ok();
 }
 
@@ -138,7 +134,6 @@ void Daemon::accept_pending() {
       }
       auto client = std::make_unique<ClientState>();
       client->id = next_client_id_++;
-      client->shard = client->id % shard_count_;
       client->conn = std::move(*conn);
       client->last_activity_tick = stats_.ticks;
       clients_.push_back(std::move(client));
@@ -723,7 +718,6 @@ void Daemon::on_get_stats(ClientState& client, const Frame& frame) {
       static_cast<std::uint32_t>(total_subscriber_count());
   reply.clients_dropped_slow = stats_.clients_dropped_slow;
   reply.clients_closed_idle = stats_.clients_closed_idle;
-  reply.shards = static_cast<std::uint32_t>(shard_count_);
   reply.downstreams = static_cast<std::uint32_t>(downstreams_.size());
   reply.agg_subscriptions = static_cast<std::uint32_t>(agg_subs_.size());
   reply.agg_samples_delivered = stats_.agg_samples_delivered;
@@ -770,47 +764,20 @@ void Daemon::poll() {
   reap_closed();
 }
 
-void Daemon::deliver() {
-  if (streams_.empty()) return;
-  // One job per shard walks every due stream in the global (key_id,
-  // subscribe order) and serves only its own shard's riders. Each
-  // client lives in exactly one shard, so jobs never share a client or
-  // a rider, and every client's frames keep the global order — which
-  // is why the byte stream is shard-count invariant.
-  struct ShardCounters {
-    std::uint64_t frames = 0;
-    std::uint64_t samples = 0;
-    std::uint64_t agg_samples = 0;
-  };
-  std::vector<ShardCounters> counters(shard_count_);
-  const auto run_shard = [&](std::size_t s) {
-    ShardCounters& c = counters[s];
-    for (const Stream& stream : streams_) {
-      for (Rider& rider : *stream.riders) {
-        if (rider.client->shard != s) continue;
-        const std::vector<std::uint8_t>& frame =
-            rider.aggregate ? *stream.agg_frame : *stream.sample_frame;
-        OutBuffer& out = rider.client->out;
-        const std::size_t at = out.append(frame.data(), frame.size());
-        stamp_stream_frame(out.bytes.data() + at, frame.size(),
-                           rider.subscription_id, ++rider.seq);
-        ++c.frames;
-        ++(rider.aggregate ? c.agg_samples : c.samples);
-      }
-    }
-  };
-  if (encode_pool_ != nullptr) {
-    encode_pool_->parallel_for_each(shard_count_, run_shard);
-  } else {
-    for (std::size_t s = 0; s < shard_count_; ++s) run_shard(s);
+void Daemon::deliver(std::vector<Rider>& riders,
+                     const std::vector<std::uint8_t>& sample_frame,
+                     const std::vector<std::uint8_t>& agg_frame) {
+  for (Rider& rider : riders) {
+    const std::vector<std::uint8_t>& frame =
+        rider.aggregate ? agg_frame : sample_frame;
+    OutBuffer& out = rider.client->out;
+    const std::size_t at = out.append(frame.data(), frame.size());
+    stamp_stream_frame(out.bytes.data() + at, frame.size(),
+                       rider.subscription_id, ++rider.seq);
+    ++(rider.aggregate ? stats_.agg_samples_delivered
+                       : stats_.samples_delivered);
   }
-  // Serial merge: fold the shard-local counters in shard order so the
-  // totals never depend on scheduling.
-  for (const ShardCounters& c : counters) {
-    stats_.frames_sent += c.frames;
-    stats_.samples_delivered += c.samples;
-    stats_.agg_samples_delivered += c.agg_samples;
-  }
+  stats_.frames_sent += riders.size();
 }
 
 void Daemon::read_into_sample(SharedSubscription& sub) {
@@ -852,7 +819,6 @@ void Daemon::read_into_sample(SharedSubscription& sub) {
 }
 
 void Daemon::serve_subscriptions() {
-  streams_.clear();
   const double t_seconds =
       kernel_ != nullptr ? kernel_->now().seconds()
                          : static_cast<double>(stats_.ticks);
@@ -863,9 +829,9 @@ void Daemon::serve_subscriptions() {
   // The coalescing payoff: ONE backend read per distinct subscription,
   // regardless of how many clients ride it, and ONE template frame per
   // read (the fan-out stamps each rider's id and sequence into its
-  // copy). Reads and encodes stay serial — the backend is not a
-  // concurrent structure, and a fixed-width encode is cheaper than a
-  // hand-off to the pool.
+  // copy). Subscriptions are visited in key_id order and each one is
+  // delivered before the next is read, so every client's frames come
+  // out in the global (key_id, subscribe order).
   for (auto& [key_id, sub] : shared_subs_) {
     if (stats_.ticks % sub.period_ticks != 0) continue;
     if (sampler_ != nullptr && !telemetry_sampled) {
@@ -912,9 +878,8 @@ void Daemon::serve_subscriptions() {
       }
       sub.agg_frame = encode_frame(MsgType::kAggSample, agg.encode());
     }
-    streams_.push_back({&sub.frame, &sub.agg_frame, &sub.subscribers});
+    deliver(sub.subscribers, sub.frame, sub.agg_frame);
   }
-  deliver();
 }
 
 AggSample Daemon::merge_aggregate(const AggregateShared& agg) const {
@@ -1022,7 +987,6 @@ void Daemon::serve_aggregates() {
   const double t_seconds =
       kernel_ != nullptr ? kernel_->now().seconds()
                          : static_cast<double>(stats_.ticks);
-  streams_.clear();
   for (auto& [key_id, agg] : agg_subs_) {
     bool any_fresh = false;
     for (const DownstreamState& st : agg.downstream) any_fresh |= st.fresh;
@@ -1031,10 +995,9 @@ void Daemon::serve_aggregates() {
     merged.tick = stats_.ticks;
     merged.t_seconds = t_seconds;
     agg.frame = encode_frame(MsgType::kAggSample, merged.encode());
-    streams_.push_back({nullptr, &agg.frame, &agg.subscribers});
+    deliver(agg.subscribers, agg.frame, agg.frame);
     for (DownstreamState& st : agg.downstream) st.fresh = false;
   }
-  deliver();
 }
 
 void Daemon::heal_downstreams() {

@@ -22,20 +22,16 @@
 // canonicalization goes through Library::canonical_event_name, so
 // "papi_tot_ins" and "PAPI_TOT_INS" land on the same key.
 //
-// The c10k fan-out path is sharded: clients are assigned to
-// config.shards session shards on accept (round-robin by client id),
-// sample encoding produces ONE fixed-width template frame per distinct
-// due subscription, and delivery runs one job per shard on the encode
-// pool. Each job appends the template to its riders' outbound byte
-// buffers and patches the subscription id (the first payload field)
-// and the sequence number (the last) in place — no per-rider
-// allocation and no lookup, since a rider points at its client. A
-// client lives in exactly one shard and per-shard jobs only touch their
-// own clients plus a private counter slot, so the stage is lock-free by
-// partitioning; counters merge serially afterwards. Per-client enqueue
-// order follows the global (key_id, subscribe order) delivery order
-// regardless of shard count, which is what the shards-1-vs-4-vs-16
-// byte-determinism goldens pin.
+// The fan-out runs on the thread that calls tick(), and the daemon
+// starts no threads: sample encoding produces ONE fixed-width template
+// frame per distinct due subscription, and the loop right after it
+// appends the template to each rider's outbound byte buffer and patches
+// the subscription id (the first payload field) and the sequence number
+// (the last) in place. That costs no per-rider allocation and no
+// lookup, since a rider points at its client. Riders are served in the
+// global (key_id, subscribe order), which is the order of every
+// client's byte stream. Handing these appends to worker threads cost
+// more than the appends themselves (DESIGN §12).
 //
 // Aggregation tree: add_downstream() hands the daemon a service::Client
 // connected to another hetpapid. A SubscribeAggregate on a daemon
@@ -63,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "base/thread_pool.hpp"
 #include "papi/library.hpp"
 #include "service/client.hpp"
 #include "service/proto.hpp"
@@ -79,14 +74,10 @@ struct DaemonConfig {
   /// Ticks without traffic after which a subscription-less client is
   /// disconnected (0 = never).
   std::uint64_t idle_timeout_ticks = 0;
-  /// Worker threads for the per-shard delivery (the reads and the
-  /// template encodes stay serial — the backend is single-threaded);
-  /// each client's frames keep the global order, so the byte stream
-  /// every client sees is identical for any thread count.
+  /// Inert: the fan-out runs on the ticking thread and nothing reads
+  /// these two fields. They stay only because existing benchmark
+  /// drivers still set them; ROADMAP item 2(a) removes them.
   std::size_t encode_threads = 1;
-  /// Session shards the fan-out partitions clients across (>= 1).
-  /// Purely a parallelism knob: the byte stream every client sees is
-  /// identical for any shard count.
   std::size_t shards = 1;
   /// Attach package temperature / power (via a telemetry::Sampler over
   /// the kernel) to every streamed sample.
@@ -183,7 +174,6 @@ class Daemon {
   std::size_t downstream_count() const { return downstreams_.size(); }
   std::size_t live_downstream_count() const;
   std::size_t aggregate_subscription_count() const { return agg_subs_.size(); }
-  std::size_t shard_count() const { return shard_count_; }
 
   papi::Library* library() { return library_.get(); }
 
@@ -199,8 +189,8 @@ class Daemon {
     ClientState* client = nullptr;
     std::uint32_t subscription_id = 0;
     bool aggregate = false;
-    /// Delivery sequence for THIS rider, bumped by the delivering shard
-    /// job (first delivered sample carries seq 1). A resubscribe after
+    /// Delivery sequence for THIS rider, bumped on every delivery
+    /// (first delivered sample carries seq 1). A resubscribe after
     /// reconnect is a new rider, so the client's expectation of a fresh
     /// sequence holds by construction.
     std::uint64_t seq = 0;
@@ -280,8 +270,6 @@ class Daemon {
 
   struct ClientState {
     std::uint32_t id = 0;
-    /// Which fan-out shard delivers to this client.
-    std::size_t shard = 0;
     std::unique_ptr<Connection> conn;
     FrameReader reader;
     bool hello_done = false;
@@ -300,15 +288,6 @@ class Daemon {
     std::map<std::uint32_t, std::uint32_t> subscriptions;
     /// subscription_id -> aggregate key_id (node-side aggregates only).
     std::map<std::uint32_t, std::uint32_t> agg_subscriptions;
-  };
-
-  /// One due stream of the batched fan-out: its riders and the
-  /// template each kind of rider receives (Sample for direct riders,
-  /// AggSample for aggregate ones).
-  struct Stream {
-    const std::vector<std::uint8_t>* sample_frame = nullptr;
-    const std::vector<std::uint8_t>* agg_frame = nullptr;
-    std::vector<Rider>* riders = nullptr;
   };
 
   void accept_pending();
@@ -394,11 +373,13 @@ class Daemon {
   void read_into_sample(SharedSubscription& sub);
   void serve_subscriptions();
   void serve_aggregates();
-  /// The sharded fan-out tail shared by both serve paths: run one
-  /// append-and-patch job per shard over streams_ (parallel on the
-  /// encode pool, lock-free by partitioning), then fold the per-shard
-  /// counters into stats_ serially.
-  void deliver();
+  /// The fan-out tail shared by both serve paths: append one stream's
+  /// template to each rider's buffer in subscribe order (a Sample for
+  /// direct riders, an AggSample for aggregate ones) and stamp the
+  /// rider's id and sequence into its copy.
+  void deliver(std::vector<Rider>& riders,
+               const std::vector<std::uint8_t>& sample_frame,
+               const std::vector<std::uint8_t>& agg_frame);
   /// Fold every reported downstream contribution of one aggregate into
   /// a merged sample (exact hierarchical min/max/avg/σ composition).
   AggSample merge_aggregate(const AggregateShared& agg) const;
@@ -408,7 +389,6 @@ class Daemon {
   DaemonConfig config_;
   std::unique_ptr<papi::Library> library_;
   std::unique_ptr<telemetry::Sampler> sampler_;
-  std::unique_ptr<ThreadPool> encode_pool_;
 
   std::vector<Listener*> listeners_;
   /// Insertion-ordered so poll()/tick() visit clients deterministically.
@@ -419,10 +399,7 @@ class Daemon {
   std::map<std::uint32_t, AggregateShared> agg_subs_;  // by agg key_id
   std::map<std::string, std::uint32_t> agg_key_ids_;
 
-  /// This tick's due streams, in delivery order (reused per tick).
-  std::vector<Stream> streams_;
   DaemonStats stats_;
-  std::size_t shard_count_ = 1;
   std::uint32_t next_client_id_ = 1;
   std::uint32_t next_session_id_ = 1;
   std::uint32_t next_subscription_id_ = 1;

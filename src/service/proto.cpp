@@ -687,7 +687,6 @@ std::vector<std::uint8_t> StatsReply::encode() const {
   w.u32(total_subscribers);
   w.u32(clients_dropped_slow);
   w.u32(clients_closed_idle);
-  w.u32(shards);
   w.u32(downstreams);
   w.u32(agg_subscriptions);
   w.u64(agg_samples_delivered);
@@ -708,7 +707,6 @@ Expected<StatsReply> StatsReply::decode(const Frame& frame) {
   m.total_subscribers = r.u32().value_or(0);
   m.clients_dropped_slow = r.u32().value_or(0);
   m.clients_closed_idle = r.u32().value_or(0);
-  m.shards = r.u32().value_or(0);
   m.downstreams = r.u32().value_or(0);
   m.agg_subscriptions = r.u32().value_or(0);
   m.agg_samples_delivered = r.u64().value_or(0);

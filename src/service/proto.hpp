@@ -45,7 +45,7 @@ namespace hetpapi::service {
 
 /// The one protocol version the daemon speaks. Bumped on any wire
 /// change; there is no negotiation and no down-level shape.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Upper bound on one frame's payload (type byte included); a length
 /// prefix beyond this is a protocol error, not an allocation request.
@@ -526,8 +526,7 @@ struct StatsReply {
   std::uint32_t total_subscribers = 0;
   std::uint32_t clients_dropped_slow = 0;
   std::uint32_t clients_closed_idle = 0;
-  // Sharding + aggregation accounting.
-  std::uint32_t shards = 0;
+  // Aggregation accounting.
   std::uint32_t downstreams = 0;
   std::uint32_t agg_subscriptions = 0;
   std::uint64_t agg_samples_delivered = 0;

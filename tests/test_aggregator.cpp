@@ -7,7 +7,7 @@
 // degrades rather than stalls when a downstream faults or dies.
 //
 // The chaos suites (named *Chaos* so the sanitizer CI shard picks them
-// up) drive a multi-shard node over two-leaf trees where one leaf sits
+// up) drive a node over two-leaf trees where one leaf sits
 // behind a FaultInjectingBackend (transient-read, stale-fd,
 // fd-pressure): the healthy sibling must keep flowing, merges go
 // complete=0 instead of blocking, and every backend's live-fd ledger
@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +33,7 @@
 #include "service/stats_report.hpp"
 #include "service/transport.hpp"
 #include "simkernel/kernel.hpp"
+#include "stream_digest.hpp"
 #include "workload/programs.hpp"
 
 namespace hetpapi {
@@ -61,7 +63,7 @@ struct Leaf {
   Tid tid{};
 
   Status init(const std::string& fault_profile = "",
-              std::uint64_t fault_seed = 1, DaemonConfig dconfig = {}) {
+              std::uint64_t fault_seed = 1) {
     kernel = std::make_unique<SimKernel>(cpumodel::raptor_lake_i7_13700());
     sim = std::make_unique<SimBackend>(kernel.get());
     papi::Backend* backend = sim.get();
@@ -79,8 +81,7 @@ struct Leaf {
     }
     tid = tids[0];
     transport = std::make_unique<LoopbackTransport>();
-    daemon = std::make_unique<Daemon>(kernel.get(), backend,
-                                      std::move(dconfig));
+    daemon = std::make_unique<Daemon>(kernel.get(), backend, DaemonConfig{});
     if (Status s = daemon->init(); !s.is_ok()) return s;
     daemon->add_listener(transport->listener());
     transport->set_pump([this] { daemon->poll(); });
@@ -106,12 +107,11 @@ struct Node {
   std::unique_ptr<LoopbackTransport> transport;
   std::unique_ptr<Daemon> daemon;
 
-  Status init(const std::vector<Leaf*>& leaves, DaemonConfig dconfig = {}) {
+  Status init(const std::vector<Leaf*>& leaves) {
     kernel = std::make_unique<SimKernel>(cpumodel::raptor_lake_i7_13700());
     sim = std::make_unique<SimBackend>(kernel.get());
     transport = std::make_unique<LoopbackTransport>();
-    daemon = std::make_unique<Daemon>(kernel.get(), sim.get(),
-                                      std::move(dconfig));
+    daemon = std::make_unique<Daemon>(kernel.get(), sim.get(), DaemonConfig{});
     if (Status s = daemon->init(); !s.is_ok()) return s;
     daemon->add_listener(transport->listener());
     transport->set_pump([this] { daemon->poll(); });
@@ -374,7 +374,7 @@ TEST(ServiceAggregator, TelemetryBridgeCarriesSumsPartsAndCompleteness) {
 
 TEST(ServiceAggregator, PreV4ClientIsRefusedBeforeAnyAggregateVerb) {
   // There is no down-level service any more: a client offering an old
-  // version gets one Error naming version 4, and the connection closes
+  // version gets one Error naming version 5, and the connection closes
   // before any verb (aggregate or otherwise) is served.
   Leaf leaf;
   ASSERT_TRUE(leaf.init().is_ok());
@@ -400,7 +400,7 @@ TEST(ServiceAggregator, PreV4ClientIsRefusedBeforeAnyAggregateVerb) {
   auto err = WireError::decode(*reply);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
-  EXPECT_NE(err->message.find("version 4"), std::string::npos) << err->message;
+  EXPECT_NE(err->message.find("version 5"), std::string::npos) << err->message;
   // Nothing else came back: the aggregate verb was never served.
   EXPECT_FALSE(reader.next().has_value());
   leaf.daemon->poll();
@@ -408,19 +408,16 @@ TEST(ServiceAggregator, PreV4ClientIsRefusedBeforeAnyAggregateVerb) {
   EXPECT_EQ(leaf.daemon->distinct_subscription_count(), 0u);
 }
 
-// --- determinism across shard counts ---------------------------------------
+// --- determinism -----------------------------------------------------------
 
-std::vector<std::vector<std::uint8_t>> run_tree_scenario(std::size_t shards) {
+/// Five watchers on two node aggregates over a fast and a slow leaf for
+/// five ticks; returns every watcher's captured byte stream.
+std::vector<std::vector<std::uint8_t>> run_tree_scenario() {
   Leaf fast, slow;
-  DaemonConfig leaf_config;
-  leaf_config.shards = shards;
-  EXPECT_TRUE(fast.init("", 1, leaf_config).is_ok());
-  EXPECT_TRUE(slow.init("", 1, leaf_config).is_ok());
+  EXPECT_TRUE(fast.init().is_ok());
+  EXPECT_TRUE(slow.init().is_ok());
   Node node;
-  DaemonConfig node_config;
-  node_config.shards = shards;
-  EXPECT_TRUE(node.init({&fast, &slow}, node_config).is_ok());
-  EXPECT_EQ(node.daemon->shard_count(), shards);
+  EXPECT_TRUE(node.init({&fast, &slow}).is_ok());
 
   std::vector<Client> watchers;
   for (int i = 0; i < 5; ++i) {
@@ -450,15 +447,19 @@ std::vector<std::vector<std::uint8_t>> run_tree_scenario(std::size_t shards) {
 }
 
 TEST(ServiceAggregator, ByteIdenticalAggregateStreamsAcrossShardCounts) {
-  const auto one = run_tree_scenario(1);
-  const auto four = run_tree_scenario(4);
-  const auto sixteen = run_tree_scenario(16);
-  ASSERT_EQ(one.size(), four.size());
-  ASSERT_EQ(one.size(), sixteen.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_FALSE(one[i].empty());
-    EXPECT_EQ(one[i], four[i]) << "watcher " << i;
-    EXPECT_EQ(one[i], sixteen[i]) << "watcher " << i;
+  // The bytes every watcher got when leaves and node still split their
+  // fan-out across 1, 4 or 16 session shards (all three agreed). The
+  // serial fan-out must reproduce them exactly.
+  constexpr testing_support::StreamDigest kRecorded[] = {
+      {1737, 0x66605cc0308bbdf9ull}, {1007, 0x407b5678c1c0c312ull},
+      {1737, 0x48cc0d6f3bf1f0e5ull}, {1007, 0x280729e3a2e26dfeull},
+      {1737, 0x281a0fee8f1e4ac1ull},
+  };
+  const auto streams = run_tree_scenario();
+  ASSERT_EQ(streams.size(), std::size(kRecorded));
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    EXPECT_EQ(testing_support::digest_of(streams[i]), kRecorded[i])
+        << "watcher " << i;
   }
 }
 
@@ -469,9 +470,7 @@ TEST(ServiceAggregatorChaos, DeadDownstreamDegradesMergesButSiblingsFlow) {
   ASSERT_TRUE(healthy.init().is_ok());
   ASSERT_TRUE(doomed.init().is_ok());
   Node node;
-  DaemonConfig node_config;
-  node_config.shards = 4;  // the multi-shard daemon under chaos
-  ASSERT_TRUE(node.init({&healthy, &doomed}, node_config).is_ok());
+  ASSERT_TRUE(node.init({&healthy, &doomed}).is_ok());
   Client watcher = node.connect("watcher");
   auto sub = watcher.subscribe_aggregate(agg_spec(healthy.tid));
   ASSERT_TRUE(sub.has_value()) << sub.status().message();
@@ -515,8 +514,8 @@ TEST(ServiceAggregatorChaos, DeadDownstreamDegradesMergesButSiblingsFlow) {
 }
 
 TEST(ServiceAggregatorChaos, FaultProfilesDegradeGracefullyWithZeroFdLeaks) {
-  // One faulting leaf per profile, one healthy sibling, a multi-shard
-  // node on top. Whatever the injector does — transient read errors,
+  // One faulting leaf per profile, one healthy sibling, a node on
+  // top. Whatever the injector does — transient read errors,
   // fds going stale mid-stream, EMFILE at open — the tree must keep
   // serving the healthy side and the ledgers must read zero afterwards.
   for (const char* profile : {"transient-read", "stale-fd", "fd-pressure"}) {
@@ -525,9 +524,7 @@ TEST(ServiceAggregatorChaos, FaultProfilesDegradeGracefullyWithZeroFdLeaks) {
     ASSERT_TRUE(faulty.init(profile, /*fault_seed=*/7).is_ok());
     ASSERT_TRUE(healthy.init().is_ok());
     Node node;
-    DaemonConfig node_config;
-    node_config.shards = 4;
-    ASSERT_TRUE(node.init({&faulty, &healthy}, node_config).is_ok());
+    ASSERT_TRUE(node.init({&faulty, &healthy}).is_ok());
 
     Client watcher = node.connect("watcher");
     auto sub = watcher.subscribe_aggregate(agg_spec(healthy.tid));
@@ -566,15 +563,12 @@ TEST(ServiceAggregatorChaos, FaultProfilesDegradeGracefullyWithZeroFdLeaks) {
 }
 
 TEST(ServiceAggregatorChaos, MultiShardLeafSoakUnderMixedFaultsLeaksNothing) {
-  // The sharded fan-out path itself under the mixed fault profile:
-  // many riders (direct and aggregate) on one multi-shard leaf daemon,
-  // ticked through fault bursts. Counts may degrade; fds may not leak
-  // and the daemon may not crash or stall.
+  // The fan-out path itself under the mixed fault profile: many riders
+  // (direct and aggregate) on one leaf daemon, ticked through fault
+  // bursts. Counts may degrade; fds may not leak and the daemon may not
+  // crash or stall.
   Leaf leaf;
-  DaemonConfig dconfig;
-  dconfig.shards = 8;
-  dconfig.encode_threads = 2;
-  ASSERT_TRUE(leaf.init("mixed", /*fault_seed=*/21, dconfig).is_ok());
+  ASSERT_TRUE(leaf.init("mixed", /*fault_seed=*/21).is_ok());
 
   std::vector<std::unique_ptr<Client>> riders;
   std::size_t subscribed = 0;
@@ -625,12 +619,11 @@ struct HealableNode {
   std::unique_ptr<LoopbackTransport> transport;
   std::unique_ptr<Daemon> daemon;
 
-  Status init(DaemonConfig dconfig = {}) {
+  Status init() {
     kernel = std::make_unique<SimKernel>(cpumodel::raptor_lake_i7_13700());
     sim = std::make_unique<SimBackend>(kernel.get());
     transport = std::make_unique<LoopbackTransport>();
-    daemon = std::make_unique<Daemon>(kernel.get(), sim.get(),
-                                      std::move(dconfig));
+    daemon = std::make_unique<Daemon>(kernel.get(), sim.get(), DaemonConfig{});
     if (Status s = daemon->init(); !s.is_ok()) return s;
     daemon->add_listener(transport->listener());
     transport->set_pump([this] { daemon->poll(); });
@@ -669,9 +662,7 @@ TEST(ServiceSelfHealChaos, SeveredTreeLegsRedialAndMergesReconvergeExactly) {
   bool fast_down = false, slow_down = false;
 
   HealableNode node;
-  DaemonConfig node_config;
-  node_config.shards = 4;
-  ASSERT_TRUE(node.init(node_config).is_ok());
+  ASSERT_TRUE(node.init().is_ok());
   ASSERT_TRUE(node.add_leg(&fast, &fast_link, &fast_down).is_ok());
   ASSERT_TRUE(node.add_leg(&slow, &slow_link, &slow_down).is_ok());
   ASSERT_EQ(node.daemon->downstream_count(), 2u);
@@ -822,9 +813,7 @@ TEST(ServiceSelfHealChaos, MixedWireAndBackendFaultsSoakCleanly) {
 
   FaultyTransport links(*TransportFaultProfile::named("mixed"), 29);
   HealableNode node;
-  DaemonConfig node_config;
-  node_config.shards = 4;
-  ASSERT_TRUE(node.init(node_config).is_ok());
+  ASSERT_TRUE(node.init().is_ok());
   ASSERT_TRUE(node.add_leg(&flaky, &links, nullptr).is_ok());
   ASSERT_TRUE(node.add_leg(&healthy, &links, nullptr).is_ok());
 

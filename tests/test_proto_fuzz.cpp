@@ -304,7 +304,6 @@ const Shape kShapes[] = {
        m.total_subscribers = static_cast<std::uint32_t>(rng());
        m.clients_dropped_slow = static_cast<std::uint32_t>(rng());
        m.clients_closed_idle = static_cast<std::uint32_t>(rng());
-       m.shards = static_cast<std::uint32_t>(rng());
        m.downstreams = static_cast<std::uint32_t>(rng());
        m.agg_subscriptions = static_cast<std::uint32_t>(rng());
        m.agg_samples_delivered = rng();

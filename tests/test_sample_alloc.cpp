@@ -1,8 +1,9 @@
-// Heap allocations on the client's sample hand-off. This executable
-// replaces the global operator new with a counting one, which is why it
-// is a suite of its own: no other test binary sees the counter. Under
-// HETPAPI_SANITIZE the sanitizer runtime owns operator new, so the
-// replacement is left out and the suite skips.
+// Heap allocations on both ends of a streamed sample: the daemon's tick
+// and the client's sample hand-off. This executable replaces the global
+// operator new with a counting one, which is why it is a suite of its
+// own: no other test binary sees the counter. Under HETPAPI_SANITIZE
+// the sanitizer runtime owns operator new, so the replacement is left
+// out and the suite skips.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,11 +101,35 @@ struct Stack {
     }
   }
 
+  void advance() { kernel->run_for(std::chrono::milliseconds(1)); }
+
   void tick() {
-    kernel->run_for(std::chrono::milliseconds(1));
+    advance();
     daemon->tick();
   }
 };
+
+TEST(ServiceSampleAlloc, SteadyDaemonTickAllocatesNothing) {
+#ifdef HETPAPI_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime replaces operator new";
+#endif
+  Stack s;
+  ASSERT_NO_FATAL_FAILURE(s.init());
+
+  // Warm-up grows every reused buffer (readings, templates, the
+  // client's outbound bytes) to its steady size.
+  std::vector<WireSample> batch;
+  for (int warm = 0; warm < 4; ++warm) {
+    s.tick();
+    s.client->take_samples_into(batch);
+  }
+  for (int t = 0; t < 16; ++t) {
+    s.advance();
+    EXPECT_EQ(allocations_during([&] { s.daemon->tick(); }), 0u) << "tick " << t;
+    s.client->take_samples_into(batch);
+    ASSERT_EQ(batch.size(), Stack::kRiders);
+  }
+}
 
 TEST(ServiceSampleAlloc, SteadyTakesIntoAllocateNothingAndTakeSamplesOnce) {
 #ifdef HETPAPI_SANITIZED

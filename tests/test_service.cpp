@@ -2,8 +2,8 @@
 // loopback transport: wire-protocol round trips and malformed-input
 // handling, session lifecycle, shared-subscription coalescing (the
 // backend-reads-per-tick oracle), backpressure and idle-timeout drops,
-// graceful shutdown with the fd ledger as leak oracle, byte-identical
-// streams across encode thread counts, and a seeded chaos soak with the
+// graceful shutdown with the fd ledger as leak oracle, client byte
+// streams pinned to recorded digests, and a seeded chaos soak with the
 // fault injector behind the daemon. The unix-socket transport gets a
 // real-socket smoke test in the ServiceLinuxHost suite (runs in the
 // linux-host CI shard).
@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <set>
 #include <span>
@@ -33,6 +34,7 @@
 #include "service/proto.hpp"
 #include "service/transport.hpp"
 #include "simkernel/kernel.hpp"
+#include "stream_digest.hpp"
 #include "workload/programs.hpp"
 
 namespace hetpapi {
@@ -441,10 +443,10 @@ TEST(ServiceDaemon, RequestBeforeHelloIsRefused) {
 }
 
 TEST(ServiceDaemon, VersionMismatchIsRefused) {
-  // One wire version: every earlier version (v1, v2, v3) and one from
-  // the future each get a kNotSupported Error naming version 4, and the
+  // One wire version: every earlier version (v1 to v4) and one from
+  // the future each get a kNotSupported Error naming version 5, and the
   // daemon hangs up.
-  for (const std::uint32_t version : {1u, 2u, 3u, 999u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 999u}) {
     SCOPED_TRACE(testing::Message() << "v" << version);
     Harness h;
     ASSERT_TRUE(h.init().is_ok());
@@ -466,7 +468,7 @@ TEST(ServiceDaemon, VersionMismatchIsRefused) {
     auto err = WireError::decode(*reply);
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
-    EXPECT_NE(err->message.find("version 4"), std::string::npos)
+    EXPECT_NE(err->message.find("version 5"), std::string::npos)
         << err->message;
     h.daemon->poll();
     EXPECT_EQ(h.daemon->client_count(), 0u);
@@ -1216,13 +1218,11 @@ TEST(ServiceRobustness, ShutdownFlushIsBoundedForAWedgedClient) {
 
 // --- determinism -----------------------------------------------------------
 
-std::vector<std::vector<std::uint8_t>> run_stream_scenario(
-    std::size_t encode_threads, std::size_t shards = 1) {
+/// Three clients over one plain and one qualified shared subscription
+/// for five ticks; returns every client's captured byte stream.
+std::vector<std::vector<std::uint8_t>> run_stream_scenario() {
   Harness h;
-  DaemonConfig config;
-  config.encode_threads = encode_threads;
-  config.shards = shards;
-  EXPECT_TRUE(h.init(config).is_ok());
+  EXPECT_TRUE(h.init().is_ok());
 
   std::vector<Client> clients;
   for (int i = 0; i < 3; ++i) {
@@ -1250,30 +1250,33 @@ std::vector<std::vector<std::uint8_t>> run_stream_scenario(
   return streams;
 }
 
-TEST(ServiceDeterminism, ByteIdenticalStreamsAcrossEncodeThreadCounts) {
-  const auto serial = run_stream_scenario(1);
-  const auto threaded = run_stream_scenario(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_FALSE(serial[i].empty());
-    EXPECT_EQ(serial[i], threaded[i]) << "client " << i;
+/// run_stream_scenario's streams as the daemon produced them when its
+/// fan-out still ran on an encode pool across session shards: 1 or 4
+/// encode threads, and 1, 4 or 16 shards, all gave these bytes. The
+/// serial fan-out must reproduce them exactly.
+constexpr testing_support::StreamDigest kRecordedStreams[] = {
+    {425, 0x84967a1501a732c0ull},
+    {1188, 0xba5e7e5c4230252aull},
+    {763, 0xece9c55de686b5d7ull},
+};
+
+void expect_recorded_streams() {
+  const auto streams = run_stream_scenario();
+  ASSERT_EQ(streams.size(), std::size(kRecordedStreams));
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    EXPECT_EQ(testing_support::digest_of(streams[i]), kRecordedStreams[i])
+        << "client " << i;
   }
 }
 
+TEST(ServiceDeterminism, ByteIdenticalStreamsAcrossEncodeThreadCounts) {
+  // The bytes a 4-thread encode pool produced.
+  expect_recorded_streams();
+}
+
 TEST(ServiceDeterminism, ByteIdenticalStreamsAcrossShardCounts) {
-  // The sharded fan-out is a parallelism knob, not a semantic one: the
-  // byte stream every client sees is identical at 1, 4, and 16 shards
-  // (and with the encode pool in play on top).
-  const auto one = run_stream_scenario(1, 1);
-  const auto four = run_stream_scenario(1, 4);
-  const auto sixteen = run_stream_scenario(4, 16);
-  ASSERT_EQ(one.size(), four.size());
-  ASSERT_EQ(one.size(), sixteen.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_FALSE(one[i].empty());
-    EXPECT_EQ(one[i], four[i]) << "client " << i;
-    EXPECT_EQ(one[i], sixteen[i]) << "client " << i;
-  }
+  // The bytes 4 shards, and 16 shards with 4 encode threads, produced.
+  expect_recorded_streams();
 }
 
 // --- chaos -----------------------------------------------------------------

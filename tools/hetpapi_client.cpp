@@ -19,7 +19,7 @@
 //   hetpapi_client stat    [--machine M] [--events a,b,...] [--ms N]
 //   hetpapi_client monitor [--machine M] [--events a,b,...]
 //                          [--period P] [--ticks N] [--qualified]
-//                          [--aggregate N] [--stats] [--shards S]
+//                          [--aggregate N] [--stats] [--reconnect]
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -53,7 +53,6 @@ struct Options {
   bool qualified = false;  // monitor: stream per-PMU constituents
   int aggregate = 0;       // monitor: leaf daemons under an aggregator
   bool stats = false;      // monitor: render the final statistics table
-  int shards = 1;          // daemon fan-out shards
   bool reconnect = false;  // auto-reconnect across transport loss
 };
 
@@ -70,7 +69,6 @@ struct Options {
       "  --qualified   monitor: stream per-PMU constituent values\n"
       "  --aggregate N monitor: aggregate N leaf daemons under one node\n"
       "  --stats       monitor: render the final min/max/avg/stddev table\n"
-      "  --shards S    daemon fan-out shards (default 1)\n"
       "  --reconnect   re-dial, re-handshake and resubscribe when the\n"
       "                transport dies (exits non-zero otherwise)\n");
   std::exit(2);
@@ -113,8 +111,6 @@ Options parse_options(int argc, char** argv) {
       opts.ticks = static_cast<int>(cli::require_positive_int(arg, value));
     } else if (arg == "--aggregate") {
       opts.aggregate = static_cast<int>(cli::require_positive_int(arg, value));
-    } else if (arg == "--shards") {
-      opts.shards = static_cast<int>(cli::require_positive_int(arg, value));
     } else {
       usage();
     }
@@ -173,7 +169,6 @@ struct Stack {
     transport = std::make_unique<service::LoopbackTransport>();
     service::DaemonConfig config;
     config.name = name;
-    config.shards = static_cast<std::size_t>(opts.shards);
     daemon = std::make_unique<service::Daemon>(kernel.get(), backend.get(),
                                                config);
     tid = kernel->spawn(
@@ -323,7 +318,6 @@ struct AggTree {
     node_backend = std::make_unique<papi::SimBackend>(node_kernel.get());
     service::DaemonConfig config;
     config.name = "hetpapid-root";
-    config.shards = static_cast<std::size_t>(opts.shards);
     node = std::make_unique<service::Daemon>(node_kernel.get(),
                                              node_backend.get(), config);
     if (Status s = node->init(); !s.is_ok()) return s;
