@@ -1,7 +1,6 @@
 #include "service/client.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 namespace hetpapi::service {
@@ -100,8 +99,9 @@ Status Client::send_all(const std::vector<std::uint8_t>& bytes) {
 
 Expected<bool> Client::receive_some() {
   if (!connected()) return connection_gone();
-  inbox_.clear();
-  auto n = conn_->receive(inbox_);
+  std::vector<std::uint8_t>& in = reader_.input();
+  const auto fresh = static_cast<std::ptrdiff_t>(in.size());
+  auto n = conn_->receive(in);
   if (!n) {
     // A receive error is terminal (would-block is reported as 0 bytes,
     // not an error): drop the connection so connected() tells the truth
@@ -115,8 +115,7 @@ Expected<bool> Client::receive_some() {
   }
   if (*n == 0) return false;
   if (capture_bytes_)
-    captured_bytes_.insert(captured_bytes_.end(), inbox_.begin(), inbox_.end());
-  reader_.feed(inbox_);
+    captured_bytes_.insert(captured_bytes_.end(), in.begin() + fresh, in.end());
   return true;
 }
 
@@ -179,22 +178,24 @@ void Client::answer_ping(const Frame& frame) {
   (void)send_all(encode_frame(MsgType::kPong, pong.encode()));
 }
 
-void Client::stash_frame(const Frame& frame) {
-  if (frame.type == MsgType::kSample) {
+void Client::stash_frame(const FrameView& view) {
+  if (view.type == MsgType::kSample) {
     // Decode straight into the next stash slot, reusing its buffers.
     if (stashed_ == samples_.size()) samples_.emplace_back();
     WireSample& s = samples_[stashed_];
-    if (!WireSample::decode_into(frame.payload.data(), frame.payload.size(), s)
-             .is_ok()) {
-      return;
-    }
+    if (!WireSample::decode_into(view.payload, view.size, s).is_ok()) return;
     const auto it = live_subs_.find(s.subscription_id);
     if (it == live_subs_.end() || !fits_schema(s, it->second.part_counts)) {
       return;
     }
     note_sample(it->second, s.tick, s.seq);
     ++stashed_;
-  } else if (frame.type == MsgType::kAggSample) {
+    return;
+  }
+  // Copied out first: answering a Ping may receive into the reader's
+  // buffer, which ends the view.
+  const Frame frame = view.frame();
+  if (frame.type == MsgType::kAggSample) {
     if (auto s = AggSample::decode(frame)) {
       if (const auto it = live_subs_.find(s->subscription_id);
           it != live_subs_.end()) {
@@ -214,8 +215,8 @@ bool Client::pump_once() {
   // that rode in the same receive as an Error reply) are drained even
   // when the transport is dead — a buffered farewell must not be lost.
   bool progressed = false;
-  while (reader_.next_into(frame_).is_ok()) {
-    stash_frame(frame_);
+  while (const FrameView view = reader_.next_view()) {
+    stash_frame(view);
     progressed = true;
   }
   auto got = receive_some();
@@ -224,7 +225,7 @@ bool Client::pump_once() {
   // unobserved inside the reader. Other frame types arriving outside an
   // rpc() are stale replies (e.g. a CloseAck racing a drop) —
   // stash_frame drops them.
-  while (reader_.next_into(frame_).is_ok()) stash_frame(frame_);
+  while (const FrameView view = reader_.next_view()) stash_frame(view);
   return true;
 }
 
@@ -240,34 +241,34 @@ Expected<Frame> Client::rpc(MsgType expect,
   while (true) {
     // Pop buffered frames first — bytes from a previous receive may
     // already hold the reply.
-    auto frame = reader_.next();
-    if (frame) {
+    if (const FrameView view = reader_.next_view()) {
       idle_passes = 0;
-      if (frame->type == expect) return *std::move(frame);
-      if (frame->type == MsgType::kSample ||
-          frame->type == MsgType::kAggSample ||
-          frame->type == MsgType::kPing) {
-        stash_frame(*frame);
+      if (view.type == MsgType::kSample || view.type == MsgType::kAggSample ||
+          view.type == MsgType::kPing) {
+        stash_frame(view);
         continue;
       }
-      if (frame->type == MsgType::kError) {
-        auto err = WireError::decode(*frame);
+      Frame frame = view.frame();
+      if (frame.type == expect) return frame;
+      if (frame.type == MsgType::kError) {
+        auto err = WireError::decode(frame);
         if (!err) return err.status();
         return err->to_status();
       }
-      if (frame->type == MsgType::kGoodbye) {
-        auto bye = Goodbye::decode(*frame);
+      if (frame.type == MsgType::kGoodbye) {
+        auto bye = Goodbye::decode(frame);
         goodbye_reason_ = bye ? bye->reason : "goodbye";
         return Status(StatusCode::kNotRunning,
                       "daemon said goodbye: " + goodbye_reason_);
       }
       // Unexpected interleaved reply — protocol confusion.
       return Status(StatusCode::kBug,
-                    "unexpected frame " + std::string(to_string(frame->type)) +
+                    "unexpected frame " + std::string(to_string(frame.type)) +
                         " while waiting for " + std::string(to_string(expect)));
     }
-    if (frame.status().code() == StatusCode::kInvalidArgument)
-      return frame.status();  // corrupt stream
+    if (reader_.corrupt()) {
+      return make_error(StatusCode::kInvalidArgument, "corrupt frame stream");
+    }
     auto got = receive_some();
     if (!got) return got.status();
     if (generation_ != gen) return reconnected_midway();
@@ -513,10 +514,12 @@ Status Client::close() {
 
 std::vector<WireSample> Client::take_samples() {
   if (connected() || reconnect_enabled_) pump_once();
-  // One allocation for the returned vector; the stash keeps its slots,
-  // whose moved-from samples are back on their inline buffers.
-  const auto first = std::make_move_iterator(samples_.begin());
-  std::vector<WireSample> out(first, first + static_cast<std::ptrdiff_t>(stashed_));
+  if (stashed_ == 0) return {};
+  // Hand the stash over and reserve a new one of the same size for the
+  // next decodes: the call's one allocation.
+  samples_.resize(stashed_);
+  std::vector<WireSample> out = std::exchange(samples_, {});
+  samples_.reserve(stashed_);
   stashed_ = 0;
   return out;
 }

@@ -105,8 +105,13 @@ class Client {
   /// Sample frame collected so far (including ones stashed while an RPC
   /// waited for its reply). Over the unix transport the sweep blocks
   /// until at least one byte arrives, so call it when a sample is due.
-  /// Costs one allocation, the returned vector: the samples move out
-  /// and the stash keeps its slots for the next decodes.
+  /// The stash itself is handed over, and the client reserves a fresh
+  /// one of the same size: one allocation, no sample copied or moved.
+  /// Between the daemon's template frame and the caller's sample lie
+  /// the fan-out's copy into the rider's send queue, the transport's
+  /// copy into the pipe (or socket), the receive into the frame
+  /// reader's buffer (a loopback swaps a whole pipe in instead) and the
+  /// decode from there into the stash slot.
   std::vector<WireSample> take_samples();
   /// take_samples() into a caller-owned buffer: `out` is replaced by the
   /// stashed samples and its previous storage becomes the stash, so a
@@ -186,7 +191,7 @@ class Client {
   /// Receive once into the reader; false = nothing arrived.
   Expected<bool> receive_some();
   /// Decode-and-stash shared by pump_once and the rpc wait loop.
-  void stash_frame(const Frame& frame);
+  void stash_frame(const FrameView& frame);
   /// Gap/sequence accounting for one delivered (agg)sample.
   void note_sample(const LiveSub& live, std::uint64_t tick, std::uint64_t seq);
   /// Append to the recorded set, indexed by the sub's current id.
@@ -205,9 +210,6 @@ class Client {
 
   std::unique_ptr<Connection> conn_;
   FrameReader reader_;
-  /// Reused receive buffer and frame for the streaming path.
-  std::vector<std::uint8_t> inbox_;
-  Frame frame_;
   /// The first stashed_ entries are live; the ones past them are spare
   /// storage whose buffers the next decodes reuse.
   std::vector<WireSample> samples_;

@@ -211,18 +211,18 @@ void Daemon::reap_closed() {
 }
 
 void Daemon::drain_client(ClientState& client) {
-  std::vector<std::uint8_t> bytes;
+  bool received = false;
   for (;;) {
-    auto n = client.conn->receive(bytes);
+    auto n = client.conn->receive(client.reader.input());
     if (!n) {  // peer closed or transport error
       teardown_client(client);
       client.conn->close();
       return;
     }
     if (*n == 0) break;
+    received = true;
   }
-  if (!bytes.empty()) {
-    client.reader.feed(bytes);
+  if (received) {
     client.last_activity_tick = stats_.ticks;
     // Inbound traffic is proof of life: cancel any outstanding ping.
     client.ping_outstanding = false;

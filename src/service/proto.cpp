@@ -175,41 +175,36 @@ std::vector<std::uint8_t> encode_frame(
   return out;
 }
 
-Expected<Frame> FrameReader::next() {
-  Frame frame;
-  HETPAPI_RETURN_IF_ERROR(next_into(frame));
-  return frame;
-}
-
-Status FrameReader::next_into(Frame& out) {
-  if (corrupt_) {
-    return make_error(StatusCode::kInvalidArgument, "corrupt frame stream");
-  }
+std::vector<std::uint8_t>& FrameReader::input() {
   // Compact lazily so a long-lived connection doesn't grow forever.
   if (consumed_ > 0 && (consumed_ >= buffer_.size() || consumed_ > 4096)) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
     consumed_ = 0;
   }
-  // "No complete frame yet" ends every drain, so it carries no message
-  // to allocate.
+  return buffer_;
+}
+
+FrameView FrameReader::next_view() {
   const std::size_t available = buffer_.size() - consumed_;
-  if (available < 4) return Status(StatusCode::kNotFound);
-  std::uint32_t length = 0;
-  length = load_le<std::uint32_t>(buffer_.data() + consumed_);
+  if (corrupt_ || available < 4) return {};
+  const std::uint8_t* at = buffer_.data() + consumed_;
+  const std::uint32_t length = load_le<std::uint32_t>(at);
   if (length == 0 || length > kMaxFrameBytes) {
     corrupt_ = true;
-    return make_error(StatusCode::kInvalidArgument, "bad frame length");
+    return {};
   }
-  if (available < 4 + static_cast<std::size_t>(length)) {
-    return Status(StatusCode::kNotFound);
-  }
-  out.type = static_cast<MsgType>(buffer_[consumed_ + 4]);
-  out.payload.assign(
-      buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_ + 5),
-      buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_ + 4 + length));
+  if (available < 4 + static_cast<std::size_t>(length)) return {};
   consumed_ += 4 + length;
-  return Status::ok();
+  return {at + 5, length - 1u, static_cast<MsgType>(at[4])};
+}
+
+Expected<Frame> FrameReader::next() {
+  if (const FrameView view = next_view()) return view.frame();
+  // "No complete frame yet" ends every drain, so it carries no message
+  // to allocate.
+  if (!corrupt_) return Status(StatusCode::kNotFound);
+  return make_error(StatusCode::kInvalidArgument, "corrupt frame stream");
 }
 
 // --- messages --------------------------------------------------------------

@@ -196,29 +196,45 @@ std::vector<std::uint8_t> encode_frame(MsgType type,
 void stamp_stream_frame(std::uint8_t* frame, std::size_t size,
                         std::uint32_t subscription_id, std::uint64_t seq);
 
-/// Incremental frame reassembly over an arbitrary byte stream: feed()
-/// whatever the transport delivered (any chunking, including mid-prefix
-/// splits), pop complete frames with next(). A malformed length prefix
-/// poisons the stream permanently — the connection must be dropped.
+/// A frame inside FrameReader's buffer, valid until the reader's next
+/// input(), feed() or next*() call; empty (false) when there is none.
+/// Sixteen bytes, so it is returned in registers.
+struct FrameView {
+  const std::uint8_t* payload = nullptr;
+  std::uint32_t size = 0;
+  MsgType type{};
+
+  explicit operator bool() const { return payload != nullptr; }
+  Frame frame() const { return {type, {payload, payload + size}}; }
+};
+
+/// Incremental frame reassembly over an arbitrary byte stream: receive
+/// or feed() whatever the transport delivered (any chunking, including
+/// mid-prefix splits), pop complete frames with next_view() or next().
+/// A malformed length prefix poisons the stream permanently — the
+/// connection must be dropped.
 class FrameReader {
  public:
+  /// The buffer for a transport to receive onto, after dropping the
+  /// bytes already handed out (lazily: all of them, or past 4 KiB).
+  std::vector<std::uint8_t>& input();
   void feed(const std::uint8_t* data, std::size_t size) {
-    buffer_.insert(buffer_.end(), data, data + size);
+    std::vector<std::uint8_t>& in = input();
+    in.insert(in.end(), data, data + size);
   }
   void feed(const std::vector<std::uint8_t>& bytes) {
     feed(bytes.data(), bytes.size());
   }
 
-  /// kOk with a frame, kNotFound when no complete frame is buffered,
-  /// kInvalidArgument when the stream is corrupt (oversized or empty
-  /// length prefix).
+  /// The next complete frame, or an empty view when none is buffered
+  /// or the stream is corrupt (oversized or empty length prefix).
+  FrameView next_view();
+  /// next_view() copied out: kNotFound when no complete frame is
+  /// buffered, kInvalidArgument when the stream is corrupt.
   Expected<Frame> next();
-  /// next() into a caller-owned frame whose payload capacity is reused,
-  /// so a steady stream of frames does not allocate one per frame.
-  Status next_into(Frame& out);
 
   bool corrupt() const { return corrupt_; }
-  std::size_t buffered_bytes() const { return buffer_.size(); }
+  std::size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
  private:
   std::vector<std::uint8_t> buffer_;

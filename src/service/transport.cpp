@@ -72,6 +72,10 @@ Expected<std::size_t> LoopbackTransport::Endpoint::receive(
   std::size_t n = pipe.buffered();
   if (transport_->config_.max_chunk_bytes > 0) {
     n = std::min(n, transport_->config_.max_chunk_bytes);
+  } else if (out.empty() && pipe.offset == 0) {
+    // The whole pipe goes: swap it in; the pipe keeps out's block.
+    out.swap(pipe.bytes);
+    return n;
   }
   const auto first =
       pipe.bytes.begin() + static_cast<std::ptrdiff_t>(pipe.offset);

@@ -62,7 +62,8 @@ class LoopbackTransport {
  public:
   struct Config {
     /// Deliver at most this many bytes per receive() call (0 = all
-    /// available) — forces the frame reader to reassemble split frames.
+    /// available, swapped into an empty buffer rather than copied) —
+    /// forces the frame reader to reassemble split frames.
     std::size_t max_chunk_bytes = 0;
     /// Cap on bytes a peer may buffer before send() reports would-block
     /// (0 = unlimited). Models a socket send buffer.

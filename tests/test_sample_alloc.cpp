@@ -73,10 +73,10 @@ struct Stack {
 
   static constexpr std::size_t kRiders = 4;
 
-  void init() {
+  void init(LoopbackTransport::Config tconfig = {}) {
     kernel = std::make_unique<simkernel::SimKernel>(cpumodel::raptor_lake_i7_13700());
     backend = std::make_unique<papi::SimBackend>(kernel.get());
-    transport = std::make_unique<LoopbackTransport>();
+    transport = std::make_unique<LoopbackTransport>(tconfig);
     daemon = std::make_unique<Daemon>(kernel.get(), backend.get(), DaemonConfig{});
     std::vector<simkernel::Tid> tids;
     for (const int cpu : {0, 16}) {
@@ -169,6 +169,34 @@ TEST(ServiceSampleAlloc, SteadyTakesIntoAllocateNothingAndTakeSamplesOnce) {
         EXPECT_EQ(sample.parts[0].size(), 2u) << "P and E parts";
       }
     }
+  }
+}
+
+TEST(ServiceSampleAlloc, SteadyTakesIntoOnAChunkedLoopbackAllocateNothing) {
+#ifdef HETPAPI_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime replaces operator new";
+#endif
+  // 64-byte receives split every frame across reader appends, so the
+  // reader's buffer compacts around partial frames on every take.
+  Stack s;
+  ASSERT_NO_FATAL_FAILURE(s.init({.max_chunk_bytes = 64}));
+  // The client drains only what tick() flushed: an idle receive would
+  // otherwise pump the daemon, whose poll is not under test here.
+  s.transport->set_pump(nullptr);
+  std::vector<WireSample> batch;
+  const auto drain_and_take = [&] {
+    while (s.client->pump_once()) {
+    }
+    s.client->take_samples_into(batch);
+  };
+  for (int warm = 0; warm < 4; ++warm) {
+    s.tick();
+    drain_and_take();
+  }
+  for (int t = 0; t < 16; ++t) {
+    s.tick();
+    EXPECT_EQ(allocations_during(drain_and_take), 0u) << "take " << t;
+    ASSERT_EQ(batch.size(), Stack::kRiders);
   }
 }
 

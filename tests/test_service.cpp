@@ -328,6 +328,7 @@ TEST(ServiceProto, FrameReaderPoisonsOnCorruptLengthPrefix) {
   ASSERT_FALSE(frame.has_value());
   EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(reader.corrupt());
+  EXPECT_FALSE(reader.next_view());
 
   FrameReader oversized;
   Writer w;

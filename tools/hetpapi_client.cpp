@@ -254,11 +254,13 @@ int run_monitor(Stack& stack, const Options& opts) {
               opts.machine.c_str(), ack->subscription_id, ack->shared_key_id,
               opts.period);
   bool goodbye_reported = false;
+  std::vector<service::WireSample> samples;  // one buffer for every take
   for (int t = 0; t < opts.ticks; ++t) {
     stack.kernel->run_for(std::chrono::milliseconds(10));
     stack.daemon->tick();
     if (report_goodbye(client, goodbye_reported) && !opts.reconnect) return 1;
-    for (const service::WireSample& sample : client.take_samples()) {
+    client.take_samples_into(samples);
+    for (const service::WireSample& sample : samples) {
       std::printf("tick %llu t=%.3fs:",
                   static_cast<unsigned long long>(sample.tick),
                   sample.t_seconds);
