@@ -195,15 +195,7 @@ void Client::stash_frame(const FrameView& view) {
   // Copied out first: answering a Ping may receive into the reader's
   // buffer, which ends the view.
   const Frame frame = view.frame();
-  if (frame.type == MsgType::kAggSample) {
-    if (auto s = AggSample::decode(frame)) {
-      if (const auto it = live_subs_.find(s->subscription_id);
-          it != live_subs_.end()) {
-        note_sample(it->second, s->tick, s->seq);
-      }
-      agg_samples_.push_back(*std::move(s));
-    }
-  } else if (frame.type == MsgType::kGoodbye) {
+  if (frame.type == MsgType::kGoodbye) {
     if (auto g = Goodbye::decode(frame)) goodbye_reason_ = g->reason;
   } else if (frame.type == MsgType::kPing) {
     answer_ping(frame);
@@ -243,8 +235,7 @@ Expected<Frame> Client::rpc(MsgType expect,
     // already hold the reply.
     if (const FrameView view = reader_.next_view()) {
       idle_passes = 0;
-      if (view.type == MsgType::kSample || view.type == MsgType::kAggSample ||
-          view.type == MsgType::kPing) {
+      if (view.type == MsgType::kSample || view.type == MsgType::kPing) {
         stash_frame(view);
         continue;
       }
@@ -343,30 +334,16 @@ Status Client::try_reconnect(const Status& cause) {
     // replay below registers the new ones.
     live_subs_.clear();
     for (RecordedSub& sub : recorded_subs_) {
-      Status sub_status = Status::ok();
-      if (sub.aggregate) {
-        auto ack = do_subscribe_aggregate(sub.agg_spec);
-        if (ack) {
-          sub.sub_id = ack->subscription_id;
-        } else {
-          sub_status = ack.status();
-        }
-      } else {
-        auto ack = do_subscribe(sub.spec);
-        if (ack) {
-          sub.sub_id = ack->subscription_id;
-        } else {
-          sub_status = ack.status();
-        }
-      }
-      if (sub_status.is_ok()) {
+      auto ack = do_subscribe(sub.spec);
+      if (ack) {
+        sub.sub_id = ack->subscription_id;
         sub.last_seq = 0;
         sub.check_gap = sub.saw_sample;
         sub.gap_unknown = sub.check_gap && !gap_quantifiable;
         continue;
       }
-      if (is_transport_death(sub_status)) {
-        last = sub_status;
+      if (is_transport_death(ack.status())) {
+        last = ack.status();
         wire_died = true;
         break;
       }
@@ -457,28 +434,6 @@ Expected<SubscribeAck> Client::subscribe(const Subscribe& spec) {
   return ack;
 }
 
-Expected<AggSubscribeAck> Client::do_subscribe_aggregate(
-    const AggSubscribe& spec) {
-  auto reply = rpc(MsgType::kSubscribeAggregateAck,
-                   encode_frame(MsgType::kSubscribeAggregate, spec.encode()));
-  if (!reply) return reply.status();
-  auto ack = AggSubscribeAck::decode(*reply);
-  if (ack) live_subs_.try_emplace(ack->subscription_id);
-  return ack;
-}
-
-Expected<AggSubscribeAck> Client::subscribe_aggregate(
-    const AggSubscribe& spec) {
-  auto ack = do_subscribe_aggregate(spec);
-  if (ack && reconnect_enabled_) {
-    RecordedSub sub;
-    sub.aggregate = true;
-    sub.agg_spec = spec;
-    record(std::move(sub), ack->subscription_id, spec.period_ticks);
-  }
-  return ack;
-}
-
 Status Client::unsubscribe(std::uint32_t subscription_id) {
   Unsubscribe msg;
   msg.subscription_id = subscription_id;
@@ -530,11 +485,6 @@ void Client::take_samples_into(std::vector<WireSample>& out) {
   samples_.resize(stashed_);
   out.swap(samples_);
   stashed_ = 0;
-}
-
-std::vector<AggSample> Client::take_agg_samples() {
-  if (connected() || reconnect_enabled_) pump_once();
-  return std::exchange(agg_samples_, {});
 }
 
 }  // namespace hetpapi::service

@@ -90,10 +90,6 @@ class Client {
   /// tells you whether you coalesced onto an existing one, and its
   /// part_names name the parts of every Sample the stream delivers.
   Expected<SubscribeAck> subscribe(const Subscribe& spec);
-  /// Join (or create) an aggregated stream — a merged per-core-type
-  /// rendition with min/max/avg/σ statistics across the daemon's
-  /// downstream tree (or the single local reading on a leaf daemon).
-  Expected<AggSubscribeAck> subscribe_aggregate(const AggSubscribe& spec);
   Status unsubscribe(std::uint32_t subscription_id);
 
   Expected<StatsReply> stats();
@@ -118,10 +114,6 @@ class Client {
   /// loop that reuses one buffer stops allocating once the stream's
   /// shape is steady.
   void take_samples_into(std::vector<WireSample>& out);
-
-  /// The aggregate-stream counterpart of take_samples(): sweep once,
-  /// then hand out every stashed AggSample.
-  std::vector<AggSample> take_agg_samples();
 
   /// Pull bytes off the transport once and stash any completed frames
   /// (samples into the sample queue). Returns true only when bytes
@@ -158,10 +150,8 @@ class Client {
   /// One entry of the recorded subscription set the reconnect machinery
   /// replays on resume.
   struct RecordedSub {
-    bool aggregate = false;
     std::uint32_t original_sub_id = 0;  // first ack, stable caller handle
-    Subscribe spec;        // when !aggregate
-    AggSubscribe agg_spec; // when aggregate
+    Subscribe spec;
     std::uint32_t sub_id = 0;  // current id; 0 = dead (resume refused)
     std::uint32_t period_ticks = 1;
     bool saw_sample = false;
@@ -178,7 +168,7 @@ class Client {
   /// What the client knows about one subscription it currently holds,
   /// keyed by its current id.
   struct LiveSub {
-    /// Parts per slot from the SubscribeAck schema (Samples only).
+    /// Parts per slot from the SubscribeAck schema.
     std::vector<std::uint32_t> part_counts;
     /// Index into recorded_subs_, or kNotRecorded.
     std::size_t recorded = kNotRecorded;
@@ -192,7 +182,7 @@ class Client {
   Expected<bool> receive_some();
   /// Decode-and-stash shared by pump_once and the rpc wait loop.
   void stash_frame(const FrameView& frame);
-  /// Gap/sequence accounting for one delivered (agg)sample.
+  /// Gap/sequence accounting for one delivered sample.
   void note_sample(const LiveSub& live, std::uint64_t tick, std::uint64_t seq);
   /// Append to the recorded set, indexed by the sub's current id.
   void record(RecordedSub sub, std::uint32_t sub_id,
@@ -203,10 +193,9 @@ class Client {
   void answer_ping(const Frame& frame);
   /// The reconnect state machine; returns ok when a resume succeeded.
   Status try_reconnect(const Status& cause);
-  /// rpc-only subscribe paths that do NOT touch the recorded set (the
-  /// public ones record; the resume replay must not re-record).
+  /// rpc-only subscribe path that does NOT touch the recorded set (the
+  /// public one records; the resume replay must not re-record).
   Expected<SubscribeAck> do_subscribe(const Subscribe& spec);
-  Expected<AggSubscribeAck> do_subscribe_aggregate(const AggSubscribe& spec);
 
   std::unique_ptr<Connection> conn_;
   FrameReader reader_;
@@ -214,7 +203,6 @@ class Client {
   /// storage whose buffers the next decodes reuse.
   std::vector<WireSample> samples_;
   std::size_t stashed_ = 0;
-  std::vector<AggSample> agg_samples_;
   std::unordered_map<std::uint32_t, LiveSub> live_subs_;
   std::string goodbye_reason_;
   bool capture_bytes_ = false;

@@ -1,11 +1,8 @@
 #include "service/daemon.hpp"
 
-#include <algorithm>
-#include <climits>
 #include <cmath>
 #include <span>
 
-#include "base/log.hpp"
 #include "base/strings.hpp"
 
 namespace hetpapi::service {
@@ -60,19 +57,6 @@ void Daemon::add_listener(Listener* listener) {
   listeners_.push_back(listener);
 }
 
-void Daemon::add_downstream(std::unique_ptr<Client> client,
-                            ConnectionFactory factory) {
-  Downstream link;
-  link.client = std::move(client);
-  link.factory = std::move(factory);
-  const Status s = link.client->hello(config_.name + "/downstream");
-  link.alive = s.is_ok();
-  if (!link.alive) {
-    HETPAPI_WARN << "downstream handshake failed: " << s.message();
-  }
-  downstreams_.push_back(std::move(link));
-}
-
 Expected<std::string> Daemon::coalescing_key(
     TargetKind kind, std::int64_t target, std::uint32_t period_ticks,
     bool qualified, const std::vector<std::string>& events) const {
@@ -97,15 +81,6 @@ std::size_t Daemon::session_count() const {
 std::size_t Daemon::total_subscriber_count() const {
   std::size_t n = 0;
   for (const auto& [key_id, sub] : shared_subs_) n += sub.subscribers.size();
-  for (const auto& [key_id, agg] : agg_subs_) n += agg.subscribers.size();
-  return n;
-}
-
-std::size_t Daemon::live_downstream_count() const {
-  std::size_t n = 0;
-  for (const Downstream& link : downstreams_) {
-    if (link.alive && link.client->connected()) ++n;
-  }
   return n;
 }
 
@@ -262,9 +237,6 @@ void Daemon::dispatch(ClientState& client, const Frame& frame) {
     case MsgType::kStart: on_start(client, frame); return;
     case MsgType::kRead: on_read(client, frame); return;
     case MsgType::kSubscribe: on_subscribe(client, frame); return;
-    case MsgType::kSubscribeAggregate:
-      on_subscribe_aggregate(client, frame);
-      return;
     case MsgType::kUnsubscribe: on_unsubscribe(client, frame); return;
     case MsgType::kGetStats: on_get_stats(client, frame); return;
     case MsgType::kClose: on_close(client, frame); return;
@@ -315,8 +287,7 @@ Status Daemon::admit(const ClientState& client, std::uint32_t period_ticks,
                       "subscription needs events and period >= 1");
   }
   if (config_.max_subscriptions > 0 &&
-      client.subscriptions.size() + client.agg_subscriptions.size() >=
-          config_.max_subscriptions) {
+      client.subscriptions.size() >= config_.max_subscriptions) {
     ++stats_.overload_rejections;
     return make_error(StatusCode::kOverloaded, "client at max_subscriptions");
   }
@@ -476,7 +447,7 @@ void Daemon::on_subscribe(ClientState& client, const Frame& frame) {
     return;
   }
   const std::uint32_t sub_id = next_subscription_id_++;
-  auto sub = join_subscription(client, sub_id, *msg, /*aggregate=*/false);
+  auto sub = join_subscription(client, sub_id, *msg);
   if (!sub) {
     enqueue_error(client, frame.type, sub.status());
     return;
@@ -485,55 +456,6 @@ void Daemon::on_subscribe(ClientState& client, const Frame& frame) {
   SubscribeAck& ack = (*sub)->ack;
   ack.subscription_id = sub_id;
   enqueue(client, MsgType::kSubscribeAck, ack.encode());
-}
-
-void Daemon::on_subscribe_aggregate(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<AggSubscribe>(client, frame);
-  if (!msg) return;
-  if (const Status s = admit(client, msg->period_ticks, msg->events);
-      !s.is_ok()) {
-    enqueue_error(client, frame.type, s);
-    return;
-  }
-  const std::uint32_t sub_id = next_subscription_id_++;
-  if (downstreams_.empty()) {
-    // Leaf daemon: the aggregate rides the same coalesced qualified
-    // shared subscription a plain Subscribe would create, so its
-    // statistics are the local read verbatim (count=1, σ=0) and it
-    // coalesces with direct subscribers onto one EventSet.
-    Subscribe local;
-    local.target_kind = msg->target_kind;
-    local.target = msg->target;
-    local.events = msg->events;
-    local.period_ticks = msg->period_ticks;
-    local.qualified = 1;
-    auto sub = join_subscription(client, sub_id, local, /*aggregate=*/true);
-    if (!sub) {
-      enqueue_error(client, frame.type, sub.status());
-      return;
-    }
-    client.subscriptions.emplace(sub_id, (*sub)->key_id);
-    AggSubscribeAck ack;
-    ack.subscription_id = sub_id;
-    ack.shared_key_id = (*sub)->key_id;
-    ack.fanin = 1;
-    enqueue(client, MsgType::kSubscribeAggregateAck, ack.encode());
-    return;
-  }
-  auto key_id = join_aggregate(client, sub_id, *msg);
-  if (!key_id) {
-    enqueue_error(client, frame.type, key_id.status());
-    return;
-  }
-  client.agg_subscriptions.emplace(sub_id, *key_id);
-  const AggregateShared& agg = agg_subs_.at(*key_id);
-  AggSubscribeAck ack;
-  ack.subscription_id = sub_id;
-  ack.shared_key_id = *key_id;
-  for (const DownstreamState& st : agg.downstream) {
-    if (st.sub_id != 0) ++ack.fanin;
-  }
-  enqueue(client, MsgType::kSubscribeAggregateAck, ack.encode());
 }
 
 std::vector<std::vector<std::string>> Daemon::part_names_of(
@@ -563,15 +485,14 @@ std::vector<std::vector<std::string>> Daemon::part_names_of(
 }
 
 Expected<Daemon::SharedSubscription*> Daemon::join_subscription(
-    ClientState& client, std::uint32_t subscription_id, const Subscribe& spec,
-    bool aggregate) {
+    ClientState& client, std::uint32_t subscription_id, const Subscribe& spec) {
   auto named = coalescing_key(spec.target_kind, spec.target, spec.period_ticks,
                               spec.qualified != 0, spec.events);
   if (!named) return named.status();
   const std::string& key = *named;
   if (const auto it = key_ids_.find(key); it != key_ids_.end()) {
     SharedSubscription& sub = shared_subs_[it->second];
-    sub.subscribers.push_back({&client, subscription_id, aggregate});
+    sub.subscribers.push_back({&client, subscription_id});
     return &sub;
   }
   auto set = build_eventset(spec.target_kind, spec.target, spec.events);
@@ -592,7 +513,7 @@ Expected<Daemon::SharedSubscription*> Daemon::join_subscription(
                            ? part_names_of(*set)
                            : std::vector<std::vector<std::string>>(
                                  spec.events.size());
-  sub.subscribers.push_back({&client, subscription_id, aggregate});
+  sub.subscribers.push_back({&client, subscription_id});
   key_ids_.emplace(key, sub.key_id);
   const std::uint32_t key_id = sub.key_id;
   return &shared_subs_.emplace(key_id, std::move(sub)).first->second;
@@ -614,72 +535,6 @@ void Daemon::leave_subscription(const ClientState& client, std::uint32_t sub_id,
   shared_subs_.erase(it);
 }
 
-Expected<std::uint32_t> Daemon::join_aggregate(ClientState& client,
-                                               std::uint32_t subscription_id,
-                                               const AggSubscribe& spec) {
-  auto named = coalescing_key(spec.target_kind, spec.target, spec.period_ticks,
-                              /*qualified=*/true, spec.events);
-  if (!named) return named.status();
-  const std::string key = "agg|" + *named;
-  if (const auto it = agg_key_ids_.find(key); it != agg_key_ids_.end()) {
-    agg_subs_[it->second].subscribers.push_back(
-        {&client, subscription_id, true});
-    return it->second;
-  }
-  AggregateShared agg;
-  agg.key = key;
-  agg.spec = spec;
-  agg.period_ticks = spec.period_ticks;
-  agg.slot_count = spec.events.size();
-  agg.downstream.resize(downstreams_.size());
-  std::size_t accepted = 0;
-  for (std::size_t d = 0; d < downstreams_.size(); ++d) {
-    Downstream& link = downstreams_[d];
-    if (!link.alive || !link.client->connected()) continue;
-    auto ack = link.client->subscribe_aggregate(spec);
-    if (!ack) {
-      // A refusing or faulting downstream is skipped, not fatal — its
-      // siblings still feed the merge (the sample just reads
-      // incomplete). A dead link stops being pumped entirely.
-      if (!link.client->connected()) link.alive = false;
-      continue;
-    }
-    agg.downstream[d].sub_id = ack->subscription_id;
-    ++accepted;
-  }
-  if (accepted == 0) {
-    return make_error(StatusCode::kNotRunning,
-                      "no live downstream accepted the aggregate");
-  }
-  agg.key_id = next_agg_key_id_++;
-  agg.subscribers.push_back({&client, subscription_id, true});
-  agg_key_ids_.emplace(key, agg.key_id);
-  const std::uint32_t key_id = agg.key_id;
-  agg_subs_.emplace(key_id, std::move(agg));
-  return key_id;
-}
-
-void Daemon::leave_aggregate(const ClientState& client, std::uint32_t sub_id,
-                             std::uint32_t key_id) {
-  const auto it = agg_subs_.find(key_id);
-  if (it == agg_subs_.end()) return;
-  AggregateShared& agg = it->second;
-  std::erase_if(agg.subscribers, [&](const Rider& rider) {
-    return rider.client == &client && rider.subscription_id == sub_id;
-  });
-  if (!agg.subscribers.empty()) return;
-  // Last rider gone: release the downstream legs.
-  for (std::size_t d = 0; d < downstreams_.size(); ++d) {
-    if (d >= agg.downstream.size() || agg.downstream[d].sub_id == 0) continue;
-    Downstream& link = downstreams_[d];
-    if (link.alive && link.client->connected()) {
-      (void)link.client->unsubscribe(agg.downstream[d].sub_id);
-    }
-  }
-  agg_key_ids_.erase(agg.key);
-  agg_subs_.erase(it);
-}
-
 void Daemon::on_unsubscribe(ClientState& client, const Frame& frame) {
   auto msg = decode_request<Unsubscribe>(client, frame);
   if (!msg) return;
@@ -687,13 +542,6 @@ void Daemon::on_unsubscribe(ClientState& client, const Frame& frame) {
       it != client.subscriptions.end()) {
     leave_subscription(client, it->first, it->second);
     client.subscriptions.erase(it);
-    enqueue(client, MsgType::kUnsubscribeAck, {});
-    return;
-  }
-  if (const auto it = client.agg_subscriptions.find(msg->subscription_id);
-      it != client.agg_subscriptions.end()) {
-    leave_aggregate(client, it->first, it->second);
-    client.agg_subscriptions.erase(it);
     enqueue(client, MsgType::kUnsubscribeAck, {});
     return;
   }
@@ -718,9 +566,6 @@ void Daemon::on_get_stats(ClientState& client, const Frame& frame) {
       static_cast<std::uint32_t>(total_subscriber_count());
   reply.clients_dropped_slow = stats_.clients_dropped_slow;
   reply.clients_closed_idle = stats_.clients_closed_idle;
-  reply.downstreams = static_cast<std::uint32_t>(downstreams_.size());
-  reply.agg_subscriptions = static_cast<std::uint32_t>(agg_subs_.size());
-  reply.agg_samples_delivered = stats_.agg_samples_delivered;
   enqueue(client, MsgType::kStatsReply, reply.encode());
 }
 
@@ -737,10 +582,6 @@ void Daemon::teardown_client(ClientState& client) {
     leave_subscription(client, sub_id, key_id);
   }
   client.subscriptions.clear();
-  for (const auto& [sub_id, key_id] : client.agg_subscriptions) {
-    leave_aggregate(client, sub_id, key_id);
-  }
-  client.agg_subscriptions.clear();
   for (const auto& [session_id, eventset] : client.sessions) {
     (void)library_->force_destroy_eventset(eventset);
   }
@@ -765,18 +606,14 @@ void Daemon::poll() {
 }
 
 void Daemon::deliver(std::vector<Rider>& riders,
-                     const std::vector<std::uint8_t>& sample_frame,
-                     const std::vector<std::uint8_t>& agg_frame) {
+                     const std::vector<std::uint8_t>& frame) {
   for (Rider& rider : riders) {
-    const std::vector<std::uint8_t>& frame =
-        rider.aggregate ? agg_frame : sample_frame;
     OutBuffer& out = rider.client->out;
     const std::size_t at = out.append(frame.data(), frame.size());
     stamp_stream_frame(out.bytes.data() + at, frame.size(),
                        rider.subscription_id, ++rider.seq);
-    ++(rider.aggregate ? stats_.agg_samples_delivered
-                       : stats_.samples_delivered);
   }
+  stats_.samples_delivered += riders.size();
   stats_.frames_sent += riders.size();
 }
 
@@ -847,210 +684,8 @@ void Daemon::serve_subscriptions() {
     sample.t_seconds = t_seconds;
     sample.package_temp_c = temp;
     sample.package_power_w = power;
-    bool any_direct = false;
-    bool any_aggregate = false;
-    for (const Rider& rider : sub.subscribers) {
-      (rider.aggregate ? any_aggregate : any_direct) = true;
-    }
-    if (any_direct) sample.encode_frame_into(sub.frame);
-    if (any_aggregate) {
-      // The leaf rendition of the aggregate stream: one contributor,
-      // so every statistic collapses onto the local reading, and the
-      // parts carry their schema labels, sorted by label.
-      AggSample agg;
-      agg.tick = stats_.ticks;
-      agg.t_seconds = t_seconds;
-      agg.complete = sample.counters_ok;
-      agg.slots.resize(sample.values.size());
-      for (std::size_t s = 0; s < sample.values.size(); ++s) {
-        SlotStats& slot = agg.slots[s];
-        slot.sum = slot.min = slot.max = sample.values[s];
-        slot.avg = static_cast<double>(sample.values[s]);
-        slot.count = 1;
-        const auto& names = sub.ack.part_names;
-        if (s < sample.parts.size() && s < names.size()) {
-          const std::span<const long long> parts = sample.parts[s];
-          for (std::size_t p = 0; p < parts.size() && p < names[s].size(); ++p) {
-            slot.per_core_type.emplace_back(names[s][p], parts[p]);
-          }
-        }
-        std::sort(slot.per_core_type.begin(), slot.per_core_type.end());
-      }
-      sub.agg_frame = encode_frame(MsgType::kAggSample, agg.encode());
-    }
-    deliver(sub.subscribers, sub.frame, sub.agg_frame);
-  }
-}
-
-AggSample Daemon::merge_aggregate(const AggregateShared& agg) const {
-  AggSample out;
-  out.complete = 1;
-  out.slots.resize(agg.slot_count);
-  // A leg contributes its latest sample while its link is alive — a
-  // slow ticker's slightly stale value is still the truth of that
-  // subtree. A DEAD link is excluded entirely: folding its frozen
-  // last sample into every future merge would double-count against
-  // the live siblings' fresh values.
-  const auto leg_alive = [&](std::size_t d) {
-    return agg.downstream[d].sub_id != 0 && d < downstreams_.size() &&
-           downstreams_[d].alive;
-  };
-  // complete means: every configured downstream leg is live, reported
-  // inside this merge window, and was itself complete. A dead leg or a
-  // stale contribution degrades the sample, never blocks it.
-  for (std::size_t d = 0; d < agg.downstream.size(); ++d) {
-    const DownstreamState& st = agg.downstream[d];
-    if (!leg_alive(d) || !st.reported || !st.fresh || !st.latest.complete) {
-      out.complete = 0;
-    }
-  }
-  for (std::size_t s = 0; s < agg.slot_count; ++s) {
-    SlotStats& slot = out.slots[s];
-    // First pass: totals and extrema.
-    std::uint64_t count = 0;
-    long long mn = LLONG_MAX;
-    long long mx = LLONG_MIN;
-    std::map<std::string, long long> parts;
-    for (std::size_t d = 0; d < agg.downstream.size(); ++d) {
-      const DownstreamState& st = agg.downstream[d];
-      if (!leg_alive(d) || !st.reported) continue;
-      if (s >= st.latest.slots.size()) continue;
-      const SlotStats& child = st.latest.slots[s];
-      if (child.count == 0) continue;
-      slot.sum += child.sum;
-      count += child.count;
-      mn = std::min(mn, child.min);
-      mx = std::max(mx, child.max);
-      for (const auto& [label, value] : child.per_core_type) {
-        parts[label] += value;
-      }
-    }
-    if (count == 0) continue;
-    slot.count = static_cast<std::uint32_t>(count);
-    slot.min = mn;
-    slot.max = mx;
-    slot.avg = static_cast<double>(slot.sum) / static_cast<double>(count);
-    // Second pass: exact population-σ composition — combining each
-    // child's variance with its mean's offset from the merged mean
-    // reproduces the flat gather's σ, so a two-level tree reports the
-    // same statistics as one daemon over all the leaves.
-    double weighted_var = 0.0;
-    for (std::size_t d = 0; d < agg.downstream.size(); ++d) {
-      const DownstreamState& st = agg.downstream[d];
-      if (!leg_alive(d) || !st.reported) continue;
-      if (s >= st.latest.slots.size()) continue;
-      const SlotStats& child = st.latest.slots[s];
-      if (child.count == 0) continue;
-      const double delta = child.avg - slot.avg;
-      weighted_var += static_cast<double>(child.count) *
-                      (child.stddev * child.stddev + delta * delta);
-    }
-    slot.stddev = std::sqrt(weighted_var / static_cast<double>(count));
-    slot.per_core_type.assign(parts.begin(), parts.end());
-  }
-  return out;
-}
-
-void Daemon::serve_aggregates() {
-  if (downstreams_.empty() || agg_subs_.empty()) return;
-  // Pump every live downstream once and route its aggregate samples to
-  // the matching leg. One faulting or silent downstream contributes
-  // nothing this window — its siblings still flow below.
-  for (std::size_t d = 0; d < downstreams_.size(); ++d) {
-    Downstream& link = downstreams_[d];
-    if (!link.alive) continue;
-    if (!link.client->connected()) {
-      link.alive = false;
-      continue;
-    }
-    // Drain the link completely: a closed peer leaves its final bytes
-    // (Goodbye) buffered ahead of the error, and the leg must be seen
-    // dead in the same tick so merges stop folding in its frozen last
-    // sample.
-    while (link.client->pump_once()) {
-    }
-    if (!link.client->connected()) link.alive = false;
-    for (AggSample& sample : link.client->take_agg_samples()) {
-      for (auto& [key_id, agg] : agg_subs_) {
-        if (d < agg.downstream.size() &&
-            agg.downstream[d].sub_id == sample.subscription_id &&
-            agg.downstream[d].sub_id != 0) {
-          agg.downstream[d].latest = std::move(sample);
-          agg.downstream[d].reported = true;
-          agg.downstream[d].fresh = true;
-          break;
-        }
-      }
-    }
-  }
-
-  const double t_seconds =
-      kernel_ != nullptr ? kernel_->now().seconds()
-                         : static_cast<double>(stats_.ticks);
-  for (auto& [key_id, agg] : agg_subs_) {
-    bool any_fresh = false;
-    for (const DownstreamState& st : agg.downstream) any_fresh |= st.fresh;
-    if (!any_fresh) continue;  // nothing new — no sample this tick
-    AggSample merged = merge_aggregate(agg);
-    merged.tick = stats_.ticks;
-    merged.t_seconds = t_seconds;
-    agg.frame = encode_frame(MsgType::kAggSample, merged.encode());
-    deliver(agg.subscribers, agg.frame, agg.frame);
-    for (DownstreamState& st : agg.downstream) st.fresh = false;
-  }
-}
-
-void Daemon::heal_downstreams() {
-  for (std::size_t d = 0; d < downstreams_.size(); ++d) {
-    Downstream& link = downstreams_[d];
-    if (link.alive && link.client->connected()) continue;
-    link.alive = false;
-    if (!link.factory) continue;  // factory-less legs stay dead
-    if (stats_.ticks < link.next_retry_tick) continue;
-    ++stats_.reconnects;
-    const auto back_off = [&] {
-      link.backoff_ticks = std::min<std::uint64_t>(link.backoff_ticks * 2, 64);
-      link.next_retry_tick = stats_.ticks + link.backoff_ticks;
-    };
-    auto conn = link.factory();
-    if (!conn) {
-      back_off();
-      continue;
-    }
-    auto fresh = std::make_unique<Client>(std::move(*conn));
-    if (!fresh->hello(config_.name + "/downstream").is_ok()) {
-      back_off();
-      continue;
-    }
-    // Adopt the healed link, then re-subscribe this leg of every
-    // aggregate. The downstream daemon may have restarted, so every
-    // old sub_id is void either way; reported/fresh reset so a stale
-    // pre-outage sample can never fold into a post-heal merge.
-    link.client = std::move(fresh);
-    link.alive = true;
-    link.backoff_ticks = 1;
-    link.next_retry_tick = 0;
-    bool resubscribed_all = true;
-    for (auto& [key_id, agg] : agg_subs_) {
-      if (d >= agg.downstream.size()) continue;
-      DownstreamState& st = agg.downstream[d];
-      auto ack = link.client->subscribe_aggregate(agg.spec);
-      if (!ack) {
-        st.sub_id = 0;
-        resubscribed_all = false;
-        if (!link.client->connected()) {
-          link.alive = false;
-          back_off();
-          break;
-        }
-        continue;
-      }
-      st.sub_id = ack->subscription_id;
-      st.reported = false;
-      st.fresh = false;
-      st.latest = AggSample{};
-    }
-    if (link.alive && resubscribed_all) ++stats_.downstream_reheals;
+    sample.encode_frame_into(sub.frame);
+    deliver(sub.subscribers, sub.frame);
   }
 }
 
@@ -1092,17 +727,12 @@ void Daemon::tick() {
   if (library_ == nullptr || shut_down_) return;
   ++stats_.ticks;
   serve_subscriptions();
-  heal_downstreams();
-  serve_aggregates();
   enforce_liveness();
 
   if (config_.idle_timeout_ticks > 0) {
     for (const auto& client : clients_) {
       if (!client->conn->is_open() || client->closing) continue;
-      if (!client->subscriptions.empty() ||
-          !client->agg_subscriptions.empty()) {
-        continue;
-      }
+      if (!client->subscriptions.empty()) continue;
       if (stats_.ticks - client->last_activity_tick <
           config_.idle_timeout_ticks) {
         continue;
@@ -1141,14 +771,6 @@ void Daemon::shutdown() {
     client->conn->close();
   }
   clients_.clear();
-  // Downstream legs: a polite Close releases the subscriptions we hold
-  // on the next daemon down the tree.
-  for (Downstream& link : downstreams_) {
-    if (link.alive && link.client->connected()) (void)link.client->close();
-    link.alive = false;
-  }
-  agg_subs_.clear();
-  agg_key_ids_.clear();
   // Shared subscriptions whose owners vanished without teardown.
   for (auto& [key_id, sub] : shared_subs_) {
     (void)library_->force_destroy_eventset(sub.eventset);

@@ -10,9 +10,8 @@
 //            complete frames, flush send queues. Never blocks.
 //   tick() — one sampling tick: read every *distinct* shared
 //            subscription once and fan the sample out to all of its
-//            subscribers. Also runs idle-timeout and backpressure
-//            enforcement, and (on an aggregator node) pumps the
-//            downstream daemons and emits merged aggregate samples.
+//            subscribers. Also runs idle-timeout, liveness and
+//            backpressure enforcement.
 //
 // Shared-subscription coalescing is the scaling mechanism: sessions
 // subscribing to the same (target, ordered canonical event list,
@@ -33,18 +32,6 @@
 // client's byte stream. Handing these appends to worker threads cost
 // more than the appends themselves (DESIGN §12).
 //
-// Aggregation tree: add_downstream() hands the daemon a service::Client
-// connected to another hetpapid. A SubscribeAggregate on a daemon
-// *without* downstreams (a leaf) rides the same coalesced shared
-// subscription as a qualified Subscribe and streams AggSample frames
-// with count=1 statistics — so a merged aggregate is, by construction,
-// comparable to a direct subscription. On a daemon *with* downstreams
-// the spec fans out to every live downstream; tick() pumps the
-// downstream clients, folds their AggSamples (ShellPM's gather shape:
-// sum/min/max/avg and exact population-σ composition across the tree)
-// and re-exports the merged per-core-type stream. One dead or stale
-// downstream marks the merge incomplete but never stalls siblings.
-//
 // Robustness reuses PR 4's machinery: per-client send queues are capped
 // (a slow client is dropped, never allowed to wedge the daemon), idle
 // clients without subscriptions time out, shutdown() drains gracefully,
@@ -60,7 +47,6 @@
 #include <vector>
 
 #include "papi/library.hpp"
-#include "service/client.hpp"
 #include "service/proto.hpp"
 #include "service/transport.hpp"
 #include "telemetry/sampler.hpp"
@@ -113,15 +99,12 @@ struct DaemonStats {
   std::uint64_t ticks = 0;
   std::uint64_t backend_reads = 0;
   std::uint64_t samples_delivered = 0;
-  std::uint64_t agg_samples_delivered = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t frames_sent = 0;
   std::uint32_t clients_dropped_slow = 0;
   std::uint32_t clients_closed_idle = 0;
   std::uint32_t protocol_errors = 0;
-  // Self-healing accounting.
-  std::uint64_t reconnects = 0;            // downstream re-dial attempts
-  std::uint64_t downstream_reheals = 0;    // legs fully re-subscribed
+  // Liveness and admission accounting.
   std::uint64_t pings_missed = 0;          // liveness deadlines blown
   std::uint64_t clients_dropped_liveness = 0;
   std::uint64_t overload_rejections = 0;   // admission-control refusals
@@ -145,25 +128,12 @@ class Daemon {
   /// Register a transport listener (non-owning; multiple allowed).
   void add_listener(Listener* listener);
 
-  /// Make this daemon an aggregator node: adopt a client connected to a
-  /// downstream hetpapid. The handshake runs here; a downstream whose
-  /// hello fails is kept (indices stay stable) but marked dead. Add
-  /// every downstream before the first SubscribeAggregate arrives —
-  /// later additions only serve aggregates created after them.
-  /// With a non-empty `factory` the leg self-heals: when its link dies,
-  /// tick() re-dials through the factory under tick-based exponential
-  /// backoff, re-handshakes, and re-subscribes every aggregate's leg so
-  /// merges reconverge to complete=1. Without a factory a dead leg
-  /// stays dead (the pre-PR-9 degraded-merge behaviour).
-  void add_downstream(std::unique_ptr<Client> client,
-                      ConnectionFactory factory = {});
-
   void poll();
   void tick();
 
   /// Graceful drain: Goodbye to every client, bounded flush, close all
-  /// connections and downstream links, release every EventSet. After
-  /// this the backend's fd ledger must be empty. Idempotent.
+  /// connections, release every EventSet. After this the backend's fd
+  /// ledger must be empty. Idempotent.
   void shutdown();
 
   const DaemonStats& stats() const { return stats_; }
@@ -171,9 +141,6 @@ class Daemon {
   std::size_t session_count() const;
   std::size_t distinct_subscription_count() const { return shared_subs_.size(); }
   std::size_t total_subscriber_count() const;
-  std::size_t downstream_count() const { return downstreams_.size(); }
-  std::size_t live_downstream_count() const;
-  std::size_t aggregate_subscription_count() const { return agg_subs_.size(); }
 
   papi::Library* library() { return library_.get(); }
 
@@ -181,14 +148,11 @@ class Daemon {
   struct ClientState;
 
   /// One subscriber of a shared (coalesced) subscription, in subscribe
-  /// order. Aggregate riders joined via SubscribeAggregate on a leaf
-  /// daemon; they receive AggSample frames built from the same read.
-  /// teardown_client() removes a client's riders before the client
-  /// goes away, so `client` never dangles.
+  /// order. teardown_client() removes a client's riders before the
+  /// client goes away, so `client` never dangles.
   struct Rider {
     ClientState* client = nullptr;
     std::uint32_t subscription_id = 0;
-    bool aggregate = false;
     /// Delivery sequence for THIS rider, bumped on every delivery
     /// (first delivered sample carries seq 1). A resubscribe after
     /// reconnect is a new rider, so the client's expectation of a fresh
@@ -209,46 +173,12 @@ class Daemon {
     /// The refcount is subscribers.size().
     std::vector<Rider> subscribers;
     // Per-tick scratch, reused so a steady tick does not allocate: the
-    // qualified or plain reading, the sample it becomes, and the template
-    // frames (the leaf AggSample one only while aggregate riders exist).
+    // qualified or plain reading, the sample it becomes, and its
+    // template frame.
     std::vector<papi::QualifiedReading> reading;
     papi::Reading checked;
     WireSample sample;
     std::vector<std::uint8_t> frame;
-    std::vector<std::uint8_t> agg_frame;
-  };
-
-  /// Per-downstream contribution state of one aggregate, index-aligned
-  /// with downstreams_.
-  struct DownstreamState {
-    std::uint32_t sub_id = 0;  // downstream's subscription id; 0 = dead
-    bool reported = false;     // ever delivered a sample
-    bool fresh = false;        // delivered since the last merge
-    AggSample latest;
-  };
-
-  /// One coalesced aggregate on a node with downstreams (leaf-side
-  /// aggregates live inside SharedSubscription instead).
-  struct AggregateShared {
-    std::uint32_t key_id = 0;
-    std::string key;
-    /// The original wire spec, kept so a healed downstream leg can be
-    /// re-subscribed verbatim.
-    AggSubscribe spec;
-    std::uint32_t period_ticks = 1;
-    std::size_t slot_count = 0;
-    std::vector<DownstreamState> downstream;
-    std::vector<Rider> subscribers;
-    std::vector<std::uint8_t> frame;  // this tick's merged template
-  };
-
-  struct Downstream {
-    std::unique_ptr<Client> client;
-    bool alive = false;
-    /// Self-heal policy: empty = leg stays dead once its link dies.
-    ConnectionFactory factory;
-    std::uint64_t next_retry_tick = 0;
-    std::uint64_t backoff_ticks = 1;
   };
 
   /// A client's outbound stream: frames appended back to back and
@@ -286,8 +216,6 @@ class Daemon {
     std::map<std::uint32_t, int> sessions;  // session id -> EventSet
     /// subscription_id -> shared key_id.
     std::map<std::uint32_t, std::uint32_t> subscriptions;
-    /// subscription_id -> aggregate key_id (node-side aggregates only).
-    std::map<std::uint32_t, std::uint32_t> agg_subscriptions;
   };
 
   void accept_pending();
@@ -299,9 +227,6 @@ class Daemon {
   void flush_client(ClientState& client, std::size_t max_ops = 0);
   void enforce_queue_cap(ClientState& client);
   void reap_closed();
-  /// Re-dial, re-handshake, and re-subscribe dead downstream legs that
-  /// have a factory and are past their backoff deadline.
-  void heal_downstreams();
   /// Ping clients that have been silent too long; drop the ones that
   /// blew ping_max_missed deadlines.
   void enforce_liveness();
@@ -329,7 +254,6 @@ class Daemon {
   void on_start(ClientState& client, const Frame& frame);
   void on_read(ClientState& client, const Frame& frame);
   void on_subscribe(ClientState& client, const Frame& frame);
-  void on_subscribe_aggregate(ClientState& client, const Frame& frame);
   void on_unsubscribe(ClientState& client, const Frame& frame);
   void on_get_stats(ClientState& client, const Frame& frame);
   void on_close(ClientState& client, const Frame& frame);
@@ -337,19 +261,10 @@ class Daemon {
   /// Build (or join) the shared subscription for a canonicalized spec.
   Expected<SharedSubscription*> join_subscription(
       ClientState& client, std::uint32_t subscription_id,
-      const Subscribe& spec, bool aggregate);
+      const Subscribe& spec);
   /// Drop one subscriber; tears the EventSet down on the last one.
   void leave_subscription(const ClientState& client, std::uint32_t sub_id,
                           std::uint32_t key_id);
-  /// Build (or join) a node-side aggregate, fanning the spec out to
-  /// every live downstream; returns the aggregate key_id.
-  Expected<std::uint32_t> join_aggregate(ClientState& client,
-                                         std::uint32_t subscription_id,
-                                         const AggSubscribe& spec);
-  /// Drop one aggregate rider; unsubscribes the downstreams on the
-  /// last one.
-  void leave_aggregate(const ClientState& client, std::uint32_t sub_id,
-                       std::uint32_t key_id);
   /// Release everything a departing client holds.
   void teardown_client(ClientState& client);
 
@@ -372,17 +287,11 @@ class Daemon {
   /// Read one due subscription into its sample scratch.
   void read_into_sample(SharedSubscription& sub);
   void serve_subscriptions();
-  void serve_aggregates();
-  /// The fan-out tail shared by both serve paths: append one stream's
-  /// template to each rider's buffer in subscribe order (a Sample for
-  /// direct riders, an AggSample for aggregate ones) and stamp the
-  /// rider's id and sequence into its copy.
+  /// The fan-out tail: append one subscription's template Sample frame
+  /// to each rider's buffer in subscribe order and stamp the rider's id
+  /// and sequence into its copy.
   void deliver(std::vector<Rider>& riders,
-               const std::vector<std::uint8_t>& sample_frame,
-               const std::vector<std::uint8_t>& agg_frame);
-  /// Fold every reported downstream contribution of one aggregate into
-  /// a merged sample (exact hierarchical min/max/avg/σ composition).
-  AggSample merge_aggregate(const AggregateShared& agg) const;
+               const std::vector<std::uint8_t>& frame);
 
   simkernel::SimKernel* kernel_;
   papi::Backend* backend_;
@@ -395,16 +304,12 @@ class Daemon {
   std::vector<std::unique_ptr<ClientState>> clients_;
   std::map<std::uint32_t, SharedSubscription> shared_subs_;  // by key_id
   std::map<std::string, std::uint32_t> key_ids_;             // key -> key_id
-  std::vector<Downstream> downstreams_;
-  std::map<std::uint32_t, AggregateShared> agg_subs_;  // by agg key_id
-  std::map<std::string, std::uint32_t> agg_key_ids_;
 
   DaemonStats stats_;
   std::uint32_t next_client_id_ = 1;
   std::uint32_t next_session_id_ = 1;
   std::uint32_t next_subscription_id_ = 1;
   std::uint32_t next_key_id_ = 1;
-  std::uint32_t next_agg_key_id_ = 1;
   bool shut_down_ = false;
 };
 

@@ -71,9 +71,6 @@ std::string_view to_string(MsgType type) noexcept {
     case MsgType::kCloseAck: return "CloseAck";
     case MsgType::kError: return "Error";
     case MsgType::kGoodbye: return "Goodbye";
-    case MsgType::kSubscribeAggregate: return "SubscribeAggregate";
-    case MsgType::kSubscribeAggregateAck: return "SubscribeAggregateAck";
-    case MsgType::kAggSample: return "AggSample";
     case MsgType::kPing: return "Ping";
     case MsgType::kPong: return "Pong";
   }
@@ -111,12 +108,6 @@ Expected<std::int64_t> Reader::i64() {
   if (!take(8)) return truncated();
   pos_ += 8;
   return static_cast<std::int64_t>(load_le<std::uint64_t>(data_ + pos_ - 8));
-}
-
-Expected<double> Reader::f64() {
-  if (!take(8)) return truncated();
-  pos_ += 8;
-  return std::bit_cast<double>(load_le<std::uint64_t>(data_ + pos_ - 8));
 }
 
 // Length-prefixed fields check the whole length against what remains
@@ -238,26 +229,6 @@ Status read_target(Reader& r, TargetKind& kind, std::int64_t& target) {
   kind = static_cast<TargetKind>(raw);
   target = r.i64().value_or(0);
   return Status::ok();
-}
-
-/// (label, value) pairs: u32 count, then a string and an i64 each.
-void write_labelled(
-    Writer& w, const std::vector<std::pair<std::string, long long>>& list) {
-  w.u32(static_cast<std::uint32_t>(list.size()));
-  for (const auto& [name, value] : list) {
-    w.str(name);
-    w.i64(value);
-  }
-}
-
-std::vector<std::pair<std::string, long long>> read_labelled(Reader& r) {
-  const std::uint32_t count = r.u32().value_or(0);
-  std::vector<std::pair<std::string, long long>> out;
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    std::string name = r.str().value_or("");
-    out.emplace_back(std::move(name), r.i64().value_or(0));
-  }
-  return out;
 }
 
 }  // namespace
@@ -582,86 +553,6 @@ Status WireSample::decode_into(const std::uint8_t* p, std::size_t size,
   return Status::ok();
 }
 
-std::vector<std::uint8_t> AggSubscribe::encode() const {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(target_kind));
-  w.i64(target);
-  w.str_list(events);
-  w.u32(period_ticks);
-  return w.take();
-}
-
-Expected<AggSubscribe> AggSubscribe::decode(const Frame& frame) {
-  Reader r = frame.reader();
-  AggSubscribe m;
-  HETPAPI_RETURN_IF_ERROR(read_target(r, m.target_kind, m.target));
-  m.events = r.str_list().value_or({});
-  m.period_ticks = r.u32().value_or(0);
-  HETPAPI_RETURN_IF_ERROR(finish(r, "SubscribeAggregate"));
-  return m;
-}
-
-std::vector<std::uint8_t> AggSubscribeAck::encode() const {
-  Writer w;
-  w.u32(subscription_id);
-  w.u32(shared_key_id);
-  w.u32(fanin);
-  return w.take();
-}
-
-Expected<AggSubscribeAck> AggSubscribeAck::decode(const Frame& frame) {
-  Reader r = frame.reader();
-  AggSubscribeAck m;
-  m.subscription_id = r.u32().value_or(0);
-  m.shared_key_id = r.u32().value_or(0);
-  m.fanin = r.u32().value_or(0);
-  HETPAPI_RETURN_IF_ERROR(finish(r, "SubscribeAggregateAck"));
-  return m;
-}
-
-std::vector<std::uint8_t> AggSample::encode() const {
-  Writer w;
-  w.u32(subscription_id);
-  w.u64(tick);
-  w.f64(t_seconds);
-  w.u8(complete);
-  w.u32(static_cast<std::uint32_t>(slots.size()));
-  for (const SlotStats& slot : slots) {
-    w.i64(slot.sum);
-    w.i64(slot.min);
-    w.i64(slot.max);
-    w.f64(slot.avg);
-    w.f64(slot.stddev);
-    w.u32(slot.count);
-    write_labelled(w, slot.per_core_type);
-  }
-  w.u64(seq);  // LAST: patched at frame end by the fan-out
-  return w.take();
-}
-
-Expected<AggSample> AggSample::decode(const Frame& frame) {
-  Reader r = frame.reader();
-  AggSample m;
-  m.subscription_id = r.u32().value_or(0);
-  m.tick = r.u64().value_or(0);
-  m.t_seconds = r.f64().value_or(0.0);
-  m.complete = r.u8().value_or(0);
-  const std::uint32_t slots = r.u32().value_or(0);
-  for (std::uint32_t i = 0; i < slots && r.ok(); ++i) {
-    SlotStats& slot = m.slots.emplace_back();
-    slot.sum = r.i64().value_or(0);
-    slot.min = r.i64().value_or(0);
-    slot.max = r.i64().value_or(0);
-    slot.avg = r.f64().value_or(0.0);
-    slot.stddev = r.f64().value_or(0.0);
-    slot.count = r.u32().value_or(0);
-    slot.per_core_type = read_labelled(r);
-  }
-  m.seq = r.u64().value_or(0);
-  HETPAPI_RETURN_IF_ERROR(finish(r, "AggSample"));
-  return m;
-}
-
 std::vector<std::uint8_t> GetStats::encode() const { return {}; }
 
 Expected<GetStats> GetStats::decode(const Frame& frame) {
@@ -682,9 +573,6 @@ std::vector<std::uint8_t> StatsReply::encode() const {
   w.u32(total_subscribers);
   w.u32(clients_dropped_slow);
   w.u32(clients_closed_idle);
-  w.u32(downstreams);
-  w.u32(agg_subscriptions);
-  w.u64(agg_samples_delivered);
   return w.take();
 }
 
@@ -702,9 +590,6 @@ Expected<StatsReply> StatsReply::decode(const Frame& frame) {
   m.total_subscribers = r.u32().value_or(0);
   m.clients_dropped_slow = r.u32().value_or(0);
   m.clients_closed_idle = r.u32().value_or(0);
-  m.downstreams = r.u32().value_or(0);
-  m.agg_subscriptions = r.u32().value_or(0);
-  m.agg_samples_delivered = r.u64().value_or(0);
   HETPAPI_RETURN_IF_ERROR(finish(r, "StatsReply"));
   return m;
 }

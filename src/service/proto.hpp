@@ -21,11 +21,9 @@
 //
 // Message catalogue (see DESIGN.md §9 for the full table):
 //   client -> daemon: Hello, OpenSession, AddEvents, Start, Read,
-//                     Subscribe, Unsubscribe, SubscribeAggregate,
-//                     GetStats, Close, Ping
+//                     Subscribe, Unsubscribe, GetStats, Close, Ping
 //   daemon -> client: HelloAck, OpenSessionAck, AddEventsAck, StartAck,
 //                     ReadReply, SubscribeAck, UnsubscribeAck, Sample
-//                     (streamed), SubscribeAggregateAck, AggSample
 //                     (streamed), StatsReply, CloseAck, Error, Goodbye,
 //                     Ping/Pong (liveness, either direction)
 #pragma once
@@ -45,7 +43,7 @@ namespace hetpapi::service {
 
 /// The one protocol version the daemon speaks. Bumped on any wire
 /// change; there is no negotiation and no down-level shape.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// Upper bound on one frame's payload (type byte included); a length
 /// prefix beyond this is a protocol error, not an allocation request.
@@ -73,9 +71,8 @@ enum class MsgType : std::uint8_t {
   kCloseAck = 19,
   kError = 20,
   kGoodbye = 21,
-  kSubscribeAggregate = 22,
-  kSubscribeAggregateAck = 23,
-  kAggSample = 24,
+  // 22-24 are retired (the verbs of a removed daemon-tree mode) and stay
+  // unused, so a daemon answers them as unknown types.
   // Liveness (either direction; the peer echoes the token).
   kPing = 25,
   kPong = 26,
@@ -109,11 +106,6 @@ class Writer {
     for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xffu);
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
   void str(std::string_view s) {
     // Reserve before the length prefix: GCC 12's -Wstringop-overflow
     // misfires on the insert when the push_backs above get inlined and
@@ -156,7 +148,6 @@ class Reader {
   Expected<std::uint32_t> u32();
   Expected<std::uint64_t> u64();
   Expected<std::int64_t> i64();
-  Expected<double> f64();
   Expected<std::string> str();
   Expected<std::vector<std::string>> str_list();
   Expected<std::vector<long long>> i64_list();
@@ -190,9 +181,9 @@ struct Frame {
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        const std::vector<std::uint8_t>& payload);
 
-/// Stamp one rider's copy of a streamed Sample/AggSample template frame
-/// (`size` bytes, header included): both put the subscription id first
-/// in the payload and the sequence number last.
+/// Stamp one rider's copy of a streamed Sample template frame (`size`
+/// bytes, header included): the subscription id is first in the
+/// payload and the sequence number last.
 void stamp_stream_frame(std::uint8_t* frame, std::size_t size,
                         std::uint32_t subscription_id, std::uint64_t seq);
 
@@ -458,71 +449,6 @@ struct WireSample {
                             WireSample& out);
 };
 
-/// Join (or create) an aggregated stream for one event spec. On a
-/// leaf daemon this rides the same coalesced shared subscription as a
-/// qualified Subscribe; on a daemon with downstreams it fans the spec
-/// out to every downstream and re-exports the merged stream. Aggregate
-/// reads are always qualified — the per-core-type breakdown is the
-/// point of the merge.
-struct AggSubscribe {
-  TargetKind target_kind = TargetKind::kDefault;
-  std::int64_t target = 0;
-  std::vector<std::string> events;
-  std::uint32_t period_ticks = 1;
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<AggSubscribe> decode(const Frame& frame);
-};
-
-struct AggSubscribeAck {
-  std::uint32_t subscription_id = 0;
-  /// Identity of the server-side aggregate this rider joined (same
-  /// oracle role as SubscribeAck::shared_key_id).
-  std::uint32_t shared_key_id = 0;
-  /// Number of merge contributors: 1 on a leaf daemon, the downstream
-  /// count on an aggregator node.
-  std::uint32_t fanin = 0;
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<AggSubscribeAck> decode(const Frame& frame);
-};
-
-/// Per-event-slot statistics over the aggregate's contributors
-/// (ShellPM's PerfWatch gather shape: min/max/avg/σ across ranks; here
-/// the "ranks" are downstream daemons, or the single local reading on
-/// a leaf).
-struct SlotStats {
-  long long sum = 0;
-  long long min = 0;
-  long long max = 0;
-  double avg = 0.0;
-  double stddev = 0.0;  // population σ across contributors
-  std::uint32_t count = 0;  // contributors folded into this slot
-  /// Additive per-core-type totals, merged by label across
-  /// contributors and sorted by label for byte determinism.
-  std::vector<std::pair<std::string, long long>> per_core_type;
-};
-
-/// Streamed aggregate record. subscription_id is deliberately the
-/// first payload field and seq the last: the daemon encodes one
-/// template frame per aggregate per due tick and patches both per
-/// subscriber. Per-core-type parts keep their labels here, because
-/// merges fold them by label across downstreams.
-struct AggSample {
-  std::uint32_t subscription_id = 0;
-  std::uint64_t tick = 0;
-  double t_seconds = 0.0;
-  /// 1 when every live contributor reported this tick; 0 when the
-  /// merge proceeded with a subset (a downstream was stale or dead).
-  std::uint8_t complete = 1;
-  std::vector<SlotStats> slots;  // one per subscribed event
-  /// Per-subscription delivery sequence (see WireSample::seq).
-  std::uint64_t seq = 0;
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<AggSample> decode(const Frame& frame);
-};
-
 struct GetStats {
   std::vector<std::uint8_t> encode() const;
   static Expected<GetStats> decode(const Frame& frame);
@@ -542,10 +468,6 @@ struct StatsReply {
   std::uint32_t total_subscribers = 0;
   std::uint32_t clients_dropped_slow = 0;
   std::uint32_t clients_closed_idle = 0;
-  // Aggregation accounting.
-  std::uint32_t downstreams = 0;
-  std::uint32_t agg_subscriptions = 0;
-  std::uint64_t agg_samples_delivered = 0;
 
   std::vector<std::uint8_t> encode() const;
   static Expected<StatsReply> decode(const Frame& frame);

@@ -28,8 +28,10 @@ void LoopbackTransport::set_client_paused(std::size_t index, bool paused) {
 
 Expected<std::unique_ptr<Connection>> LoopbackTransport::LoopbackListener::
     accept() {
+  // "No connection waiting" ends every poll's accept loop, so it carries
+  // no message to allocate.
   if (transport_->pending_accepts_.empty()) {
-    return make_error(StatusCode::kNotFound, "no pending connection");
+    return Status(StatusCode::kNotFound);
   }
   std::unique_ptr<Connection> conn =
       std::move(transport_->pending_accepts_.front());
@@ -178,7 +180,7 @@ class UnixListener final : public Listener {
       }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return make_error(StatusCode::kNotFound, "no pending connection");
+        return Status(StatusCode::kNotFound);  // none waiting; no message
       }
       return make_error(StatusCode::kSystem,
                         std::string("accept: ") + std::strerror(errno));

@@ -51,8 +51,9 @@ class Listener {
  public:
   virtual ~Listener() = default;
 
-  /// The next pending connection, or kNotFound when none is waiting
-  /// (never blocks — the daemon polls).
+  /// The next pending connection, or a message-less kNotFound when none
+  /// is waiting (never blocks — the daemon polls every tick, so an empty
+  /// accept must not allocate).
   virtual Expected<std::unique_ptr<Connection>> accept() = 0;
 };
 

@@ -11,7 +11,6 @@
 #include "papi/library.hpp"
 #include "papi/sim_backend.hpp"
 #include "papi/sysdetect.hpp"
-#include "service/stats_report.hpp"
 #include "simkernel/kernel.hpp"
 
 namespace hetpapi {
@@ -360,45 +359,6 @@ TEST(GoldenReports, NativeAvailOrangePi) {
   (none)
 
 22 native events total
-)GOLDEN");
-}
-
-TEST(GoldenReports, AggregateStatsReport) {
-  // The `hetpapi_client --stats` rendering of one merged AggSample,
-  // pinned byte-for-byte on synthetic values (no simulation in the
-  // loop, so a diff here is a formatting change, never noise).
-  service::AggSample sample;
-  sample.tick = 12;
-  sample.t_seconds = 0.06;
-  sample.complete = 0;
-  service::SlotStats ins;
-  ins.sum = 300000;
-  ins.min = 90000;
-  ins.max = 110000;
-  ins.avg = 100000.0;
-  ins.stddev = 8164.965809;
-  ins.count = 3;
-  ins.per_core_type = {{"INST_RETIRED:ANY[intel_atom]", 120000},
-                       {"INST_RETIRED:ANY[intel_core]", 180000}};
-  service::SlotStats cyc;
-  cyc.sum = 450000;
-  cyc.min = 140000;
-  cyc.max = 160000;
-  cyc.avg = 150000.0;
-  cyc.stddev = 0.0;
-  cyc.count = 3;
-  sample.slots = {ins, cyc};
-  EXPECT_EQ(
-      service::render_agg_stats_report({"PAPI_TOT_INS", "PAPI_TOT_CYC"},
-                                       sample),
-      R"GOLDEN(aggregate statistics @ tick 12 (t=0.060s, partial)
-+--------------+--------+--------+--------+----------+--------+---+
-| event        | sum    | min    | max    | avg      | stddev | n |
-+--------------+--------+--------+--------+----------+--------+---+
-| PAPI_TOT_INS | 300000 |  90000 | 110000 | 100000.0 | 8165.0 | 3 |
-| PAPI_TOT_CYC | 450000 | 140000 | 160000 | 150000.0 |    0.0 | 3 |
-+--------------+--------+--------+--------+----------+--------+---+
-PAPI_TOT_INS per-core-type: INST_RETIRED:ANY[intel_atom]=120000 INST_RETIRED:ANY[intel_core]=180000
 )GOLDEN");
 }
 

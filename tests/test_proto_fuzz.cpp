@@ -19,7 +19,7 @@
 //      are then thrown at every decoder) or poisons the reader; both
 //      are fine, crashing is not.
 //
-// Case volume: kRounds rounds x (24 message shapes x 3 mutations)
+// Case volume: kRounds rounds x (21 message shapes x 3 mutations)
 // plus the stream soup — comfortably past 10k cases per run.
 #include <gtest/gtest.h>
 
@@ -42,7 +42,7 @@ using namespace hetpapi::service;
 using Bytes = std::vector<std::uint8_t>;
 using Rng = std::mt19937_64;
 
-constexpr int kRounds = 160;  // 160 * 24 * 3 = 11520 mutation cases
+constexpr int kRounds = 160;  // 160 * 21 * 3 = 10080 mutation cases
 
 std::string rand_str(Rng& rng) {
   std::string s;
@@ -99,15 +99,6 @@ SampleParts rand_sample_parts(Rng& rng, std::size_t slots) {
   for (std::size_t i = 0; i < slots; ++i) {
     const std::vector<long long> parts = rand_i64_list(rng);
     std::copy(parts.begin(), parts.end(), out.add_slot(parts.size()).begin());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, long long>> rand_parts(Rng& rng) {
-  std::vector<std::pair<std::string, long long>> out;
-  const std::size_t len = rng() % 4;
-  for (std::size_t i = 0; i < len; ++i) {
-    out.emplace_back(rand_str(rng), static_cast<long long>(rng()));
   }
   return out;
 }
@@ -246,48 +237,6 @@ const Shape kShapes[] = {
        return m.encode();
      },
      &redecode<WireSample>},
-    {MsgType::kSubscribeAggregate,
-     [](Rng& rng) {
-       AggSubscribe m;
-       m.target_kind = rand_kind(rng);
-       m.target = static_cast<std::int64_t>(rng());
-       m.events = rand_str_list(rng);
-       m.period_ticks = static_cast<std::uint32_t>(rng());
-       return m.encode();
-     },
-     &redecode<AggSubscribe>},
-    {MsgType::kSubscribeAggregateAck,
-     [](Rng& rng) {
-       AggSubscribeAck m;
-       m.subscription_id = static_cast<std::uint32_t>(rng());
-       m.shared_key_id = static_cast<std::uint32_t>(rng());
-       m.fanin = static_cast<std::uint32_t>(rng());
-       return m.encode();
-     },
-     &redecode<AggSubscribeAck>},
-    {MsgType::kAggSample,
-     [](Rng& rng) {
-       AggSample m;
-       m.subscription_id = static_cast<std::uint32_t>(rng());
-       m.tick = rng();
-       m.t_seconds = rand_f64(rng);
-       m.complete = static_cast<std::uint8_t>(rng());
-       const std::size_t slots = rng() % 3;
-       for (std::size_t i = 0; i < slots; ++i) {
-         SlotStats slot;
-         slot.sum = static_cast<long long>(rng());
-         slot.min = static_cast<long long>(rng());
-         slot.max = static_cast<long long>(rng());
-         slot.avg = rand_f64(rng);
-         slot.stddev = rand_f64(rng);
-         slot.count = static_cast<std::uint32_t>(rng());
-         slot.per_core_type = rand_parts(rng);
-         m.slots.push_back(std::move(slot));
-       }
-       m.seq = rng();
-       return m.encode();
-     },
-     &redecode<AggSample>},
     {MsgType::kGetStats, [](Rng&) { return GetStats{}.encode(); },
      &redecode<GetStats>},
     {MsgType::kStatsReply,
@@ -304,9 +253,6 @@ const Shape kShapes[] = {
        m.total_subscribers = static_cast<std::uint32_t>(rng());
        m.clients_dropped_slow = static_cast<std::uint32_t>(rng());
        m.clients_closed_idle = static_cast<std::uint32_t>(rng());
-       m.downstreams = static_cast<std::uint32_t>(rng());
-       m.agg_subscriptions = static_cast<std::uint32_t>(rng());
-       m.agg_samples_delivered = rng();
        return m.encode();
      },
      &redecode<StatsReply>},

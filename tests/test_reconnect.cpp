@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cpumodel/machine.hpp"
+#include "papi/fault_injection.hpp"
 #include "papi/sim_backend.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -427,6 +428,69 @@ TEST(ServiceReconnect, HandshakeAgainstASilentDaemonIsBounded) {
   Status st = client.hello("nobody-home");
   ASSERT_FALSE(st.is_ok());
   EXPECT_EQ(st.code(), StatusCode::kInterrupted);
+}
+
+TEST(ServiceSelfHealChaos, MixedWireAndBackendFaultsSoakCleanly) {
+  // The full gauntlet on one daemon: its backend injects transient read
+  // faults while the client's end of the link runs the mixed wire
+  // profile (short/zero writes, EAGAIN bursts, random disconnects,
+  // half-closes, stalls). The stream must keep making progress — a
+  // severed link re-dials under backoff — and every ledger must read
+  // clean afterwards.
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend sim(&kernel);
+  papi::FaultInjectingBackend injector(
+      &sim, *papi::FaultProfile::named("transient-read"), /*seed=*/7);
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(PhaseSpec{}, 4'000'000'000ull),
+      CpuSet::of({0}));
+  LoopbackTransport transport;
+  FaultyTransport links(*TransportFaultProfile::named("mixed"), 29);
+  {
+    Daemon daemon(&kernel, &injector, DaemonConfig{});
+    ASSERT_TRUE(daemon.init().is_ok());
+    daemon.add_listener(transport.listener());
+    transport.set_pump([&daemon] { daemon.poll(); });
+    const ConnectionFactory dial =
+        [&]() -> Expected<std::unique_ptr<Connection>> {
+      return links.wrap(transport.connect());
+    };
+    Client client(links.wrap(transport.connect()));
+    client.enable_reconnect(dial);
+    ASSERT_TRUE(client.hello("soak").is_ok());
+    Subscribe spec;
+    spec.target_kind = TargetKind::kThread;
+    spec.target = tid;
+    spec.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
+    auto sub = client.subscribe(spec);
+    ASSERT_TRUE(sub.has_value()) << sub.status().message();
+
+    // Long enough for the profile to sever the link at least once.
+    constexpr int kSteps = 200;
+    std::size_t received = 0;
+    for (int t = 0; t < kSteps; ++t) {
+      kernel.run_for(std::chrono::milliseconds(10));
+      daemon.poll();
+      daemon.tick();
+      for (const WireSample& sample : client.take_samples()) {
+        ++received;
+        EXPECT_EQ(sample.values.size(), spec.events.size());
+      }
+    }
+    // Progress, not perfection: wire and backend faults may cost some
+    // ticks, but the stream never stalls outright.
+    EXPECT_GE(received, static_cast<std::size_t>(kSteps) / 2);
+    EXPECT_GE(client.resume_stats().reconnects, 1u) << "a severed link healed";
+    EXPECT_GT(links.total_injected(), 0u) << "the wire profile fired";
+    EXPECT_GT(injector.stats().total_injected(), 0u)
+        << "the backend profile fired";
+    (void)client.close();
+    daemon.shutdown();
+    EXPECT_EQ(injector.open_fd_count(), 0u)
+        << "leaked: " << testing::PrintToString(injector.leaked_fds());
+    EXPECT_EQ(sim.open_fd_count(), 0u);
+  }
+  EXPECT_EQ(links.open_connection_count(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Heap allocations on both ends of a streamed sample: the daemon's tick
-// and the client's sample hand-off. This executable replaces the global
-// operator new with a counting one, which is why it is a suite of its
-// own: no other test binary sees the counter. Under HETPAPI_SANITIZE
-// the sanitizer runtime owns operator new, so the replacement is left
-// out and the suite skips.
+// and idle poll, and the client's sample hand-off. This executable
+// replaces the global operator new with a counting one, which is why it
+// is a suite of its own: no other test binary sees the counter. Under
+// HETPAPI_SANITIZE the sanitizer runtime owns operator new, so the
+// replacement is left out and the suite skips.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -198,6 +198,27 @@ TEST(ServiceSampleAlloc, SteadyTakesIntoOnAChunkedLoopbackAllocateNothing) {
     EXPECT_EQ(allocations_during(drain_and_take), 0u) << "take " << t;
     ASSERT_EQ(batch.size(), Stack::kRiders);
   }
+}
+
+TEST(ServiceSampleAlloc, IdleDaemonPollAllocatesNothing) {
+#ifdef HETPAPI_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime replaces operator new";
+#endif
+  // Between ticks the daemon polls with nothing to accept, receive or
+  // flush: an empty accept must not build an error message.
+  Stack s;
+  ASSERT_NO_FATAL_FAILURE(s.init());
+  std::vector<WireSample> batch;
+  for (int warm = 0; warm < 4; ++warm) {
+    s.tick();
+    s.client->take_samples_into(batch);
+    ASSERT_EQ(batch.size(), Stack::kRiders);
+  }
+  for (int p = 0; p < 16; ++p) {
+    EXPECT_EQ(allocations_during([&] { s.daemon->poll(); }), 0u)
+        << "poll " << p;
+  }
+  EXPECT_EQ(s.daemon->client_count(), 1u);
 }
 
 }  // namespace

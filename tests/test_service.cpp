@@ -58,7 +58,6 @@ TEST(ServiceProto, ScalarAndStringRoundTrip) {
   w.u32(0xdeadbeefu);
   w.u64(0x0123456789abcdefull);
   w.i64(-42);
-  w.f64(3.25);
   w.str("hello");
   w.str_list({"a", "", "bc"});
   w.i64_list({-1, 0, 7});
@@ -68,7 +67,6 @@ TEST(ServiceProto, ScalarAndStringRoundTrip) {
   EXPECT_EQ(*r.u32(), 0xdeadbeefu);
   EXPECT_EQ(*r.u64(), 0x0123456789abcdefull);
   EXPECT_EQ(*r.i64(), -42);
-  EXPECT_EQ(*r.f64(), 3.25);
   EXPECT_EQ(*r.str(), "hello");
   EXPECT_EQ(*r.str_list(), (std::vector<std::string>{"a", "", "bc"}));
   EXPECT_EQ(*r.i64_list(), (std::vector<long long>{-1, 0, 7}));
@@ -444,10 +442,11 @@ TEST(ServiceDaemon, RequestBeforeHelloIsRefused) {
 }
 
 TEST(ServiceDaemon, VersionMismatchIsRefused) {
-  // One wire version: every earlier version (v1 to v4) and one from
-  // the future each get a kNotSupported Error naming version 5, and the
-  // daemon hangs up.
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 999u}) {
+  // One wire version: every earlier version (v1 to v5) and one from
+  // the future each get a kNotSupported Error naming version 6, and the
+  // daemon hangs up without serving the Subscribe sent right behind
+  // the Hello.
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 999u}) {
     SCOPED_TRACE(testing::Message() << "v" << version);
     Harness h;
     ASSERT_TRUE(h.init().is_ok());
@@ -455,8 +454,15 @@ TEST(ServiceDaemon, VersionMismatchIsRefused) {
     Hello hello;
     hello.version = version;
     hello.client_name = "mismatched";
-    const auto frame = encode_frame(MsgType::kHello, hello.encode());
-    ASSERT_TRUE(conn->send(frame.data(), frame.size()).has_value());
+    std::vector<std::uint8_t> frames =
+        encode_frame(MsgType::kHello, hello.encode());
+    Subscribe spec;
+    spec.target_kind = TargetKind::kThread;
+    spec.target = h.tid;
+    spec.events = {"PAPI_TOT_INS"};
+    const auto subscribe = encode_frame(MsgType::kSubscribe, spec.encode());
+    frames.insert(frames.end(), subscribe.begin(), subscribe.end());
+    ASSERT_TRUE(conn->send(frames.data(), frames.size()).has_value());
     h.daemon->poll();
 
     std::vector<std::uint8_t> bytes;
@@ -469,11 +475,77 @@ TEST(ServiceDaemon, VersionMismatchIsRefused) {
     auto err = WireError::decode(*reply);
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
-    EXPECT_NE(err->message.find("version 5"), std::string::npos)
+    EXPECT_NE(err->message.find("version 6"), std::string::npos)
         << err->message;
+    EXPECT_FALSE(reader.next().has_value()) << "nothing after the refusal";
     h.daemon->poll();
     EXPECT_EQ(h.daemon->client_count(), 0u);
+    EXPECT_EQ(h.daemon->distinct_subscription_count(), 0u);
   }
+}
+
+TEST(ServiceDaemon, RetiredTypeNumbersAreRefusedAndTheConnectionServesOn) {
+  // Types 22-24 are retired, never reused: after Hello, a frame of type
+  // 22 gets a kNotSupported Error like any unknown type, and the same
+  // connection still subscribes and streams.
+  Harness h;
+  ASSERT_TRUE(h.init().is_ok());
+  auto conn = h.transport->connect();
+  FrameReader reader;
+  const auto send = [&](MsgType type,
+                        const std::vector<std::uint8_t>& payload) {
+    const auto frame = encode_frame(type, payload);
+    EXPECT_TRUE(conn->send(frame.data(), frame.size()).has_value());
+    h.daemon->poll();
+  };
+  const auto next = [&]() -> Expected<Frame> {
+    std::vector<std::uint8_t> bytes;
+    (void)conn->receive(bytes);
+    reader.feed(bytes);
+    return reader.next();
+  };
+
+  Hello hello;
+  hello.client_name = "retired-types";
+  send(MsgType::kHello, hello.encode());
+  auto hello_ack = next();
+  ASSERT_TRUE(hello_ack.has_value());
+  ASSERT_EQ(hello_ack->type, MsgType::kHelloAck);
+  const std::uint32_t errors_before = h.daemon->stats().protocol_errors;
+
+  send(static_cast<MsgType>(22), {1, 2, 3, 4});
+  auto refusal = next();
+  ASSERT_TRUE(refusal.has_value());
+  ASSERT_EQ(refusal->type, MsgType::kError);
+  auto err = WireError::decode(*refusal);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->to_status().code(), StatusCode::kNotSupported);
+  EXPECT_EQ(err->in_reply_to, 22u);
+  EXPECT_EQ(h.daemon->stats().protocol_errors, errors_before + 1);
+  EXPECT_EQ(h.daemon->client_count(), 1u);
+
+  Subscribe spec;
+  spec.target_kind = TargetKind::kThread;
+  spec.target = h.tid;
+  spec.events = {"PAPI_TOT_INS"};
+  send(MsgType::kSubscribe, spec.encode());
+  auto reply = next();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kSubscribeAck);
+  auto ack = SubscribeAck::decode(*reply);
+  ASSERT_TRUE(ack.has_value());
+
+  h.advance_and_tick();
+  auto streamed = next();
+  ASSERT_TRUE(streamed.has_value());
+  ASSERT_EQ(streamed->type, MsgType::kSample);
+  auto sample = WireSample::decode(*streamed);
+  ASSERT_TRUE(sample.has_value());
+  EXPECT_EQ(sample->subscription_id, ack->subscription_id);
+  EXPECT_EQ(sample->seq, 1u);
+  ASSERT_EQ(sample->values.size(), 1u);
+  EXPECT_GT(sample->values[0], 0);
+  EXPECT_EQ(h.daemon->stats().protocol_errors, errors_before + 1);
 }
 
 TEST(ServiceDaemon, UnknownEventFailsAtomicallyAndSessionSurvives) {
@@ -1046,6 +1118,9 @@ TEST(ServiceRobustness, GoodbyeArrivingMidRpcFailsTheRpcCleanly) {
 }
 
 TEST(ServiceRobustness, SlowClientDropReleasesItsAggregateRider) {
+  // The dropped client is the second rider of a shared qualified key
+  // and the only rider of a direct one: the drop must free the key it
+  // owns and leave the shared one to the survivor.
   Harness h;
   DaemonConfig config;
   config.max_client_queue_frames = 4;
@@ -1053,21 +1128,23 @@ TEST(ServiceRobustness, SlowClientDropReleasesItsAggregateRider) {
   Client keeper = h.connect("keeper");  // connection index 0
   Client doomed = h.connect("doomed");  // connection index 1
 
-  AggSubscribe agg;
-  agg.target_kind = TargetKind::kThread;
-  agg.target = h.tid;
-  agg.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
-  auto keeper_agg = keeper.subscribe_aggregate(agg);
-  ASSERT_TRUE(keeper_agg.has_value()) << keeper_agg.status().message();
-  auto doomed_agg = doomed.subscribe_aggregate(agg);
-  ASSERT_TRUE(doomed_agg.has_value());
-  EXPECT_EQ(doomed_agg->shared_key_id, keeper_agg->shared_key_id);
+  Subscribe shared;
+  shared.target_kind = TargetKind::kThread;
+  shared.target = h.tid;
+  shared.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
+  shared.qualified = 1;
+  auto keeper_sub = keeper.subscribe(shared);
+  ASSERT_TRUE(keeper_sub.has_value()) << keeper_sub.status().message();
+  auto doomed_sub = doomed.subscribe(shared);
+  ASSERT_TRUE(doomed_sub.has_value());
+  EXPECT_EQ(doomed_sub->shared_key_id, keeper_sub->shared_key_id);
   Subscribe direct;
   direct.target_kind = TargetKind::kThread;
   direct.target = h.tids[1];
   direct.events = {"PAPI_TOT_INS"};
   ASSERT_TRUE(doomed.subscribe(direct).has_value());
   EXPECT_EQ(h.daemon->distinct_subscription_count(), 2u);
+  EXPECT_EQ(h.daemon->total_subscriber_count(), 3u);
 
   h.transport->set_client_paused(1, true);
   for (int t = 0; t < 8; ++t) {
@@ -1077,16 +1154,21 @@ TEST(ServiceRobustness, SlowClientDropReleasesItsAggregateRider) {
   EXPECT_EQ(h.daemon->stats().clients_dropped_slow, 1u);
   EXPECT_EQ(h.daemon->client_count(), 1u);
   // Everything the dropped client held is released: its direct
-  // subscription's EventSet torn down, its aggregate ride detached —
-  // only the keeper's rider remains on the coalesced aggregate.
+  // subscription's EventSet torn down, its shared ride detached — only
+  // the keeper's rider remains on the coalesced key.
   EXPECT_EQ(h.daemon->distinct_subscription_count(), 1u);
   EXPECT_EQ(h.daemon->total_subscriber_count(), 1u);
 
   // The surviving rider keeps streaming.
-  (void)keeper.take_agg_samples();
+  (void)keeper.take_samples();
   h.advance_and_tick();
   (void)keeper.pump_once();
-  EXPECT_FALSE(keeper.take_agg_samples().empty());
+  const std::vector<WireSample> samples = keeper.take_samples();
+  ASSERT_FALSE(samples.empty());
+  for (const WireSample& sample : samples) {
+    EXPECT_EQ(sample.subscription_id, keeper_sub->subscription_id);
+    EXPECT_EQ(sample.parts.size(), shared.events.size());
+  }
   EXPECT_TRUE(keeper.goodbye_reason().empty());
 }
 

@@ -1,7 +1,7 @@
 // hetpapi_client: drive the counter-service daemon from the command
 // line. Two subcommands mirror the classic perf workflow:
 //
-//   hetpapi_client stat    — one session, aggregate counts over a run
+//   hetpapi_client stat    — one session, total counts over a run
 //   hetpapi_client monitor — one shared subscription, streamed samples
 //
 // The daemon runs in-process over the deterministic loopback transport
@@ -10,16 +10,10 @@
 // a real hetpapid over a unix socket (see examples/counter_service.cpp
 // for the socket wiring).
 //
-// With --aggregate N the monitor subcommand builds an in-process
-// aggregation tree instead: N leaf daemons (each over its own simulated
-// machine + workload) feed one aggregator node, and the client
-// subscribes the merged per-core-type stream at the node. --stats
-// renders the final ShellPM-style min/max/avg/σ table.
-//
 //   hetpapi_client stat    [--machine M] [--events a,b,...] [--ms N]
 //   hetpapi_client monitor [--machine M] [--events a,b,...]
 //                          [--period P] [--ticks N] [--qualified]
-//                          [--aggregate N] [--stats] [--reconnect]
+//                          [--reconnect]
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -28,7 +22,6 @@
 
 #include "base/cli.hpp"
 #include "base/strings.hpp"
-#include "service/stats_report.hpp"
 #include "cpumodel/machine.hpp"
 #include "papi/sim_backend.hpp"
 #include "service/client.hpp"
@@ -51,8 +44,6 @@ struct Options {
   int period = 1;          // monitor: ticks between samples
   int ticks = 10;          // monitor: sampling ticks to run
   bool qualified = false;  // monitor: stream per-PMU constituents
-  int aggregate = 0;       // monitor: leaf daemons under an aggregator
-  bool stats = false;      // monitor: render the final statistics table
   bool reconnect = false;  // auto-reconnect across transport loss
 };
 
@@ -67,8 +58,6 @@ struct Options {
       "  --period P    monitor: ticks between samples (default 1)\n"
       "  --ticks N     monitor: sampling ticks to run (default 10)\n"
       "  --qualified   monitor: stream per-PMU constituent values\n"
-      "  --aggregate N monitor: aggregate N leaf daemons under one node\n"
-      "  --stats       monitor: render the final min/max/avg/stddev table\n"
       "  --reconnect   re-dial, re-handshake and resubscribe when the\n"
       "                transport dies (exits non-zero otherwise)\n");
   std::exit(2);
@@ -83,10 +72,6 @@ Options parse_options(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--qualified") {
       opts.qualified = true;
-      continue;
-    }
-    if (arg == "--stats") {
-      opts.stats = true;
       continue;
     }
     if (arg == "--reconnect") {
@@ -109,15 +94,10 @@ Options parse_options(int argc, char** argv) {
       opts.period = static_cast<int>(cli::require_positive_int(arg, value));
     } else if (arg == "--ticks") {
       opts.ticks = static_cast<int>(cli::require_positive_int(arg, value));
-    } else if (arg == "--aggregate") {
-      opts.aggregate = static_cast<int>(cli::require_positive_int(arg, value));
     } else {
       usage();
     }
   }
-  // --stats reads the aggregate stream; give it a two-leaf tree unless
-  // the caller sized one explicitly.
-  if (opts.stats && opts.aggregate == 0) opts.aggregate = 2;
   return opts;
 }
 
@@ -162,15 +142,13 @@ struct Stack {
   std::unique_ptr<service::Daemon> daemon;
   simkernel::Tid tid{};
 
-  Status init(const Options& opts, const std::string& name = "hetpapid") {
+  Status init(const Options& opts) {
     kernel = std::make_unique<simkernel::SimKernel>(
         machine_by_name(opts.machine));
     backend = std::make_unique<papi::SimBackend>(kernel.get());
     transport = std::make_unique<service::LoopbackTransport>();
-    service::DaemonConfig config;
-    config.name = name;
     daemon = std::make_unique<service::Daemon>(kernel.get(), backend.get(),
-                                               config);
+                                               service::DaemonConfig{});
     tid = kernel->spawn(
         std::make_shared<workload::FixedWorkProgram>(workload::PhaseSpec{},
                                                      4'000'000'000ull),
@@ -297,142 +275,10 @@ int run_monitor(Stack& stack, const Options& opts) {
   return 0;
 }
 
-/// The aggregation tree: N leaf stacks (each its own machine +
-/// workload) feeding one aggregator node the end client talks to.
-struct AggTree {
-  std::vector<std::unique_ptr<Stack>> leaves;
-  std::unique_ptr<simkernel::SimKernel> node_kernel;
-  std::unique_ptr<papi::SimBackend> node_backend;
-  std::unique_ptr<service::LoopbackTransport> node_transport;
-  std::unique_ptr<service::Daemon> node;
-
-  Status init(const Options& opts) {
-    for (int i = 0; i < opts.aggregate; ++i) {
-      auto leaf = std::make_unique<Stack>();
-      if (Status s = leaf->init(opts, str_format("hetpapid-leaf%d", i));
-          !s.is_ok()) {
-        return s;
-      }
-      leaves.push_back(std::move(leaf));
-    }
-    node_kernel = std::make_unique<simkernel::SimKernel>(
-        machine_by_name(opts.machine));
-    node_backend = std::make_unique<papi::SimBackend>(node_kernel.get());
-    service::DaemonConfig config;
-    config.name = "hetpapid-root";
-    node = std::make_unique<service::Daemon>(node_kernel.get(),
-                                             node_backend.get(), config);
-    if (Status s = node->init(); !s.is_ok()) return s;
-    node_transport = std::make_unique<service::LoopbackTransport>();
-    node->add_listener(node_transport->listener());
-    node_transport->set_pump([this] { node->poll(); });
-    for (auto& leaf : leaves) {
-      node->add_downstream(
-          std::make_unique<Client>(leaf->transport->connect()));
-    }
-    return Status::ok();
-  }
-
-  /// One lock-step tick of the whole tree: leaves sample first, then
-  /// the node pumps and merges.
-  void tick(std::chrono::milliseconds dt) {
-    for (auto& leaf : leaves) {
-      leaf->kernel->run_for(dt);
-      leaf->daemon->tick();
-    }
-    node_kernel->run_for(dt);
-    node->poll();
-    node->tick();
-  }
-
-  void shutdown() {
-    if (node != nullptr) node->shutdown();
-    for (auto& leaf : leaves) leaf->daemon->shutdown();
-  }
-};
-
-int run_aggregate(AggTree& tree, const Options& opts) {
-  Client client(tree.node_transport->connect());
-  if (opts.reconnect) {
-    client.enable_reconnect(
-        [&tree]() -> Expected<std::unique_ptr<service::Connection>> {
-          return tree.node_transport->connect();
-        });
-  }
-  if (const Status s = client.hello("hetpapi_client"); !s.is_ok()) {
-    std::fprintf(stderr, "hello: %s\n", s.to_string().c_str());
-    return 1;
-  }
-  service::AggSubscribe spec;
-  spec.target_kind = TargetKind::kThread;
-  // Every leaf spawns its workload first, so the tid is identical on
-  // each downstream machine.
-  spec.target = tree.leaves.front()->tid;
-  spec.events = opts.events;
-  spec.period_ticks = static_cast<std::uint32_t>(opts.period);
-  auto ack = client.subscribe_aggregate(spec);
-  if (!ack.has_value()) {
-    std::fprintf(stderr, "subscribe_aggregate: %s\n",
-                 ack.status().to_string().c_str());
-    return 1;
-  }
-  std::printf(
-      "aggregating %d x %s (subscription %u, fan-in %u, period %d)\n",
-      opts.aggregate, opts.machine.c_str(), ack->subscription_id, ack->fanin,
-      opts.period);
-  service::AggSample last;
-  bool have_sample = false;
-  bool goodbye_reported = false;
-  for (int t = 0; t < opts.ticks; ++t) {
-    tree.tick(std::chrono::milliseconds(10));
-    if (report_goodbye(client, goodbye_reported) && !opts.reconnect) return 1;
-    for (const service::AggSample& sample : client.take_agg_samples()) {
-      std::printf("tick %llu t=%.3fs%s:",
-                  static_cast<unsigned long long>(sample.tick),
-                  sample.t_seconds, sample.complete ? "" : " (partial)");
-      for (std::size_t i = 0; i < sample.slots.size(); ++i) {
-        const service::SlotStats& slot = sample.slots[i];
-        std::printf("  %s sum=%lld min=%lld max=%lld", opts.events[i].c_str(),
-                    slot.sum, slot.min, slot.max);
-      }
-      std::printf("\n");
-      last = sample;
-      have_sample = true;
-    }
-  }
-  if (opts.stats && have_sample) {
-    std::printf("%s",
-                service::render_agg_stats_report(opts.events, last).c_str());
-  }
-  auto stats = client.stats();
-  if (stats.has_value()) {
-    std::printf(
-        "root daemon: %llu ticks, %u downstreams, %u aggregates, %llu "
-        "aggregate samples delivered\n",
-        static_cast<unsigned long long>(stats->ticks), stats->downstreams,
-        stats->agg_subscriptions,
-        static_cast<unsigned long long>(stats->agg_samples_delivered));
-  }
-  if (opts.reconnect) print_resume_stats(client);
-  if (report_goodbye(client, goodbye_reported) && !opts.reconnect) return 1;
-  static_cast<void>(client.close());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opts = parse_options(argc, argv);
-  if (opts.command == "monitor" && opts.aggregate > 0) {
-    AggTree tree;
-    if (const Status s = tree.init(opts); !s.is_ok()) {
-      std::fprintf(stderr, "aggregator init: %s\n", s.to_string().c_str());
-      return 1;
-    }
-    const int rc = run_aggregate(tree, opts);
-    tree.shutdown();
-    return rc;
-  }
   Stack stack;
   if (const Status s = stack.init(opts); !s.is_ok()) {
     std::fprintf(stderr, "daemon init: %s\n", s.to_string().c_str());
