@@ -337,6 +337,171 @@ TEST(ServiceProto, FrameReaderPoisonsOnCorruptLengthPrefix) {
   EXPECT_TRUE(oversized.corrupt());
 }
 
+/// Lowercase hex of a byte string, for pinning exact frames.
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+/// Frame `m` as `type`, compare the frame's bytes with `want_hex`, then
+/// decode it back through a FrameReader and compare every field via
+/// `tie` (a function from the message to a tuple of its fields).
+template <typename M, typename Tie>
+void expect_frame_bytes(MsgType type, const M& m, std::string_view want_hex,
+                        Tie tie) {
+  SCOPED_TRACE(std::string(to_string(type)));
+  const std::vector<std::uint8_t> frame = encode_frame(type, m.encode());
+  EXPECT_EQ(hex(frame), want_hex);
+  FrameReader reader;
+  reader.feed(frame);
+  auto got = reader.next();
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->type, type);
+  auto decoded = M::decode(*got);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().message();
+  EXPECT_TRUE(tie(*decoded) == tie(m));
+}
+
+TEST(ServiceProto, EveryMessageKeepsItsBytes) {
+  // One fixed instance of every message, framed: the exact bytes are
+  // the wire format, so a codec change that reorders, resizes or
+  // re-prefixes any field fails here, not only in a round trip. Each
+  // hex string is the length prefix and type byte, then one literal
+  // per field.
+  const auto none = [](const auto&) { return std::tuple<>(); };
+  expect_frame_bytes(
+      MsgType::kHello, Hello{6, "cli"},
+      "0c000000" "01" "06000000" "03000000" "636c69",
+      [](const Hello& m) { return std::tie(m.version, m.client_name); });
+  expect_frame_bytes(
+      MsgType::kHelloAck, HelloAck{6, 3, "hetpapid", 0x0102030405060708ull},
+      "1d000000" "02" "06000000" "03000000"
+      "08000000" "6865747061706964" "0807060504030201",
+      [](const HelloAck& m) {
+        return std::tie(m.version, m.client_id, m.server_name, m.epoch);
+      });
+  expect_frame_bytes(
+      MsgType::kOpenSession, OpenSession{TargetKind::kCpu, -5},
+      "0a000000" "03" "02" "fbffffffffffffff",
+      [](const OpenSession& m) { return std::tie(m.target_kind, m.target); });
+  expect_frame_bytes(
+      MsgType::kOpenSessionAck, OpenSessionAck{9},
+      "05000000" "04" "09000000",
+      [](const OpenSessionAck& m) { return std::tie(m.session_id); });
+  expect_frame_bytes(
+      MsgType::kAddEvents, AddEvents{4, {"PAPI_TOT_INS", ""}},
+      "1d000000" "05" "04000000"
+      "02000000" "0c000000" "504150495f544f545f494e53" "00000000",
+      [](const AddEvents& m) { return std::tie(m.session_id, m.events); });
+  expect_frame_bytes(
+      MsgType::kAddEventsAck, AddEventsAck{{"adl_glc::INST_RETIRED:ANY"}},
+      "22000000" "06"
+      "01000000" "19000000"
+      "61646c5f676c633a3a494e53545f524554495245443a414e59",
+      [](const AddEventsAck& m) { return std::tie(m.canonical_names); });
+  expect_frame_bytes(
+      MsgType::kStart, Start{2}, "05000000" "07" "02000000",
+      [](const Start& m) { return std::tie(m.session_id); });
+  expect_frame_bytes(
+      MsgType::kRead, Read{3}, "05000000" "09" "03000000",
+      [](const Read& m) { return std::tie(m.session_id); });
+  expect_frame_bytes(
+      MsgType::kReadReply, ReadReply{{-1, 42}, {0, 1}},
+      "1b000000" "0a"
+      "02000000" "ffffffffffffffff" "2a00000000000000"
+      "02000000" "0001",
+      [](const ReadReply& m) { return std::tie(m.values, m.degraded); });
+  expect_frame_bytes(
+      MsgType::kSubscribe, Subscribe{TargetKind::kThread, 17, {"X", "Y"}, 4, 1},
+      "1d000000" "0b" "01" "1100000000000000"
+      "02000000" "01000000" "58" "01000000" "59" "04000000" "01",
+      [](const Subscribe& m) {
+        return std::tie(m.target_kind, m.target, m.events, m.period_ticks,
+                        m.qualified);
+      });
+  expect_frame_bytes(
+      MsgType::kSubscribeAck, SubscribeAck{5, 2, {{"p[c]", "q"}, {}}},
+      "22000000" "0c" "05000000" "02000000"
+      "02000000" "02000000" "04000000" "705b635d" "01000000" "71"
+      "00000000",
+      [](const SubscribeAck& m) {
+        return std::tie(m.subscription_id, m.shared_key_id, m.part_names);
+      });
+  expect_frame_bytes(
+      MsgType::kUnsubscribe, Unsubscribe{5}, "05000000" "0d" "05000000",
+      [](const Unsubscribe& m) { return std::tie(m.subscription_id); });
+  expect_frame_bytes(MsgType::kGetStats, GetStats{}, "01000000" "10", none);
+  expect_frame_bytes(
+      MsgType::kStatsReply, StatsReply{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+      "41000000" "11"
+      "0100000000000000" "0200000000000000" "0300000000000000"
+      "0400000000000000" "0500000000000000"
+      "06000000" "07000000" "08000000" "09000000" "0a000000" "0b000000",
+      [](const StatsReply& m) {
+        return std::tie(m.ticks, m.backend_reads, m.samples_delivered,
+                        m.frames_received, m.frames_sent, m.active_clients,
+                        m.active_sessions, m.distinct_subscriptions,
+                        m.total_subscribers, m.clients_dropped_slow,
+                        m.clients_closed_idle);
+      });
+  expect_frame_bytes(MsgType::kClose, Close{}, "01000000" "12", none);
+  expect_frame_bytes(MsgType::kCloseAck, CloseAck{}, "01000000" "13", none);
+  expect_frame_bytes(
+      MsgType::kError, WireError{-3, 9, "no"},
+      "0c000000" "14" "fdffffff" "09" "02000000" "6e6f",
+      [](const WireError& m) {
+        return std::tie(m.code, m.in_reply_to, m.message);
+      });
+  expect_frame_bytes(
+      MsgType::kGoodbye, Goodbye{"bye"}, "08000000" "15" "03000000" "627965",
+      [](const Goodbye& m) { return std::tie(m.reason); });
+  expect_frame_bytes(
+      MsgType::kPing, Ping{0xfeedull}, "09000000" "19" "edfe000000000000",
+      [](const Ping& m) { return std::tie(m.token); });
+  expect_frame_bytes(
+      MsgType::kPong, Pong{0xbeefull}, "09000000" "1a" "efbe000000000000",
+      [](const Pong& m) { return std::tie(m.token); });
+
+  const auto sample_fields = [](const WireSample& m) {
+    return std::tie(m.subscription_id, m.tick, m.t_seconds, m.values,
+                    m.degraded, m.counters_ok, m.package_temp_c,
+                    m.package_power_w, m.parts, m.seq);
+  };
+  WireSample plain;
+  plain.subscription_id = 7;
+  plain.tick = 11;
+  plain.t_seconds = 0.5;
+  plain.values = {100, -2};
+  plain.package_temp_c = 45.5;
+  plain.package_power_w = 12.25;
+  plain.seq = 3;
+  expect_frame_bytes(
+      MsgType::kSample, plain,
+      "4c000000" "0f" "07000000" "0b00000000000000" "000000000000e03f"
+      "02000000" "6400000000000000" "feffffffffffffff" "0000" "01"
+      "0000000000c04640" "0000000000802840" "00000000" "00000000"
+      "0300000000000000",
+      sample_fields);
+  WireSample qualified = plain;
+  qualified.values = {100, 50};
+  qualified.degraded = {0, 1};
+  qualified.parts = {{60, 40}, {50}};
+  qualified.seq = 4;
+  expect_frame_bytes(
+      MsgType::kSample, qualified,
+      "64000000" "0f" "07000000" "0b00000000000000" "000000000000e03f"
+      "02000000" "6400000000000000" "3200000000000000" "0001" "01"
+      "0000000000c04640" "0000000000802840" "02000000" "01000000"
+      "3c00000000000000" "2800000000000000" "3200000000000000"
+      "0400000000000000",
+      sample_fields);
+}
+
 // --- loopback daemon harness ----------------------------------------------
 
 struct Harness {
