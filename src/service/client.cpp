@@ -168,16 +168,6 @@ void Client::reindex_recorded() {
   }
 }
 
-void Client::answer_ping(const Frame& frame) {
-  auto ping = Ping::decode(frame);
-  if (!ping) return;
-  Pong pong;
-  pong.token = ping->token;
-  // Best effort: a liveness echo that fails to send will surface as a
-  // transport error on the next real operation.
-  (void)send_all(encode_frame(MsgType::kPong, pong.encode()));
-}
-
 void Client::stash_frame(const FrameView& view) {
   if (view.type == MsgType::kSample) {
     // Decode straight into the next stash slot, reusing its buffers.
@@ -192,13 +182,17 @@ void Client::stash_frame(const FrameView& view) {
     ++stashed_;
     return;
   }
-  // Copied out first: answering a Ping may receive into the reader's
-  // buffer, which ends the view.
-  const Frame frame = view.frame();
-  if (frame.type == MsgType::kGoodbye) {
-    if (auto g = Goodbye::decode(frame)) goodbye_reason_ = g->reason;
-  } else if (frame.type == MsgType::kPing) {
-    answer_ping(frame);
+  if (view.type == MsgType::kGoodbye) {
+    if (auto g = decode_payload<Goodbye>(view.bytes())) {
+      goodbye_reason_ = g->reason;
+    }
+  } else if (view.type == MsgType::kPing) {
+    // Decoded before the echo, whose send may receive into the reader's
+    // buffer and so end the view. Best effort: an echo that fails to
+    // send surfaces as a transport error on the next real operation.
+    if (auto ping = decode_payload<Ping>(view.bytes())) {
+      (void)send_all(encode_frame(Pong{ping->token}));
+    }
   }
 }
 
@@ -221,8 +215,8 @@ bool Client::pump_once() {
   return true;
 }
 
-Expected<Frame> Client::rpc(MsgType expect,
-                            const std::vector<std::uint8_t>& frame_bytes) {
+Expected<FrameView> Client::rpc(MsgType expect,
+                                const std::vector<std::uint8_t>& frame_bytes) {
   if (Status s = send_all(frame_bytes); !s.is_ok()) return s;
   // The request is fully on the wire for THIS connection; if a resume
   // swaps the connection while we wait, the reply died with it.
@@ -239,22 +233,21 @@ Expected<Frame> Client::rpc(MsgType expect,
         stash_frame(view);
         continue;
       }
-      Frame frame = view.frame();
-      if (frame.type == expect) return frame;
-      if (frame.type == MsgType::kError) {
-        auto err = WireError::decode(frame);
+      if (view.type == expect) return view;
+      if (view.type == MsgType::kError) {
+        auto err = decode_payload<WireError>(view.bytes());
         if (!err) return err.status();
         return err->to_status();
       }
-      if (frame.type == MsgType::kGoodbye) {
-        auto bye = Goodbye::decode(frame);
+      if (view.type == MsgType::kGoodbye) {
+        auto bye = decode_payload<Goodbye>(view.bytes());
         goodbye_reason_ = bye ? bye->reason : "goodbye";
         return Status(StatusCode::kNotRunning,
                       "daemon said goodbye: " + goodbye_reason_);
       }
       // Unexpected interleaved reply — protocol confusion.
       return Status(StatusCode::kBug,
-                    "unexpected frame " + std::string(to_string(frame.type)) +
+                    "unexpected frame " + std::string(to_string(view.type)) +
                         " while waiting for " + std::string(to_string(expect)));
     }
     if (reader_.corrupt()) {
@@ -275,14 +268,16 @@ Expected<Frame> Client::rpc(MsgType expect,
   }
 }
 
+template <typename Reply, typename Request>
+Expected<Reply> Client::call(const Request& request) {
+  auto reply = rpc(Reply::kType, encode_frame(request));
+  if (!reply) return reply.status();
+  return decode_payload<Reply>(reply->bytes());
+}
+
 Status Client::hello(const std::string& client_name) {
   client_name_ = client_name;
-  Hello msg;
-  msg.client_name = client_name;
-  auto reply = rpc(MsgType::kHelloAck,
-                   encode_frame(MsgType::kHello, msg.encode()));
-  if (!reply) return reply.status();
-  auto ack = HelloAck::decode(*reply);
+  auto ack = call<HelloAck>(Hello{kProtocolVersion, client_name});
   if (!ack) return ack.status();
   if (ack->version != kProtocolVersion)
     return Status(StatusCode::kNotSupported,
@@ -370,51 +365,26 @@ Status Client::try_reconnect(const Status& cause) {
 
 Expected<std::uint32_t> Client::open_session(TargetKind kind,
                                              std::int64_t target) {
-  OpenSession msg;
-  msg.target_kind = kind;
-  msg.target = target;
-  auto reply = rpc(MsgType::kOpenSessionAck,
-                   encode_frame(MsgType::kOpenSession, msg.encode()));
-  if (!reply) return reply.status();
-  auto ack = OpenSessionAck::decode(*reply);
+  auto ack = call<OpenSessionAck>(OpenSession{kind, target});
   if (!ack) return ack.status();
   return ack->session_id;
 }
 
 Expected<AddEventsAck> Client::add_events(
     std::uint32_t session_id, const std::vector<std::string>& events) {
-  AddEvents msg;
-  msg.session_id = session_id;
-  msg.events = events;
-  auto reply = rpc(MsgType::kAddEventsAck,
-                   encode_frame(MsgType::kAddEvents, msg.encode()));
-  if (!reply) return reply.status();
-  return AddEventsAck::decode(*reply);
+  return call<AddEventsAck>(AddEvents{session_id, events});
 }
 
 Status Client::start(std::uint32_t session_id) {
-  Start msg;
-  msg.session_id = session_id;
-  auto reply =
-      rpc(MsgType::kStartAck, encode_frame(MsgType::kStart, msg.encode()));
-  if (!reply) return reply.status();
-  return Status::ok();
+  return call<StartAck>(Start{session_id}).status();
 }
 
 Expected<ReadReply> Client::read(std::uint32_t session_id) {
-  Read msg;
-  msg.session_id = session_id;
-  auto reply =
-      rpc(MsgType::kReadReply, encode_frame(MsgType::kRead, msg.encode()));
-  if (!reply) return reply.status();
-  return ReadReply::decode(*reply);
+  return call<ReadReply>(Read{session_id});
 }
 
 Expected<SubscribeAck> Client::do_subscribe(const Subscribe& spec) {
-  auto reply = rpc(MsgType::kSubscribeAck,
-                   encode_frame(MsgType::kSubscribe, spec.encode()));
-  if (!reply) return reply.status();
-  auto ack = SubscribeAck::decode(*reply);
+  auto ack = call<SubscribeAck>(spec);
   if (!ack) return ack;
   LiveSub& live = live_subs_[ack->subscription_id];
   live.part_counts.clear();
@@ -435,11 +405,10 @@ Expected<SubscribeAck> Client::subscribe(const Subscribe& spec) {
 }
 
 Status Client::unsubscribe(std::uint32_t subscription_id) {
-  Unsubscribe msg;
-  msg.subscription_id = subscription_id;
-  auto reply = rpc(MsgType::kUnsubscribeAck,
-                   encode_frame(MsgType::kUnsubscribe, msg.encode()));
-  if (!reply) return reply.status();
+  if (Status s = call<UnsubscribeAck>(Unsubscribe{subscription_id}).status();
+      !s.is_ok()) {
+    return s;
+  }
   live_subs_.erase(subscription_id);
   std::erase_if(recorded_subs_, [&](const RecordedSub& sub) {
     return sub.sub_id == subscription_id;
@@ -448,23 +417,16 @@ Status Client::unsubscribe(std::uint32_t subscription_id) {
   return Status::ok();
 }
 
-Expected<StatsReply> Client::stats() {
-  auto reply = rpc(MsgType::kStatsReply,
-                   encode_frame(MsgType::kGetStats, GetStats{}.encode()));
-  if (!reply) return reply.status();
-  return StatsReply::decode(*reply);
-}
+Expected<StatsReply> Client::stats() { return call<StatsReply>(GetStats{}); }
 
 Status Client::close() {
   // Intentional teardown: a connection we close on purpose must not be
   // healed behind the caller's back.
   reconnect_enabled_ = false;
   if (!connected()) return Status::ok();
-  auto reply =
-      rpc(MsgType::kCloseAck, encode_frame(MsgType::kClose, Close{}.encode()));
+  const Status acked = call<CloseAck>(Close{}).status();
   conn_->close();
-  if (!reply) return reply.status();
-  return Status::ok();
+  return acked;
 }
 
 std::vector<WireSample> Client::take_samples() {

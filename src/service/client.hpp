@@ -174,9 +174,15 @@ class Client {
     std::size_t recorded = kNotRecorded;
   };
 
-  /// Send `frame_bytes` fully, then wait for a frame of type `expect`
-  /// (or kError, which becomes the returned status).
-  Expected<Frame> rpc(MsgType expect, const std::vector<std::uint8_t>& frame);
+  /// One RPC: send `request` under its kType and decode the Reply (a
+  /// daemon Error becomes the returned status).
+  template <typename Reply, typename Request>
+  Expected<Reply> call(const Request& request);
+  /// Send `frame` fully, then wait for a frame of type `expect` (or
+  /// kError, which becomes the returned status). The view lasts until
+  /// the next receive.
+  Expected<FrameView> rpc(MsgType expect,
+                          const std::vector<std::uint8_t>& frame);
   Status send_all(const std::vector<std::uint8_t>& bytes);
   /// Receive once into the reader; false = nothing arrived.
   Expected<bool> receive_some();
@@ -189,8 +195,6 @@ class Client {
               std::uint32_t period_ticks);
   /// Point every live subscription at its recorded_subs_ entry.
   void reindex_recorded();
-  /// Echo a Ping (liveness; best effort, errors ignored).
-  void answer_ping(const Frame& frame);
   /// The reconnect state machine; returns ok when a resume succeeded.
   Status try_reconnect(const Status& cause);
   /// rpc-only subscribe path that does NOT touch the recorded set (the

@@ -86,6 +86,27 @@ std::size_t Daemon::total_subscriber_count() const {
 
 // --- wire plumbing ---------------------------------------------------------
 
+template <typename M>
+void Daemon::send_now(Connection& conn, const M& msg) {
+  const std::vector<std::uint8_t> frame = encode_frame(msg);
+  (void)conn.send(frame.data(), frame.size());
+  ++stats_.frames_sent;
+}
+
+template <typename M>
+void Daemon::enqueue(ClientState& client, const M& msg) {
+  const std::vector<std::uint8_t> frame = encode_frame(msg);
+  client.out.append(frame.data(), frame.size());
+  ++stats_.frames_sent;
+}
+
+void Daemon::enqueue_error(ClientState& client, MsgType in_reply_to,
+                           const Status& s) {
+  enqueue(client, WireError{static_cast<std::int32_t>(s.code()),
+                            static_cast<std::uint8_t>(in_reply_to),
+                            s.message()});
+}
+
 void Daemon::accept_pending() {
   for (Listener* listener : listeners_) {
     for (;;) {
@@ -97,13 +118,11 @@ void Daemon::accept_pending() {
         // gone already) and no ClientState is ever created, so a
         // connection storm cannot grow daemon memory.
         ++stats_.overload_rejections;
-        send_now(**conn, MsgType::kError,
+        send_now(**conn,
                  WireError{static_cast<std::int32_t>(StatusCode::kOverloaded),
                            static_cast<std::uint8_t>(MsgType::kHello),
-                           "daemon at max_clients"}
-                     .encode());
-        send_now(**conn, MsgType::kGoodbye,
-                 Goodbye{"refused: overloaded"}.encode());
+                           "daemon at max_clients"});
+        send_now(**conn, Goodbye{"refused: overloaded"});
         (*conn)->close();
         continue;
       }
@@ -114,29 +133,6 @@ void Daemon::accept_pending() {
       clients_.push_back(std::move(client));
     }
   }
-}
-
-void Daemon::send_now(Connection& conn, MsgType type,
-                      const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
-  (void)conn.send(frame.data(), frame.size());
-  ++stats_.frames_sent;
-}
-
-void Daemon::enqueue(ClientState& client, MsgType type,
-                     const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
-  client.out.append(frame.data(), frame.size());
-  ++stats_.frames_sent;
-}
-
-void Daemon::enqueue_error(ClientState& client, MsgType in_reply_to,
-                           const Status& s) {
-  WireError err;
-  err.code = static_cast<std::int32_t>(s.code());
-  err.in_reply_to = static_cast<std::uint8_t>(in_reply_to);
-  err.message = s.message();
-  enqueue(client, MsgType::kError, err.encode());
 }
 
 void Daemon::flush_client(ClientState& client, std::size_t max_ops) {
@@ -172,8 +168,7 @@ void Daemon::enforce_queue_cap(ClientState& client) {
   ++stats_.clients_dropped_slow;
   teardown_client(client);
   client.out = OutBuffer{};
-  send_now(*client.conn, MsgType::kGoodbye,
-           Goodbye{"dropped: send queue overflow (slow client)"}.encode());
+  send_now(*client.conn, Goodbye{"dropped: send queue overflow (slow client)"});
   client.conn->close();
 }
 
@@ -206,7 +201,7 @@ void Daemon::drain_client(ClientState& client) {
   // A refused handshake or a Close ends the conversation: nothing after
   // it is served.
   while (client.conn->is_open() && !client.closing) {
-    auto frame = client.reader.next();
+    const FrameView frame = client.reader.next_view();
     if (!frame) {
       if (client.reader.corrupt()) {
         ++stats_.protocol_errors;
@@ -215,11 +210,25 @@ void Daemon::drain_client(ClientState& client) {
       }
       return;
     }
-    dispatch(client, *frame);
+    dispatch(client, frame);
   }
 }
 
-void Daemon::dispatch(ClientState& client, const Frame& frame) {
+template <typename M>
+void Daemon::serve(ClientState& client, const FrameView& frame,
+                   void (Daemon::*handler)(ClientState&, const M&)) {
+  auto msg = decode_payload<M>(frame.bytes());
+  if (!msg) {
+    ++stats_.protocol_errors;
+    enqueue_error(client, M::kType, msg.status());
+    // A malformed handshake ends the conversation.
+    if (M::kType == MsgType::kHello) client.closing = true;
+    return;
+  }
+  (this->*handler)(client, *msg);
+}
+
+void Daemon::dispatch(ClientState& client, const FrameView& frame) {
   ++stats_.frames_received;
   if (!client.hello_done && frame.type != MsgType::kHello) {
     ++stats_.protocol_errors;
@@ -231,33 +240,19 @@ void Daemon::dispatch(ClientState& client, const Frame& frame) {
     return;
   }
   switch (frame.type) {
-    case MsgType::kHello: on_hello(client, frame); return;
-    case MsgType::kOpenSession: on_open_session(client, frame); return;
-    case MsgType::kAddEvents: on_add_events(client, frame); return;
-    case MsgType::kStart: on_start(client, frame); return;
-    case MsgType::kRead: on_read(client, frame); return;
-    case MsgType::kSubscribe: on_subscribe(client, frame); return;
-    case MsgType::kUnsubscribe: on_unsubscribe(client, frame); return;
-    case MsgType::kGetStats: on_get_stats(client, frame); return;
-    case MsgType::kClose: on_close(client, frame); return;
-    case MsgType::kPing: {  // liveness probe from the client: echo it
-      auto msg = Ping::decode(frame);
-      if (!msg) {
-        ++stats_.protocol_errors;
-        enqueue_error(client, frame.type, msg.status());
-        return;
-      }
-      enqueue(client, MsgType::kPong, Pong{msg->token}.encode());
-      return;
-    }
-    case MsgType::kPong: {  // answer to OUR probe; drain_client already
-      auto msg = Pong::decode(frame);  // reset the miss counters
-      if (!msg) {
-        ++stats_.protocol_errors;
-        enqueue_error(client, frame.type, msg.status());
-      }
-      return;
-    }
+    case MsgType::kHello: return serve(client, frame, &Daemon::on_hello);
+    case MsgType::kOpenSession:
+      return serve(client, frame, &Daemon::on_open_session);
+    case MsgType::kAddEvents: return serve(client, frame, &Daemon::on_add_events);
+    case MsgType::kStart: return serve(client, frame, &Daemon::on_start);
+    case MsgType::kRead: return serve(client, frame, &Daemon::on_read);
+    case MsgType::kSubscribe: return serve(client, frame, &Daemon::on_subscribe);
+    case MsgType::kUnsubscribe:
+      return serve(client, frame, &Daemon::on_unsubscribe);
+    case MsgType::kGetStats: return serve(client, frame, &Daemon::on_get_stats);
+    case MsgType::kClose: return serve(client, frame, &Daemon::on_close);
+    case MsgType::kPing: return serve(client, frame, &Daemon::on_ping);
+    case MsgType::kPong: return serve(client, frame, &Daemon::on_pong);
     default:
       ++stats_.protocol_errors;
       enqueue_error(client, frame.type,
@@ -268,17 +263,6 @@ void Daemon::dispatch(ClientState& client, const Frame& frame) {
 }
 
 // --- handlers --------------------------------------------------------------
-
-template <typename M>
-std::optional<M> Daemon::decode_request(ClientState& client,
-                                        const Frame& frame) {
-  auto msg = M::decode(frame);
-  if (!msg) {
-    enqueue_error(client, frame.type, msg.status());
-    return std::nullopt;
-  }
-  return *std::move(msg);
-}
 
 Status Daemon::admit(const ClientState& client, std::uint32_t period_ticks,
                      const std::vector<std::string>& events) {
@@ -294,30 +278,20 @@ Status Daemon::admit(const ClientState& client, std::uint32_t period_ticks,
   return Status::ok();
 }
 
-void Daemon::on_hello(ClientState& client, const Frame& frame) {
-  auto msg = Hello::decode(frame);
-  if (!msg) {
+void Daemon::on_hello(ClientState& client, const Hello& msg) {
+  if (msg.version != kProtocolVersion) {
     ++stats_.protocol_errors;
-    enqueue_error(client, frame.type, msg.status());
-    client.closing = true;
-    return;
-  }
-  if (msg->version != kProtocolVersion) {
-    ++stats_.protocol_errors;
-    enqueue_error(client, frame.type,
+    enqueue_error(client, Hello::kType,
                   make_error(StatusCode::kNotSupported,
                              str_format("protocol version %u not supported; "
                                         "this daemon speaks only version %u",
-                                        msg->version, kProtocolVersion)));
+                                        msg.version, kProtocolVersion)));
     client.closing = true;
     return;
   }
   client.hello_done = true;
-  HelloAck ack;
-  ack.client_id = client.id;
-  ack.server_name = config_.name;
-  ack.epoch = config_.epoch;
-  enqueue(client, MsgType::kHelloAck, ack.encode());
+  enqueue(client, HelloAck{kProtocolVersion, client.id, config_.name,
+                           config_.epoch});
 }
 
 Expected<int> Daemon::build_eventset(TargetKind kind, std::int64_t target,
@@ -349,27 +323,21 @@ Expected<int> Daemon::build_eventset(TargetKind kind, std::int64_t target,
   return *set;
 }
 
-void Daemon::on_open_session(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<OpenSession>(client, frame);
-  if (!msg) return;
-  auto set = build_eventset(msg->target_kind, msg->target, {});
+void Daemon::on_open_session(ClientState& client, const OpenSession& msg) {
+  auto set = build_eventset(msg.target_kind, msg.target, {});
   if (!set) {
-    enqueue_error(client, frame.type, set.status());
+    enqueue_error(client, OpenSession::kType, set.status());
     return;
   }
   const std::uint32_t session_id = next_session_id_++;
   client.sessions.emplace(session_id, *set);
-  OpenSessionAck ack;
-  ack.session_id = session_id;
-  enqueue(client, MsgType::kOpenSessionAck, ack.encode());
+  enqueue(client, OpenSessionAck{session_id});
 }
 
-void Daemon::on_add_events(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<AddEvents>(client, frame);
-  if (!msg) return;
-  const auto it = client.sessions.find(msg->session_id);
+void Daemon::on_add_events(ClientState& client, const AddEvents& msg) {
+  const auto it = client.sessions.find(msg.session_id);
   if (it == client.sessions.end()) {
-    enqueue_error(client, frame.type,
+    enqueue_error(client, AddEvents::kType,
                   make_error(StatusCode::kNoEventSet, "no such session"));
     return;
   }
@@ -378,7 +346,7 @@ void Daemon::on_add_events(ClientState& client, const Frame& frame) {
   AddEventsAck ack;
   std::size_t added = 0;
   Status failure = Status::ok();
-  for (const std::string& event : msg->events) {
+  for (const std::string& event : msg.events) {
     auto canonical = library_->canonical_event_name(event);
     if (canonical) {
       const Status s = library_->add_event(eventset, event);
@@ -392,70 +360,62 @@ void Daemon::on_add_events(ClientState& client, const Frame& frame) {
       failure = canonical.status();
     }
     for (std::size_t i = added; i-- > 0;) {
-      (void)library_->remove_event(eventset, msg->events[i]);
+      (void)library_->remove_event(eventset, msg.events[i]);
     }
-    enqueue_error(client, frame.type, failure);
+    enqueue_error(client, AddEvents::kType, failure);
     return;
   }
-  enqueue(client, MsgType::kAddEventsAck, ack.encode());
+  enqueue(client, ack);
 }
 
-void Daemon::on_start(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<Start>(client, frame);
-  if (!msg) return;
-  const auto it = client.sessions.find(msg->session_id);
+void Daemon::on_start(ClientState& client, const Start& msg) {
+  const auto it = client.sessions.find(msg.session_id);
   if (it == client.sessions.end()) {
-    enqueue_error(client, frame.type,
+    enqueue_error(client, Start::kType,
                   make_error(StatusCode::kNoEventSet, "no such session"));
     return;
   }
   const Status s = library_->start(it->second);
   if (!s.is_ok()) {
-    enqueue_error(client, frame.type, s);
+    enqueue_error(client, Start::kType, s);
     return;
   }
-  enqueue(client, MsgType::kStartAck, {});
+  enqueue(client, StartAck{});
 }
 
-void Daemon::on_read(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<Read>(client, frame);
-  if (!msg) return;
-  const auto it = client.sessions.find(msg->session_id);
+void Daemon::on_read(ClientState& client, const Read& msg) {
+  const auto it = client.sessions.find(msg.session_id);
   if (it == client.sessions.end()) {
-    enqueue_error(client, frame.type,
+    enqueue_error(client, Read::kType,
                   make_error(StatusCode::kNoEventSet, "no such session"));
     return;
   }
   auto reading = library_->read_checked(it->second);
   if (!reading) {
-    enqueue_error(client, frame.type, reading.status());
+    enqueue_error(client, Read::kType, reading.status());
     return;
   }
   ++stats_.backend_reads;
-  ReadReply reply;
-  reply.values = std::move(reading->values);
-  reply.degraded = std::move(reading->value_degraded);
-  enqueue(client, MsgType::kReadReply, reply.encode());
+  enqueue(client, ReadReply{std::move(reading->values),
+                            std::move(reading->value_degraded)});
 }
 
-void Daemon::on_subscribe(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<Subscribe>(client, frame);
-  if (!msg) return;
-  if (const Status s = admit(client, msg->period_ticks, msg->events);
+void Daemon::on_subscribe(ClientState& client, const Subscribe& msg) {
+  if (const Status s = admit(client, msg.period_ticks, msg.events);
       !s.is_ok()) {
-    enqueue_error(client, frame.type, s);
+    enqueue_error(client, Subscribe::kType, s);
     return;
   }
   const std::uint32_t sub_id = next_subscription_id_++;
-  auto sub = join_subscription(client, sub_id, *msg);
+  auto sub = join_subscription(client, sub_id, msg);
   if (!sub) {
-    enqueue_error(client, frame.type, sub.status());
+    enqueue_error(client, Subscribe::kType, sub.status());
     return;
   }
   client.subscriptions.emplace(sub_id, (*sub)->key_id);
   SubscribeAck& ack = (*sub)->ack;
   ack.subscription_id = sub_id;
-  enqueue(client, MsgType::kSubscribeAck, ack.encode());
+  enqueue(client, ack);
 }
 
 std::vector<std::vector<std::string>> Daemon::part_names_of(
@@ -535,23 +495,19 @@ void Daemon::leave_subscription(const ClientState& client, std::uint32_t sub_id,
   shared_subs_.erase(it);
 }
 
-void Daemon::on_unsubscribe(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<Unsubscribe>(client, frame);
-  if (!msg) return;
-  if (const auto it = client.subscriptions.find(msg->subscription_id);
+void Daemon::on_unsubscribe(ClientState& client, const Unsubscribe& msg) {
+  if (const auto it = client.subscriptions.find(msg.subscription_id);
       it != client.subscriptions.end()) {
     leave_subscription(client, it->first, it->second);
     client.subscriptions.erase(it);
-    enqueue(client, MsgType::kUnsubscribeAck, {});
+    enqueue(client, UnsubscribeAck{});
     return;
   }
-  enqueue_error(client, frame.type,
+  enqueue_error(client, Unsubscribe::kType,
                 make_error(StatusCode::kNotFound, "no such subscription"));
 }
 
-void Daemon::on_get_stats(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<GetStats>(client, frame);
-  if (!msg) return;
+void Daemon::on_get_stats(ClientState& client, const GetStats&) {
   StatsReply reply;
   reply.ticks = stats_.ticks;
   reply.backend_reads = stats_.backend_reads;
@@ -566,16 +522,22 @@ void Daemon::on_get_stats(ClientState& client, const Frame& frame) {
       static_cast<std::uint32_t>(total_subscriber_count());
   reply.clients_dropped_slow = stats_.clients_dropped_slow;
   reply.clients_closed_idle = stats_.clients_closed_idle;
-  enqueue(client, MsgType::kStatsReply, reply.encode());
+  enqueue(client, reply);
 }
 
-void Daemon::on_close(ClientState& client, const Frame& frame) {
-  auto msg = decode_request<Close>(client, frame);
-  if (!msg) return;
+void Daemon::on_close(ClientState& client, const Close&) {
   teardown_client(client);
-  enqueue(client, MsgType::kCloseAck, {});
+  enqueue(client, CloseAck{});
   client.closing = true;
 }
+
+void Daemon::on_ping(ClientState& client, const Ping& ping) {
+  enqueue(client, Pong{ping.token});  // the client's probe: echo it
+}
+
+// An answer to our own probe: drain_client already reset the miss
+// counters on its arrival.
+void Daemon::on_pong(ClientState&, const Pong&) {}
 
 void Daemon::teardown_client(ClientState& client) {
   for (const auto& [sub_id, key_id] : client.subscriptions) {
@@ -707,16 +669,15 @@ void Daemon::enforce_liveness() {
         // point: a half-open connection must not pin EventSets.
         ++stats_.clients_dropped_liveness;
         teardown_client(*client);
-        enqueue(*client, MsgType::kGoodbye,
-                Goodbye{"dropped: liveness timeout"}.encode());
+        enqueue(*client, Goodbye{"dropped: liveness timeout"});
         client->closing = true;
         continue;
       }
-      enqueue(*client, MsgType::kPing, Ping{stats_.ticks}.encode());
+      enqueue(*client, Ping{stats_.ticks});
       client->ping_sent_tick = stats_.ticks;
     } else if (stats_.ticks - client->last_activity_tick >=
                config_.ping_interval_ticks) {
-      enqueue(*client, MsgType::kPing, Ping{stats_.ticks}.encode());
+      enqueue(*client, Ping{stats_.ticks});
       client->ping_sent_tick = stats_.ticks;
       client->ping_outstanding = true;
     }
@@ -739,8 +700,7 @@ void Daemon::tick() {
       }
       ++stats_.clients_closed_idle;
       teardown_client(*client);
-      enqueue(*client, MsgType::kGoodbye,
-              Goodbye{"disconnected: idle timeout"}.encode());
+      enqueue(*client, Goodbye{"disconnected: idle timeout"});
       client->closing = true;
     }
   }
@@ -763,8 +723,7 @@ void Daemon::shutdown() {
   // ledger reads zero.
   for (const auto& client : clients_) {
     if (!client->conn->is_open()) continue;
-    enqueue(*client, MsgType::kGoodbye,
-            Goodbye{"daemon shutting down"}.encode());
+    enqueue(*client, Goodbye{"daemon shutting down"});
     client->closing = true;
     flush_client(*client, config_.shutdown_max_flush_ops);
     teardown_client(*client);

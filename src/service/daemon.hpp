@@ -42,7 +42,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -220,7 +219,12 @@ class Daemon {
 
   void accept_pending();
   void drain_client(ClientState& client);
-  void dispatch(ClientState& client, const Frame& frame);
+  void dispatch(ClientState& client, const FrameView& frame);
+  /// Decode a request and hand it to `handler`, answering a malformed
+  /// one with an Error instead.
+  template <typename M>
+  void serve(ClientState& client, const FrameView& frame,
+             void (Daemon::*handler)(ClientState&, const M&));
   /// Flush the send queue; `max_ops` bounds the number of send() calls
   /// (0 = until done or would-block) so a byte-at-a-time peer cannot
   /// wedge the caller.
@@ -231,32 +235,30 @@ class Daemon {
   /// blew ping_max_missed deadlines.
   void enforce_liveness();
 
-  /// Best-effort direct send that bypasses the queue (refusals and
-  /// drops, right before the connection closes).
-  void send_now(Connection& conn, MsgType type,
-                const std::vector<std::uint8_t>& payload);
-  void enqueue(ClientState& client, MsgType type,
-               const std::vector<std::uint8_t>& payload);
-  void enqueue_error(ClientState& client, MsgType in_reply_to, const Status& s);
-
-  /// Decode a request, answering a malformed one with an Error (nullopt
-  /// then means the handler is done).
+  /// Best-effort direct send of one message that bypasses the queue
+  /// (refusals and drops, right before the connection closes).
   template <typename M>
-  std::optional<M> decode_request(ClientState& client, const Frame& frame);
+  void send_now(Connection& conn, const M& msg);
+  /// Queue one message, framed under its kType.
+  template <typename M>
+  void enqueue(ClientState& client, const M& msg);
+  void enqueue_error(ClientState& client, MsgType in_reply_to, const Status& s);
   /// Validate a new subscription's spec and the client's quota.
   Status admit(const ClientState& client, std::uint32_t period_ticks,
                const std::vector<std::string>& events);
 
-  // Frame handlers (client already authenticated unless noted).
-  void on_hello(ClientState& client, const Frame& frame);
-  void on_open_session(ClientState& client, const Frame& frame);
-  void on_add_events(ClientState& client, const Frame& frame);
-  void on_start(ClientState& client, const Frame& frame);
-  void on_read(ClientState& client, const Frame& frame);
-  void on_subscribe(ClientState& client, const Frame& frame);
-  void on_unsubscribe(ClientState& client, const Frame& frame);
-  void on_get_stats(ClientState& client, const Frame& frame);
-  void on_close(ClientState& client, const Frame& frame);
+  // Request handlers (client already authenticated unless noted).
+  void on_hello(ClientState& client, const Hello& msg);
+  void on_open_session(ClientState& client, const OpenSession& msg);
+  void on_add_events(ClientState& client, const AddEvents& msg);
+  void on_start(ClientState& client, const Start& msg);
+  void on_read(ClientState& client, const Read& msg);
+  void on_subscribe(ClientState& client, const Subscribe& msg);
+  void on_unsubscribe(ClientState& client, const Unsubscribe& msg);
+  void on_get_stats(ClientState& client, const GetStats& msg);
+  void on_close(ClientState& client, const Close& msg);
+  void on_ping(ClientState& client, const Ping& msg);
+  void on_pong(ClientState& client, const Pong& msg);
 
   /// Build (or join) the shared subscription for a canonicalized spec.
   Expected<SharedSubscription*> join_subscription(

@@ -7,17 +7,24 @@
 // The length covers the type byte plus the payload, so a reader can
 // resynchronize on frame boundaries without understanding any message.
 // Payload fields are fixed-width little-endian scalars and
-// u32-length-prefixed strings/arrays — no padding, no host-order leaks,
-// so the same byte stream is valid across the loopback and unix-socket
-// transports and across builds (the determinism tests compare raw
-// bytes). There is exactly one protocol version: a Hello offering any
-// other is refused with a kNotSupported Error and the connection
-// closes.
+// u32-count-prefixed strings and lists — no padding, no host-order
+// leaks, so the same byte stream is valid across the loopback and
+// unix-socket transports and across builds (the determinism tests
+// compare raw bytes). There is exactly one protocol version: a Hello
+// offering any other is refused with a kNotSupported Error and the
+// connection closes.
+//
+// Every message but Sample names its type in `kType` and lists its
+// fields once, in wire order, in `fields(a)`. Writer and Reader are the
+// two archives that walk that list, one encoding and one decoding, so
+// the directions cannot drift apart (field kinds at Writer).
 //
 // A subscription's shape is sent once: SubscribeAck carries the part
 // names of every slot, and each streamed Sample is then fixed-width —
 // values, degraded bytes, per-slot part counts and part values in
 // schema order, with no strings (see WireSample for the byte layout).
+// Sample keeps a hand-written codec because the daemon's fan-out
+// patches its first and last field in place.
 //
 // Message catalogue (see DESIGN.md §9 for the full table):
 //   client -> daemon: Hello, OpenSession, AddEvents, Start, Read,
@@ -29,11 +36,15 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "base/small_vector.hpp"
@@ -90,81 +101,138 @@ enum class TargetKind : std::uint8_t {
 
 // --- payload serialization ------------------------------------------------
 
-/// Appends fixed-width LE scalars and length-prefixed strings to a byte
-/// buffer. All encode() functions below are built from this.
+/// Fixed-width little-endian stores and loads: plain copies on a
+/// little-endian host, assembled byte by byte elsewhere.
+template <std::integral T>
+void store_le(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(static_cast<std::make_unsigned_t<T>>(v) >>
+                                       (8 * i));
+    }
+  }
+}
+
+template <std::integral T>
+T load_le(const std::uint8_t* p) {
+  std::make_unsigned_t<T> v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<std::make_unsigned_t<T>>(p[i]) << (8 * i);
+    }
+  }
+  return static_cast<T>(v);
+}
+
+/// The encoding archive: `w(field, ...)` appends each field by its
+/// kind.
+///
+///   integer        its own width, little-endian (u8, u32, i32, u64, i64)
+///   TargetKind     one byte
+///   std::string    u32 byte count, then the bytes
+///   std::vector<T> u32 element count, then each element by its kind
 class Writer {
  public:
   /// Most payloads fit the first block: one allocation, not a doubling
   /// series.
   Writer() { bytes_.reserve(64); }
 
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xffu);
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xffu);
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void str(std::string_view s) {
-    // Reserve before the length prefix: GCC 12's -Wstringop-overflow
-    // misfires on the insert when the push_backs above get inlined and
-    // the analyzer loses track of the grown capacity.
-    bytes_.reserve(bytes_.size() + 4 + s.size());
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-  }
-  void str_list(const std::vector<std::string>& list) {
-    u32(static_cast<std::uint32_t>(list.size()));
-    for (const std::string& s : list) str(s);
-  }
-  void i64_list(const std::vector<long long>& list) {
-    u32(static_cast<std::uint32_t>(list.size()));
-    for (const long long v : list) i64(v);
-  }
-  void u8_list(const std::vector<std::uint8_t>& list) {
-    u32(static_cast<std::uint32_t>(list.size()));
-    for (const std::uint8_t v : list) u8(v);
+  template <typename... T>
+  void operator()(const T&... fields) {
+    (put(fields), ...);
   }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
  private:
+  template <std::integral T>
+  void put(T v) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + sizeof(T));
+    store_le(bytes_.data() + at, v);
+  }
+  void put(TargetKind kind) { put(static_cast<std::uint8_t>(kind)); }
+  void put(std::string_view s) {
+    put(static_cast<std::uint32_t>(s.size()));
+    bytes_.insert(bytes_.end(), s.begin(), s.end());
+  }
+  template <typename T>
+  void put(const std::vector<T>& list) {
+    put(static_cast<std::uint32_t>(list.size()));
+    for (const T& v : list) put(v);
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
-/// The mirror of Writer: consumes a payload, turning truncation or
-/// over-long lengths into kInvalidArgument instead of UB. After a
-/// failed read the reader is poisoned — further reads keep failing.
+/// The decoding archive: `r(field, ...)` fills each field by its kind
+/// (see Writer). A field that does not fit in what remains — or a
+/// TargetKind out of range — poisons the reader: later fields read
+/// nothing, and finish() reports the failure. A peer-supplied count
+/// never sizes a buffer: a string's bytes must all be present before
+/// they are copied, and a list reserves no more elements than the
+/// remaining bytes could hold.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit Reader(const std::vector<std::uint8_t>& bytes)
+  explicit Reader(std::span<const std::uint8_t> bytes)
       : Reader(bytes.data(), bytes.size()) {}
 
-  Expected<std::uint8_t> u8();
-  Expected<std::uint32_t> u32();
-  Expected<std::uint64_t> u64();
-  Expected<std::int64_t> i64();
-  Expected<std::string> str();
-  Expected<std::vector<std::string>> str_list();
-  Expected<std::vector<long long>> i64_list();
-  Expected<std::vector<std::uint8_t>> u8_list();
+  template <typename... T>
+  void operator()(T&... fields) {
+    (get(fields), ...);
+  }
 
   std::size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ >= size_ && !failed_; }
   /// False once any read failed.
-  bool ok() const { return !failed_; }
+  bool ok() const { return error_ == nullptr; }
+  /// OK when every field decoded and no byte is left over; otherwise
+  /// kInvalidArgument naming `what` and the first failure.
+  Status finish(std::string_view what) const;
 
  private:
-  bool take(std::size_t n);
+  /// The next `n` bytes, consumed; null (and the reader poisoned) when
+  /// fewer remain.
+  const std::uint8_t* take(std::size_t n) {
+    if (error_ != nullptr || remaining() < n) {
+      fail("truncated");
+      return nullptr;
+    }
+    pos_ += n;
+    return data_ + pos_ - n;
+  }
+  void fail(const char* why) {
+    if (error_ == nullptr) error_ = why;
+  }
+
+  template <std::integral T>
+  void get(T& v) {
+    if (const std::uint8_t* p = take(sizeof(T))) v = load_le<T>(p);
+  }
+  void get(TargetKind& kind);
+  void get(std::string& s);
+  template <typename T>
+  void get(std::vector<T>& list) {
+    std::uint32_t count = 0;
+    get(count);
+    // The least a T can take on the wire: its width, or a u32 count.
+    constexpr std::size_t kMinBytes =
+        std::is_integral_v<T> || std::is_enum_v<T> ? sizeof(T) : 4;
+    list.clear();
+    list.reserve(std::min<std::size_t>(count, remaining() / kMinBytes));
+    for (std::uint32_t i = 0; i < count && ok(); ++i) get(list.emplace_back());
+  }
 
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
-  bool failed_ = false;
+  const char* error_ = nullptr;  // the first failure; null while ok
 };
 
 // --- framing ---------------------------------------------------------------
@@ -173,8 +241,6 @@ class Reader {
 struct Frame {
   MsgType type{};
   std::vector<std::uint8_t> payload;
-
-  Reader reader() const { return Reader(payload); }
 };
 
 /// Serialize a frame: length prefix + type byte + payload.
@@ -196,6 +262,7 @@ struct FrameView {
   MsgType type{};
 
   explicit operator bool() const { return payload != nullptr; }
+  std::span<const std::uint8_t> bytes() const { return {payload, size}; }
   Frame frame() const { return {type, {payload, payload + size}}; }
 };
 
@@ -233,14 +300,78 @@ class FrameReader {
   bool corrupt_ = false;
 };
 
+/// Write a message's field list. fields() is one template for both
+/// archives, so it is not const; the Writer only reads.
+template <typename M>
+void write_fields(Writer& w, const M& m) {
+  const_cast<M&>(m).fields(w);
+}
+
+/// A message's payload: its field list, in order.
+template <typename M>
+std::vector<std::uint8_t> encode_payload(const M& m) {
+  Writer w;
+  write_fields(w, m);
+  return w.take();
+}
+
+/// A message's complete frame, tagged with its kType, built in one
+/// buffer.
+template <typename M>
+std::vector<std::uint8_t> encode_frame(const M& m) {
+  Writer w;
+  w(std::uint32_t{0}, static_cast<std::uint8_t>(M::kType));
+  write_fields(w, m);
+  std::vector<std::uint8_t> frame = w.take();
+  store_le(frame.data(), static_cast<std::uint32_t>(frame.size() - 4));
+  return frame;
+}
+
+/// Decode a message from its payload: every field of its list, and
+/// nothing after the last.
+template <typename M>
+Expected<M> decode_payload(std::span<const std::uint8_t> payload) {
+  Reader r(payload);
+  M m;
+  m.fields(r);
+  HETPAPI_RETURN_IF_ERROR(r.finish(to_string(M::kType)));
+  return m;
+}
+
 // --- messages --------------------------------------------------------------
+
+/// What every message but Sample declares beside its field list: its
+/// type tag, and encode()/decode() over that list.
+#define HETPAPI_WIRE_MESSAGE(M, type)                \
+  static constexpr MsgType kType = type;             \
+  std::vector<std::uint8_t> encode() const {         \
+    return encode_payload(*this);                    \
+  }                                                  \
+  static Expected<M> decode(const Frame& frame) {    \
+    return decode_payload<M>(frame.payload);         \
+  }
+
+/// A message with no fields.
+template <MsgType T>
+struct EmptyMessage {
+  template <typename A>
+  void fields(A&) {}
+  HETPAPI_WIRE_MESSAGE(EmptyMessage, T)
+};
+
+using StartAck = EmptyMessage<MsgType::kStartAck>;
+using UnsubscribeAck = EmptyMessage<MsgType::kUnsubscribeAck>;
+using GetStats = EmptyMessage<MsgType::kGetStats>;
+using Close = EmptyMessage<MsgType::kClose>;
+using CloseAck = EmptyMessage<MsgType::kCloseAck>;
 
 struct Hello {
   std::uint32_t version = kProtocolVersion;
   std::string client_name;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Hello> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(version, client_name); }
+  HETPAPI_WIRE_MESSAGE(Hello, MsgType::kHello)
 };
 
 struct HelloAck {
@@ -253,61 +384,69 @@ struct HelloAck {
   /// means the daemon restarted and the gap is unknowable.
   std::uint64_t epoch = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<HelloAck> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(version, client_id, server_name, epoch); }
+  HETPAPI_WIRE_MESSAGE(HelloAck, MsgType::kHelloAck)
 };
 
 struct OpenSession {
   TargetKind target_kind = TargetKind::kDefault;
   std::int64_t target = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<OpenSession> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(target_kind, target); }
+  HETPAPI_WIRE_MESSAGE(OpenSession, MsgType::kOpenSession)
 };
 
 struct OpenSessionAck {
   std::uint32_t session_id = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<OpenSessionAck> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(session_id); }
+  HETPAPI_WIRE_MESSAGE(OpenSessionAck, MsgType::kOpenSessionAck)
 };
 
 struct AddEvents {
   std::uint32_t session_id = 0;
   std::vector<std::string> events;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<AddEvents> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(session_id, events); }
+  HETPAPI_WIRE_MESSAGE(AddEvents, MsgType::kAddEvents)
 };
 
 struct AddEventsAck {
   /// Canonical (coalescing-key) names, one per added event.
   std::vector<std::string> canonical_names;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<AddEventsAck> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(canonical_names); }
+  HETPAPI_WIRE_MESSAGE(AddEventsAck, MsgType::kAddEventsAck)
 };
 
 struct Start {
   std::uint32_t session_id = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Start> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(session_id); }
+  HETPAPI_WIRE_MESSAGE(Start, MsgType::kStart)
 };
 
 struct Read {
   std::uint32_t session_id = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Read> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(session_id); }
+  HETPAPI_WIRE_MESSAGE(Read, MsgType::kRead)
 };
 
 struct ReadReply {
   std::vector<long long> values;          // one per added event
   std::vector<std::uint8_t> degraded;     // 1 = partial sum (see Reading)
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<ReadReply> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(values, degraded); }
+  HETPAPI_WIRE_MESSAGE(ReadReply, MsgType::kReadReply)
 };
 
 struct Subscribe {
@@ -319,8 +458,9 @@ struct Subscribe {
   /// Stream per-PMU constituent values alongside the totals.
   std::uint8_t qualified = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Subscribe> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(target_kind, target, events, period_ticks, qualified); }
+  HETPAPI_WIRE_MESSAGE(Subscribe, MsgType::kSubscribe)
 };
 
 struct SubscribeAck {
@@ -335,16 +475,89 @@ struct SubscribeAck {
   /// this order.
   std::vector<std::vector<std::string>> part_names;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<SubscribeAck> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(subscription_id, shared_key_id, part_names); }
+  HETPAPI_WIRE_MESSAGE(SubscribeAck, MsgType::kSubscribeAck)
 };
 
 struct Unsubscribe {
   std::uint32_t subscription_id = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Unsubscribe> decode(const Frame& frame);
+  template <typename A>
+  void fields(A& a) { a(subscription_id); }
+  HETPAPI_WIRE_MESSAGE(Unsubscribe, MsgType::kUnsubscribe)
 };
+
+/// Daemon-side accounting, queryable over the wire so load generators
+/// can compute the coalescing ratio without a side channel.
+struct StatsReply {
+  std::uint64_t ticks = 0;
+  std::uint64_t backend_reads = 0;       // one per shared subscription per due tick
+  std::uint64_t samples_delivered = 0;   // one per subscriber per due tick
+  std::uint64_t frames_received = 0;
+  std::uint64_t frames_sent = 0;
+  std::uint32_t active_clients = 0;
+  std::uint32_t active_sessions = 0;
+  std::uint32_t distinct_subscriptions = 0;
+  std::uint32_t total_subscribers = 0;
+  std::uint32_t clients_dropped_slow = 0;
+  std::uint32_t clients_closed_idle = 0;
+
+  template <typename A>
+  void fields(A& a) {
+    a(ticks, backend_reads, samples_delivered, frames_received, frames_sent,
+      active_clients, active_sessions, distinct_subscriptions,
+      total_subscribers, clients_dropped_slow, clients_closed_idle);
+  }
+  HETPAPI_WIRE_MESSAGE(StatsReply, MsgType::kStatsReply)
+};
+
+/// RPC failure: the StatusCode (numeric, stable) plus the daemon's
+/// message and which request type it answers.
+struct WireError {
+  std::int32_t code = 0;
+  std::uint8_t in_reply_to = 0;  // MsgType of the failed request
+  std::string message;
+
+  Status to_status() const {
+    return Status(static_cast<StatusCode>(code), message);
+  }
+
+  template <typename A>
+  void fields(A& a) { a(code, in_reply_to, message); }
+  HETPAPI_WIRE_MESSAGE(WireError, MsgType::kError)
+};
+
+/// Server-initiated farewell (drain, idle timeout, slow-client drop).
+struct Goodbye {
+  std::string reason;
+
+  template <typename A>
+  void fields(A& a) { a(reason); }
+  HETPAPI_WIRE_MESSAGE(Goodbye, MsgType::kGoodbye)
+};
+
+/// Liveness probe. Either side may ping; the peer echoes the token
+/// in a Pong. The daemon drops a client that leaves N pings unanswered
+/// (the half-dead peer with live subscriptions the idle timeout never
+/// catches).
+struct Ping {
+  std::uint64_t token = 0;
+
+  template <typename A>
+  void fields(A& a) { a(token); }
+  HETPAPI_WIRE_MESSAGE(Ping, MsgType::kPing)
+};
+
+struct Pong {
+  std::uint64_t token = 0;
+
+  template <typename A>
+  void fields(A& a) { a(token); }
+  HETPAPI_WIRE_MESSAGE(Pong, MsgType::kPong)
+};
+
+#undef HETPAPI_WIRE_MESSAGE
 
 /// Value slots and per-slot parts a decoded Sample keeps inside the
 /// object: this workload's shape (two events, two core types).
@@ -447,81 +660,6 @@ struct WireSample {
   /// payload; `out` is unspecified on failure.
   static Status decode_into(const std::uint8_t* payload, std::size_t size,
                             WireSample& out);
-};
-
-struct GetStats {
-  std::vector<std::uint8_t> encode() const;
-  static Expected<GetStats> decode(const Frame& frame);
-};
-
-/// Daemon-side accounting, queryable over the wire so load generators
-/// can compute the coalescing ratio without a side channel.
-struct StatsReply {
-  std::uint64_t ticks = 0;
-  std::uint64_t backend_reads = 0;       // one per shared subscription per due tick
-  std::uint64_t samples_delivered = 0;   // one per subscriber per due tick
-  std::uint64_t frames_received = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint32_t active_clients = 0;
-  std::uint32_t active_sessions = 0;
-  std::uint32_t distinct_subscriptions = 0;
-  std::uint32_t total_subscribers = 0;
-  std::uint32_t clients_dropped_slow = 0;
-  std::uint32_t clients_closed_idle = 0;
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<StatsReply> decode(const Frame& frame);
-};
-
-struct Close {
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Close> decode(const Frame& frame);
-};
-
-struct CloseAck {
-  std::vector<std::uint8_t> encode() const;
-  static Expected<CloseAck> decode(const Frame& frame);
-};
-
-/// RPC failure: the StatusCode (numeric, stable) plus the daemon's
-/// message and which request type it answers.
-struct WireError {
-  std::int32_t code = 0;
-  std::uint8_t in_reply_to = 0;  // MsgType of the failed request
-  std::string message;
-
-  Status to_status() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<WireError> decode(const Frame& frame);
-};
-
-/// Server-initiated farewell (drain, idle timeout, slow-client drop).
-struct Goodbye {
-  std::string reason;
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Goodbye> decode(const Frame& frame);
-};
-
-/// Liveness probe. Either side may ping; the peer echoes the token
-/// in a Pong. The daemon drops a client that leaves N pings unanswered
-/// (the half-dead peer with live subscriptions the idle timeout never
-/// catches).
-struct Ping {
-  std::uint64_t token = 0;
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Ping> decode(const Frame& frame);
-};
-
-struct Pong {
-  std::uint64_t token = 0;
-
-  std::vector<std::uint8_t> encode() const;
-  static Expected<Pong> decode(const Frame& frame);
 };
 
 }  // namespace hetpapi::service

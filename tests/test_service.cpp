@@ -53,38 +53,69 @@ using namespace hetpapi::service;
 // --- wire protocol ---------------------------------------------------------
 
 TEST(ServiceProto, ScalarAndStringRoundTrip) {
+  const std::vector<std::string> strings{"a", "", "bc"};
+  const std::vector<long long> values{-1, 0, 7};
+  const std::vector<std::uint8_t> bytes{1, 0, 1};
+  const std::vector<std::vector<std::string>> nested{{"x"}, {}, {"y", "z"}};
   Writer w;
-  w.u8(0xab);
-  w.u32(0xdeadbeefu);
-  w.u64(0x0123456789abcdefull);
-  w.i64(-42);
-  w.str("hello");
-  w.str_list({"a", "", "bc"});
-  w.i64_list({-1, 0, 7});
-  w.u8_list({1, 0, 1});
+  w(std::uint8_t{0xab}, std::uint32_t{0xdeadbeefu},
+    std::uint64_t{0x0123456789abcdefull}, std::int64_t{-42},
+    std::int32_t{-7}, std::string("hello"), TargetKind::kCpu);
+  w(strings, values, bytes, nested);
   Reader r(w.bytes());
-  EXPECT_EQ(*r.u8(), 0xab);
-  EXPECT_EQ(*r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(*r.u64(), 0x0123456789abcdefull);
-  EXPECT_EQ(*r.i64(), -42);
-  EXPECT_EQ(*r.str(), "hello");
-  EXPECT_EQ(*r.str_list(), (std::vector<std::string>{"a", "", "bc"}));
-  EXPECT_EQ(*r.i64_list(), (std::vector<long long>{-1, 0, 7}));
-  EXPECT_EQ(*r.u8_list(), (std::vector<std::uint8_t>{1, 0, 1}));
-  EXPECT_TRUE(r.exhausted());
+  std::uint8_t u8 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int64_t i64 = 0;
+  std::int32_t i32 = 0;
+  std::string str;
+  TargetKind kind{};
+  std::vector<std::string> strings_out;
+  std::vector<long long> values_out;
+  std::vector<std::uint8_t> bytes_out;
+  std::vector<std::vector<std::string>> nested_out;
+  r(u8, u32, u64, i64, i32, str, kind);
+  r(strings_out, values_out, bytes_out, nested_out);
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, 0x0123456789abcdefull);
+  EXPECT_EQ(i64, -42);
+  EXPECT_EQ(i32, -7);
+  EXPECT_EQ(str, "hello");
+  EXPECT_EQ(kind, TargetKind::kCpu);
+  EXPECT_EQ(strings_out, strings);
+  EXPECT_EQ(values_out, values);
+  EXPECT_EQ(bytes_out, bytes);
+  EXPECT_EQ(nested_out, nested);
+  EXPECT_TRUE(r.finish("round trip").is_ok());
 }
 
 TEST(ServiceProto, ReaderRejectsTruncationAndStaysPoisoned) {
   Writer w;
-  w.str("truncate me");
+  w(std::string("truncate me"));
   std::vector<std::uint8_t> bytes = w.take();
   bytes.erase(bytes.end() - 3, bytes.end());
   Reader r(bytes);
-  auto s = r.str();
-  ASSERT_FALSE(s.has_value());
-  EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+  std::string s;
+  r(s);
+  EXPECT_FALSE(r.ok());
   // Poisoned: even a 1-byte read now fails although bytes remain.
-  EXPECT_FALSE(r.u8().has_value());
+  std::uint8_t byte = 0x5a;
+  r(byte);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(byte, 0x5a);
+  const Status status = r.finish("Probe");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "Probe: truncated");
+
+  // A target kind past the last one poisons the reader the same way.
+  Writer bad;
+  bad(std::uint8_t{3});
+  Reader kinds(bad.bytes());
+  TargetKind kind = TargetKind::kThread;
+  kinds(kind);
+  EXPECT_EQ(kind, TargetKind::kThread);
+  EXPECT_EQ(kinds.finish("Probe").message(), "Probe: bad target kind");
 }
 
 TEST(ServiceProto, MessagesRoundTripThroughFrames) {
@@ -330,7 +361,7 @@ TEST(ServiceProto, FrameReaderPoisonsOnCorruptLengthPrefix) {
 
   FrameReader oversized;
   Writer w;
-  w.u32(kMaxFrameBytes + 1);
+  w(kMaxFrameBytes + 1);
   oversized.feed(w.bytes());
   frame = oversized.next();
   ASSERT_FALSE(frame.has_value());
