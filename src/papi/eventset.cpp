@@ -284,6 +284,15 @@ Status EventSetCore::remove_event(std::string_view name) {
 }
 
 Status EventSetCore::close_everything() {
+  // A running set torn down here (a force-destroy whose stop faulted)
+  // gives up its component locks: its counters close below, so nothing
+  // runs under them, and a kept lock would refuse every later start on
+  // the same target with kConflict.
+  if (running()) {
+    const MeasureTarget tgt = target();
+    for (const ComponentUse& use : uses_) locks_->release(*use.component, tgt);
+    state_ = SetState::kStopped;
+  }
   Status first_error = Status::ok();
   for (ComponentUse& use : uses_) {
     const Status s = use.component->close_all(*use.state);

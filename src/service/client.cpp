@@ -22,6 +22,15 @@ bool is_transport_death(const Status& s) {
          s.code() == StatusCode::kInterrupted;
 }
 
+/// A resubscribe refusal that may pass on a later try (a conflict, an
+/// overload, a backend fault), as opposed to one that says the spec
+/// itself cannot be served.
+bool worth_retrying(const Status& s) {
+  return s.code() != StatusCode::kInvalidArgument &&
+         s.code() != StatusCode::kNotFound &&
+         s.code() != StatusCode::kNotSupported;
+}
+
 /// A Sample fits its subscription's schema when it carries one value
 /// and the schema's part count per slot. A failed read carries no slots
 /// at all (counters_ok = 0).
@@ -196,7 +205,27 @@ void Client::stash_frame(const FrameView& view) {
   }
 }
 
+void Client::retry_refused() {
+  for (RecordedSub& sub : recorded_subs_) {
+    if (sub.sub_id != 0 || !sub.retry) continue;
+    if (!connected()) return;
+    ++resume_stats_.resubscribe_retries;
+    auto ack = do_subscribe(sub.spec);
+    if (ack) {
+      sub.sub_id = ack->subscription_id;
+      sub.retry = false;
+      reindex_recorded();
+    } else if (!is_transport_death(ack.status())) {
+      sub.retry = worth_retrying(ack.status());
+    }
+    // One Subscribe per pass: a daemon that keeps refusing costs one
+    // round trip per sweep. A dead wire is the reconnect's to heal.
+    return;
+  }
+}
+
 bool Client::pump_once() {
+  retry_refused();
   // Frames already reassembled but not yet handed out (e.g. a Goodbye
   // that rode in the same receive as an Error reply) are drained even
   // when the transport is dead — a buffered farewell must not be lost.
@@ -329,12 +358,15 @@ Status Client::try_reconnect(const Status& cause) {
     // replay below registers the new ones.
     live_subs_.clear();
     for (RecordedSub& sub : recorded_subs_) {
+      // The gap is accounted at the first sample on the new id, whether
+      // this resubscribe or a later retry gets it.
+      sub.last_seq = 0;
+      sub.check_gap = sub.saw_sample;
+      sub.gap_unknown = sub.check_gap && !gap_quantifiable;
       auto ack = do_subscribe(sub.spec);
       if (ack) {
         sub.sub_id = ack->subscription_id;
-        sub.last_seq = 0;
-        sub.check_gap = sub.saw_sample;
-        sub.gap_unknown = sub.check_gap && !gap_quantifiable;
+        sub.retry = false;
         continue;
       }
       if (is_transport_death(ack.status())) {
@@ -342,9 +374,11 @@ Status Client::try_reconnect(const Status& cause) {
         wire_died = true;
         break;
       }
-      // The daemon refused this one (conflict, overload, ...): the
-      // subscription is gone, but the session resumed.
+      // The daemon refused this one, but the session resumed: the
+      // subscription stays recorded and pump_once asks again, unless
+      // the refusal says the spec itself cannot be served.
       sub.sub_id = 0;
+      sub.retry = worth_retrying(ack.status());
       ++resume_stats_.resubscribe_failures;
     }
     if (wire_died) {

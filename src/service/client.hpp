@@ -66,6 +66,7 @@ struct ResumeStats {
   std::uint64_t attempts = 0;             // dials tried, failures included
   std::uint64_t epoch_changes = 0;        // daemon restarted across a resume
   std::uint64_t resubscribe_failures = 0; // subs the daemon refused on resume
+  std::uint64_t resubscribe_retries = 0;  // refused subs asked for again
   std::uint64_t gaps = 0;                 // subscriptions that saw a gap
   std::uint64_t unknown_gaps = 0;         // gap unquantifiable (epoch change)
   std::uint64_t samples_missed = 0;       // exact missed count (same epoch)
@@ -153,6 +154,8 @@ class Client {
     std::uint32_t original_sub_id = 0;  // first ack, stable caller handle
     Subscribe spec;
     std::uint32_t sub_id = 0;  // current id; 0 = dead (resume refused)
+    /// Refused on resume, and asked for again while connected.
+    bool retry = false;
     std::uint32_t period_ticks = 1;
     bool saw_sample = false;
     std::uint64_t last_tick = 0;
@@ -197,6 +200,9 @@ class Client {
   void reindex_recorded();
   /// The reconnect state machine; returns ok when a resume succeeded.
   Status try_reconnect(const Status& cause);
+  /// Ask again for the first recorded subscription the daemon refused
+  /// on resume (one Subscribe per call).
+  void retry_refused();
   /// rpc-only subscribe path that does NOT touch the recorded set (the
   /// public one records; the resume replay must not re-record).
   Expected<SubscribeAck> do_subscribe(const Subscribe& spec);

@@ -218,6 +218,41 @@ TEST(FaultInjection, TransientReadBurstsAreRiddenOutByBoundedRetry) {
   EXPECT_EQ(injector.open_fd_count(), 0u);
 }
 
+TEST(FaultInjection, ForceDestroyedRunningSetGivesUpItsComponentLock) {
+  // Every read faults for longer than any retry budget, so stop() —
+  // which reads the final values first — fails and the set stays
+  // running. Force-destroying it must still release its component
+  // lock: a kept lock would refuse every later start on the thread.
+  SimKernel kernel(cpumodel::raptor_lake_i7_13700());
+  SimBackend backend(&kernel);
+  FaultProfile profile;
+  profile.read_transient_prob = 1.0;
+  profile.transient_burst = 1000;
+  FaultInjectingBackend injector(&backend, profile, 5);
+  const Tid tid = kernel.spawn(
+      std::make_shared<FixedWorkProgram>(PhaseSpec{}, 500'000'000),
+      CpuSet::of({0}));
+  auto lib = Library::init(&injector);
+  ASSERT_TRUE(lib.has_value());
+  const auto running_set = [&]() -> int {
+    auto set = (*lib)->create_eventset();
+    EXPECT_TRUE(set.has_value());
+    EXPECT_TRUE((*lib)->attach(*set, tid).is_ok());
+    EXPECT_TRUE((*lib)->add_event(*set, "PAPI_TOT_INS").is_ok());
+    const Status started = (*lib)->start(*set);
+    EXPECT_TRUE(started.is_ok()) << started.to_string();
+    return *set;
+  };
+  const int first = running_set();
+  kernel.run_for(std::chrono::milliseconds(5));
+  ASSERT_FALSE((*lib)->stop(first).has_value());
+  (void)(*lib)->force_destroy_eventset(first);
+  const int second = running_set();
+  (void)(*lib)->force_destroy_eventset(second);
+  lib->reset();
+  EXPECT_EQ(injector.open_fd_count(), 0u);
+}
+
 struct GroupFds {
   int leader = -1;
   int sibling = -1;

@@ -394,6 +394,57 @@ TEST(ServiceReconnect, RefusedResubscribeIsCountedAndTheSubMarkedDead) {
   EXPECT_GE(client.take_samples().size(), 1u);
 }
 
+TEST(ServiceReconnect, RefusedResubscribeIsRetriedOncePerPassUntilAdmitted) {
+  ReconnectHarness h;
+  DaemonConfig first;
+  first.epoch = 3;
+  ASSERT_TRUE(h.init(first).is_ok());
+  Client client = h.connect("patient-resubscriber");
+  auto sub0 = client.subscribe(h.spec(0));
+  ASSERT_TRUE(sub0.has_value());
+  auto sub1 = client.subscribe(h.spec(1));
+  ASSERT_TRUE(sub1.has_value());
+  h.tick();
+  ASSERT_EQ(client.take_samples().size(), 2u);
+
+  // The same daemon process, now admitting one subscription per client:
+  // the resume is refused the second one with kOverloaded, which is
+  // worth asking again.
+  DaemonConfig capped;
+  capped.epoch = 3;
+  capped.max_subscriptions = 1;
+  ASSERT_TRUE(h.restart(capped).is_ok());
+  auto stats = client.stats();
+  for (int i = 0; i < 3 && !stats.has_value(); ++i) stats = client.stats();
+  ASSERT_TRUE(stats.has_value()) << stats.status().message();
+  ASSERT_EQ(client.resume_stats().resubscribe_failures, 1u);
+  EXPECT_EQ(client.current_subscription_id(sub1->subscription_id), 0u);
+
+  // Each sweep asks once; the quota is still taken.
+  h.tick();
+  (void)client.take_samples();
+  EXPECT_EQ(client.resume_stats().resubscribe_retries, 1u);
+  EXPECT_EQ(client.current_subscription_id(sub1->subscription_id), 0u);
+
+  // Freeing the quota lets the next sweep's retry in, and the stream
+  // flows on the new id.
+  ASSERT_TRUE(client
+                  .unsubscribe(
+                      client.current_subscription_id(sub0->subscription_id))
+                  .is_ok());
+  (void)client.take_samples();
+  EXPECT_EQ(client.resume_stats().resubscribe_retries, 2u);
+  const std::uint32_t resumed =
+      client.current_subscription_id(sub1->subscription_id);
+  ASSERT_NE(resumed, 0u);
+  h.tick();
+  const auto samples = client.take_samples();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].subscription_id, resumed);
+  EXPECT_EQ(client.resume_stats().resubscribe_retries, 2u)
+      << "no retry once the subscription is back";
+}
+
 // --- bounded deadlines ------------------------------------------------------
 
 TEST(ServiceReconnect, DeadSilentDaemonIsBoundedByTheRpcDeadline) {
@@ -430,13 +481,21 @@ TEST(ServiceReconnect, HandshakeAgainstASilentDaemonIsBounded) {
   EXPECT_EQ(st.code(), StatusCode::kInterrupted);
 }
 
-TEST(ServiceSelfHealChaos, MixedWireAndBackendFaultsSoakCleanly) {
-  // The full gauntlet on one daemon: its backend injects transient read
-  // faults while the client's end of the link runs the mixed wire
-  // profile (short/zero writes, EAGAIN bursts, random disconnects,
-  // half-closes, stalls). The stream must keep making progress — a
-  // severed link re-dials under backoff — and every ledger must read
-  // clean afterwards.
+/// What one mixed-fault soak saw.
+struct SoakOutcome {
+  std::size_t received = 0;
+  std::uint64_t last_tick = 0;  // tick of the last sample received
+  ResumeStats resume;
+};
+
+/// The full gauntlet on one daemon: its backend injects transient read
+/// faults while the client's end of the link (and, with
+/// `wrap_daemon_side`, the daemon's accepted end too) runs the mixed
+/// wire profile (short/zero writes, EAGAIN bursts, random disconnects,
+/// half-closes, stalls). A severed link re-dials under backoff, and
+/// every ledger must read clean afterwards.
+SoakOutcome run_mixed_soak(int steps, bool wrap_daemon_side) {
+  SoakOutcome outcome;
   SimKernel kernel(cpumodel::raptor_lake_i7_13700());
   SimBackend sim(&kernel);
   papi::FaultInjectingBackend injector(
@@ -448,8 +507,10 @@ TEST(ServiceSelfHealChaos, MixedWireAndBackendFaultsSoakCleanly) {
   FaultyTransport links(*TransportFaultProfile::named("mixed"), 29);
   {
     Daemon daemon(&kernel, &injector, DaemonConfig{});
-    ASSERT_TRUE(daemon.init().is_ok());
-    daemon.add_listener(transport.listener());
+    EXPECT_TRUE(daemon.init().is_ok());
+    daemon.add_listener(wrap_daemon_side
+                            ? links.wrap_listener(transport.listener())
+                            : transport.listener());
     transport.set_pump([&daemon] { daemon.poll(); });
     const ConnectionFactory dial =
         [&]() -> Expected<std::unique_ptr<Connection>> {
@@ -457,30 +518,25 @@ TEST(ServiceSelfHealChaos, MixedWireAndBackendFaultsSoakCleanly) {
     };
     Client client(links.wrap(transport.connect()));
     client.enable_reconnect(dial);
-    ASSERT_TRUE(client.hello("soak").is_ok());
+    EXPECT_TRUE(client.hello("soak").is_ok());
     Subscribe spec;
     spec.target_kind = TargetKind::kThread;
     spec.target = tid;
     spec.events = {"PAPI_TOT_INS", "PAPI_TOT_CYC"};
     auto sub = client.subscribe(spec);
-    ASSERT_TRUE(sub.has_value()) << sub.status().message();
+    EXPECT_TRUE(sub.has_value()) << sub.status().message();
 
-    // Long enough for the profile to sever the link at least once.
-    constexpr int kSteps = 200;
-    std::size_t received = 0;
-    for (int t = 0; t < kSteps; ++t) {
+    for (int t = 0; t < steps; ++t) {
       kernel.run_for(std::chrono::milliseconds(10));
       daemon.poll();
       daemon.tick();
       for (const WireSample& sample : client.take_samples()) {
-        ++received;
+        ++outcome.received;
+        outcome.last_tick = sample.tick;
         EXPECT_EQ(sample.values.size(), spec.events.size());
       }
     }
-    // Progress, not perfection: wire and backend faults may cost some
-    // ticks, but the stream never stalls outright.
-    EXPECT_GE(received, static_cast<std::size_t>(kSteps) / 2);
-    EXPECT_GE(client.resume_stats().reconnects, 1u) << "a severed link healed";
+    outcome.resume = client.resume_stats();
     EXPECT_GT(links.total_injected(), 0u) << "the wire profile fired";
     EXPECT_GT(injector.stats().total_injected(), 0u)
         << "the backend profile fired";
@@ -491,6 +547,31 @@ TEST(ServiceSelfHealChaos, MixedWireAndBackendFaultsSoakCleanly) {
     EXPECT_EQ(sim.open_fd_count(), 0u);
   }
   EXPECT_EQ(links.open_connection_count(), 0u);
+  return outcome;
+}
+
+TEST(ServiceSelfHealChaos, MixedWireAndBackendFaultsSoakCleanly) {
+  // Long enough for the profile to sever the link at least once.
+  constexpr int kSteps = 200;
+  const SoakOutcome soak = run_mixed_soak(kSteps, /*wrap_daemon_side=*/false);
+  // Progress, not perfection: wire and backend faults may cost some
+  // ticks, but the stream never stalls outright.
+  EXPECT_GE(soak.received, static_cast<std::size_t>(kSteps) / 2);
+  EXPECT_GE(soak.resume.reconnects, 1u) << "a severed link healed";
+}
+
+TEST(ServiceSelfHealChaos, FaultsOnBothEndsKeepTheStreamFlowing) {
+  // Faults on both ends of every link, so the daemon notices a dead
+  // link late and tears its subscription down while the backend
+  // faults the final stop. The resumed client's resubscribe must still
+  // be served: a force-destroyed set gives up its component lock, and
+  // a refused resubscribe is retried rather than dropped for good.
+  constexpr int kSteps = 200;
+  const SoakOutcome soak = run_mixed_soak(kSteps, /*wrap_daemon_side=*/true);
+  EXPECT_GE(soak.resume.reconnects, 1u) << "a severed link healed";
+  EXPECT_GE(soak.received, static_cast<std::size_t>(kSteps) / 2);
+  EXPECT_GE(soak.last_tick, static_cast<std::uint64_t>(kSteps) - 10)
+      << "the stream still flows at the end of the soak";
 }
 
 }  // namespace
