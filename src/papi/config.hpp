@@ -29,18 +29,12 @@ struct LibraryConfig {
   /// Instructions charged to the measured thread per start/stop/read
   /// call, per perf group touched (models caliper overhead; §V-5).
   std::uint64_t call_overhead_instructions = 900;
-  /// Return multiplex-scaled estimates instead of raw values when an
-  /// EventSet is multiplexed.
-  bool scale_multiplexed = true;
   /// Serve reads through the userspace rdpmc read plan: mmap each
   /// resident event's perf user page and read counters with the seqlock
   /// protocol, falling back to read(2) when a page reports rdpmc off,
   /// the event is not resident (multiplexed out / migrated core types),
   /// or retries exhaust (§V-5).
   bool use_rdpmc = false;
-  /// Seqlock retry budget per page read before falling back to the fd
-  /// path; generous, since a stuck-odd page means a dead writer.
-  int rdpmc_max_retries = 16;
   /// Attempt budget for transient (EINTR/EAGAIN -> kInterrupted)
   /// syscall failures: every backend call site retries up to this many
   /// total attempts before surfacing the error.

@@ -526,7 +526,6 @@ void EventSetCore::build_plan() {
   plan_.clear();
   seams_.clear();
   kernel_groups_ = 0;
-  plan_scaled_ = multiplexed_ && config_->scale_multiplexed;
   plan_partial_.assign(user_events_.size(), 0);
   for (std::size_t u = 0; u < user_events_.size(); ++u) {
     if (!user_events_[u].missing.empty()) plan_partial_[u] = 1;
@@ -600,8 +599,7 @@ bool EventSetCore::read_pages(const PlanEntry* group) const {
   // the group read so its values stay mutually consistent.
   for (std::uint32_t i = 0; i < group->count; ++i) {
     UserPageSample sample;
-    if (read_user_page(*group[i].page, sample, config_->rdpmc_max_retries) !=
-        UserPageReadResult::kOk) {
+    if (read_user_page(*group[i].page, sample) != UserPageReadResult::kOk) {
       return false;
     }
     page_values_[i] = PerfValue{sample.value, sample.time_enabled_ns,
@@ -638,7 +636,7 @@ Status EventSetCore::collect(Sink& sink) const {
       values = group_values_.data();
     }
     for (std::uint32_t i = 0; i < count; ++i) {
-      sink.add(group[i], plan_scaled_ ? values[i].scaled()
+      sink.add(group[i], multiplexed_ ? values[i].scaled()
                                       : static_cast<double>(values[i].value));
     }
   }
@@ -650,7 +648,7 @@ Status EventSetCore::collect(Sink& sink) const {
       valid = &seam_valid_;
     }
     HETPAPI_RETURN_IF_ERROR(seam.use->component->read(
-        *seam.use->state, plan_scaled_, seam_values_, valid));
+        *seam.use->state, multiplexed_, seam_values_, valid));
     for (const PlanEntry& entry : seam.entries) {
       if (valid == nullptr || seam_valid_[entry.native] != 0) {
         sink.add(entry, seam_values_[entry.native]);
@@ -664,7 +662,7 @@ Status EventSetCore::collect(Sink& sink) const {
 
 Status EventSetCore::collect_totals(std::vector<long long>& out) const {
   out.assign(user_events_.size(), 0);
-  TotalsSink sink{begin_fold(plan_scaled_, scaled_sums_), out.data()};
+  TotalsSink sink{begin_fold(multiplexed_, scaled_sums_), out.data()};
   return collect(sink);
 }
 
@@ -678,7 +676,7 @@ Status EventSetCore::read_checked_into(Reading& out) const {
   out.values.assign(user_events_.size(), 0);
   out.value_degraded = plan_partial_;
   out.degraded = degraded();
-  CheckedSink sink{begin_fold(plan_scaled_, scaled_sums_), &out};
+  CheckedSink sink{begin_fold(multiplexed_, scaled_sums_), &out};
   HETPAPI_RETURN_IF_ERROR(collect(sink));
   charge_read_overhead();
   return Status::ok();
@@ -713,7 +711,7 @@ Status EventSetCore::read_qualified_into(
                  user.missing[m].sign);
     }
   }
-  QualifiedSink sink{begin_fold(plan_scaled_, scaled_sums_), out.data()};
+  QualifiedSink sink{begin_fold(multiplexed_, scaled_sums_), out.data()};
   HETPAPI_RETURN_IF_ERROR(collect(sink));
   charge_read_overhead();
   return Status::ok();

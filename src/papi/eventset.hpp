@@ -270,9 +270,6 @@ class EventSetCore {
   std::vector<PlanSeam> seams_;
   /// Kernel groups in the plan: the per-call overhead unit.
   std::uint64_t kernel_groups_ = 0;
-  /// Multiplex-scaled collection: fold multiplex estimates as doubles
-  /// (summed in native order, as the estimates are defined).
-  bool plan_scaled_ = false;
   /// Per user event: 1 when a constituent never opened, so every
   /// reading of the slot is partial.
   std::vector<std::uint8_t> plan_partial_;

@@ -43,6 +43,10 @@ struct UserPageSample {
   std::uint64_t time_running_ns = 0;
 };
 
+/// Seqlock retry budget per page read before falling back to the fd
+/// path; generous, since a stuck-odd page means a dead writer.
+inline constexpr int kRdpmcMaxRetries = 16;
+
 /// Test seam: invoked with 2*attempt after the seq capture and
 /// 2*attempt+1 after the field reads, so a test can mutate the page at
 /// either point and prove the retry loop never returns a torn value.
@@ -53,7 +57,7 @@ struct UserPageNoHook {
 template <typename Hook = UserPageNoHook>
 inline UserPageReadResult read_user_page(const simkernel::PerfUserPage& page,
                                          UserPageSample& out,
-                                         int max_retries = 16,
+                                         int max_retries = kRdpmcMaxRetries,
                                          Hook&& hook = Hook{}) {
   const auto load_u32 = [](const std::uint32_t& field) {
     return *static_cast<const volatile std::uint32_t*>(&field);

@@ -46,10 +46,6 @@ Status Daemon::init() {
   auto lib = papi::Library::init(backend_, config_.library);
   if (!lib) return lib.status();
   library_ = std::move(*lib);
-  if (config_.include_telemetry && kernel_ != nullptr) {
-    sampler_ = std::make_unique<telemetry::Sampler>(kernel_);
-    sampler_->reset();
-  }
   return Status::ok();
 }
 
@@ -621,10 +617,6 @@ void Daemon::serve_subscriptions() {
   const double t_seconds =
       kernel_ != nullptr ? kernel_->now().seconds()
                          : static_cast<double>(stats_.ticks);
-  double temp = std::nan("");
-  double power = std::nan("");
-  bool telemetry_sampled = false;
-
   // The coalescing payoff: ONE backend read per distinct subscription,
   // regardless of how many clients ride it, and ONE template frame per
   // read (the fan-out stamps each rider's id and sequence into its
@@ -633,19 +625,15 @@ void Daemon::serve_subscriptions() {
   // out in the global (key_id, subscribe order).
   for (auto& [key_id, sub] : shared_subs_) {
     if (stats_.ticks % sub.period_ticks != 0) continue;
-    if (sampler_ != nullptr && !telemetry_sampled) {
-      const telemetry::Sample s = sampler_->sample();
-      temp = s.package_temp_c;
-      power = s.package_power_w;
-      telemetry_sampled = true;
-    }
     ++stats_.backend_reads;
     read_into_sample(sub);
     WireSample& sample = sub.sample;
     sample.tick = stats_.ticks;
     sample.t_seconds = t_seconds;
-    sample.package_temp_c = temp;
-    sample.package_power_w = power;
+    // The wire still has room for package telemetry, which the daemon
+    // does not attach.
+    sample.package_temp_c = std::nan("");
+    sample.package_power_w = std::nan("");
     sample.encode_frame_into(sub.frame);
     deliver(sub.subscribers, sub.frame);
   }

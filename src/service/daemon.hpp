@@ -48,7 +48,7 @@
 #include "papi/library.hpp"
 #include "service/proto.hpp"
 #include "service/transport.hpp"
-#include "telemetry/sampler.hpp"
+#include "simkernel/kernel.hpp"
 
 namespace hetpapi::service {
 
@@ -64,9 +64,6 @@ struct DaemonConfig {
   /// drivers still set them; ROADMAP item 2(a) removes them.
   std::size_t encode_threads = 1;
   std::size_t shards = 1;
-  /// Attach package temperature / power (via a telemetry::Sampler over
-  /// the kernel) to every streamed sample.
-  bool include_telemetry = false;
   /// Session epoch advertised in every HelloAck. A reconnecting
   /// client compares epochs to tell "same daemon process" (tick-based
   /// gap accounting is exact) from "daemon restarted" (gap unknowable).
@@ -111,9 +108,8 @@ struct DaemonStats {
 
 class Daemon {
  public:
-  /// `kernel` may be null when the backend is not sim-based (no
-  /// telemetry attachment, t_seconds counts ticks); `backend` must
-  /// outlive the daemon.
+  /// `kernel` may be null when the backend is not sim-based (t_seconds
+  /// then counts ticks); `backend` must outlive the daemon.
   Daemon(simkernel::SimKernel* kernel, papi::Backend* backend,
          DaemonConfig config);
   ~Daemon();
@@ -299,7 +295,6 @@ class Daemon {
   papi::Backend* backend_;
   DaemonConfig config_;
   std::unique_ptr<papi::Library> library_;
-  std::unique_ptr<telemetry::Sampler> sampler_;
 
   std::vector<Listener*> listeners_;
   /// Insertion-ordered so poll()/tick() visit clients deterministically.

@@ -612,8 +612,7 @@ class SampleParts {
 
 /// The streamed measurement record — the wire rendition of a
 /// telemetry::Sample restricted to what the daemon serves: counter
-/// values (plus the qualified per-PMU breakdown on request) and the
-/// package telemetry the daemon's sampler attaches when enabled.
+/// values, plus the qualified per-PMU breakdown on request.
 ///
 /// Fixed-width on the wire, with N = values.size() slots and P parts
 /// in total (49 + 13N + 8P payload bytes, no strings):
@@ -639,7 +638,8 @@ struct WireSample {
   /// bytes cost no more room than two.
   SmallVector<std::uint8_t, 8> degraded;
   std::uint8_t counters_ok = 1;
-  /// NaN when the daemon does not attach telemetry.
+  /// Package telemetry: room on the wire, always NaN from the daemon,
+  /// which attaches none.
   double package_temp_c = 0.0;
   double package_power_w = 0.0;
   /// Per-slot constituent values in the order of the subscription's

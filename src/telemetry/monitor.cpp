@@ -110,8 +110,7 @@ RunResult run_monitored_hpl(simkernel::SimKernel& kernel,
   sampler.reset();
   if (papi_lib) {
     sampler.attach_counters(papi_lib.get(), papi_set,
-                            monitor_config.per_core_type_counters,
-                            monitor_config.max_consecutive_counter_failures);
+                            monitor_config.per_core_type_counters);
     if (monitor_config.per_core_type_counters) {
       // Label the constituents once — the breakdown structure is fixed
       // for the lifetime of the set, only the values change per sample.

@@ -90,9 +90,6 @@ struct MonitorConfig {
   /// RunResult::counter_part_names. Default off: samples are
   /// byte-identical to the plain read path.
   bool per_core_type_counters = false;
-  /// Consecutive failed ticks after which a counter is dropped (and
-  /// after which whole-set read failures abandon counter sampling).
-  int max_consecutive_counter_failures = 3;
   /// Serve the monitor's counter reads through the userspace rdpmc
   /// read plan (LibraryConfig::use_rdpmc): mmap'd user pages + seqlock
   /// reads with per-read fd fallback. Off preserves the pure

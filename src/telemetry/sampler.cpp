@@ -20,12 +20,10 @@ Sampler::Sampler(const simkernel::SimKernel* kernel) : kernel_(kernel) {
 }
 
 void Sampler::attach_counters(const papi::Library* library, int eventset,
-                              bool qualified, int max_consecutive_failures) {
+                              bool qualified) {
   library_ = library;
   eventset_ = eventset;
   qualified_ = qualified;
-  max_consecutive_failures_ =
-      max_consecutive_failures > 0 ? max_consecutive_failures : 1;
   health_ = CounterHealth{};
   consecutive_invalid_.clear();
   consecutive_set_failures_ = 0;
@@ -123,7 +121,7 @@ void Sampler::sample_counters(Sample& s) {
     s.counters.assign(known_slots, std::nan(""));
     ++health_.ticks_failed;
     if (!health_.abandoned &&
-        ++consecutive_set_failures_ >= max_consecutive_failures_) {
+        ++consecutive_set_failures_ >= kMaxConsecutiveCounterFailures) {
       health_.abandoned = true;
     }
   };
@@ -201,7 +199,7 @@ void Sampler::sample_counters(Sample& s) {
     }
     any_degraded = true;
     s.counters.push_back(std::nan(""));
-    if (++consecutive_invalid_[i] >= max_consecutive_failures_) {
+    if (++consecutive_invalid_[i] >= kMaxConsecutiveCounterFailures) {
       health_.dropped[i] = 1;
     }
   }

@@ -65,6 +65,10 @@ struct CounterHealth {
   }
 };
 
+/// Consecutive failed ticks after which a counter is dropped, and
+/// after which whole-set read failures abandon counter sampling.
+inline constexpr int kMaxConsecutiveCounterFailures = 3;
+
 class Sampler {
  public:
   explicit Sampler(const simkernel::SimKernel* kernel);
@@ -74,13 +78,12 @@ class Sampler {
   /// component registry. Pass nullptr to detach. With `qualified` the
   /// sampler reads through read_qualified and additionally fills
   /// Sample::counter_parts with the per-PMU breakdown of every slot.
-  /// A slot that fails `max_consecutive_failures` ticks in a row is
-  /// dropped (reported NaN from then on); the same threshold on
+  /// A slot that fails kMaxConsecutiveCounterFailures ticks in a row
+  /// is dropped (reported NaN from then on); the same threshold on
   /// whole-set read failures abandons counter sampling entirely. The
   /// run itself is never aborted by a failing counter.
   void attach_counters(const papi::Library* library, int eventset,
-                       bool qualified = false,
-                       int max_consecutive_failures = 3);
+                       bool qualified = false);
 
   /// Take one sample at the kernel's current time.
   Sample sample();
@@ -102,7 +105,6 @@ class Sampler {
   const papi::Library* library_ = nullptr;
   int eventset_ = -1;
   bool qualified_ = false;
-  int max_consecutive_failures_ = 3;
   CounterHealth health_;
   /// Consecutive failed/degraded ticks per slot (drop bookkeeping).
   std::vector<int> consecutive_invalid_;
