@@ -236,19 +236,28 @@ void Daemon::dispatch(ClientState& client, const FrameView& frame) {
     return;
   }
   switch (frame.type) {
-    case MsgType::kHello: return serve(client, frame, &Daemon::on_hello);
+    case MsgType::kHello:
+      return serve(client, frame, &Daemon::on_hello);
     case MsgType::kOpenSession:
       return serve(client, frame, &Daemon::on_open_session);
-    case MsgType::kAddEvents: return serve(client, frame, &Daemon::on_add_events);
-    case MsgType::kStart: return serve(client, frame, &Daemon::on_start);
-    case MsgType::kRead: return serve(client, frame, &Daemon::on_read);
-    case MsgType::kSubscribe: return serve(client, frame, &Daemon::on_subscribe);
+    case MsgType::kAddEvents:
+      return serve(client, frame, &Daemon::on_add_events);
+    case MsgType::kStart:
+      return serve(client, frame, &Daemon::on_start);
+    case MsgType::kRead:
+      return serve(client, frame, &Daemon::on_read);
+    case MsgType::kSubscribe:
+      return serve(client, frame, &Daemon::on_subscribe);
     case MsgType::kUnsubscribe:
       return serve(client, frame, &Daemon::on_unsubscribe);
-    case MsgType::kGetStats: return serve(client, frame, &Daemon::on_get_stats);
-    case MsgType::kClose: return serve(client, frame, &Daemon::on_close);
-    case MsgType::kPing: return serve(client, frame, &Daemon::on_ping);
-    case MsgType::kPong: return serve(client, frame, &Daemon::on_pong);
+    case MsgType::kGetStats:
+      return serve(client, frame, &Daemon::on_get_stats);
+    case MsgType::kClose:
+      return serve(client, frame, &Daemon::on_close);
+    case MsgType::kPing:
+      return serve(client, frame, &Daemon::on_ping);
+    case MsgType::kPong:
+      return serve(client, frame, &Daemon::on_pong);
     default:
       ++stats_.protocol_errors;
       enqueue_error(client, frame.type,

@@ -109,8 +109,8 @@ void store_le(std::uint8_t* p, T v) {
     std::memcpy(p, &v, sizeof(T));
   } else {
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      p[i] = static_cast<std::uint8_t>(static_cast<std::make_unsigned_t<T>>(v) >>
-                                       (8 * i));
+      p[i] = static_cast<std::uint8_t>(
+          static_cast<std::make_unsigned_t<T>>(v) >> (8 * i));
     }
   }
 }
