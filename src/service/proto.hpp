@@ -179,17 +179,14 @@ class Writer {
 /// remaining bytes could hold.
 class Reader {
  public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit Reader(std::span<const std::uint8_t> bytes)
-      : Reader(bytes.data(), bytes.size()) {}
+  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   template <typename... T>
   void operator()(T&... fields) {
     (get(fields), ...);
   }
 
-  std::size_t remaining() const { return size_ - pos_; }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
   /// False once any read failed.
   bool ok() const { return error_ == nullptr; }
   /// OK when every field decoded and no byte is left over; otherwise
@@ -205,7 +202,7 @@ class Reader {
       return nullptr;
     }
     pos_ += n;
-    return data_ + pos_ - n;
+    return bytes_.data() + pos_ - n;
   }
   void fail(const char* why) {
     if (error_ == nullptr) error_ = why;
@@ -229,8 +226,7 @@ class Reader {
     for (std::uint32_t i = 0; i < count && ok(); ++i) get(list.emplace_back());
   }
 
-  const std::uint8_t* data_;
-  std::size_t size_;
+  std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
   const char* error_ = nullptr;  // the first failure; null while ok
 };
