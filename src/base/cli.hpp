@@ -40,10 +40,4 @@ inline std::int64_t require_positive_int(std::string_view flag,
   return *parsed;
 }
 
-inline double require_double(std::string_view flag, std::string_view value) {
-  const auto parsed = parse_double(value);
-  if (!parsed) usage_error(flag, value, "a number");
-  return *parsed;
-}
-
 }  // namespace hetpapi::cli

@@ -63,7 +63,6 @@ struct UnitBase {
 /// Clock frequency in MHz (the native unit of cpufreq sysfs files is kHz;
 /// conversion helpers below).
 struct MegaHertz : UnitBase<MegaHertz> {
-  constexpr double hertz() const { return value * 1e6; }
   constexpr double gigahertz() const { return value / 1e3; }
   constexpr std::int64_t kilohertz() const {
     return static_cast<std::int64_t>(value * 1e3);

@@ -43,11 +43,6 @@ Status errno_status(std::string_view what) {
   return make_error(code, std::string(what) + ": " + std::strerror(err));
 }
 
-/// Syscall-level EINTR bound: a signal storm should not surface as a
-/// failed read, but an unbounded loop must not hang either. The library
-/// layer retries kInterrupted again on top of this.
-constexpr int kSyscallEintrRetries = 8;
-
 /// Translate our backend-neutral (type, CountKind) pair onto the real
 /// ABI. Core-PMU kinds go through the generalized hardware ids with the
 /// extended config encoding hybrid kernels accept; software kinds map
@@ -247,44 +242,15 @@ Status LinuxBackend::perf_ioctl(int fd, papi::PerfIoctl op,
   }
   const unsigned long arg =
       (flags & simkernel::kIocFlagGroup) != 0 ? PERF_IOC_FLAG_GROUP : 0;
-  int rc = -1;
-  for (int attempt = 0; attempt < kSyscallEintrRetries; ++attempt) {
-    rc = ::ioctl(fd, request, arg);
-    if (rc == 0 || errno != EINTR) break;
-  }
-  if (rc != 0) return errno_status("perf ioctl");
+  if (::ioctl(fd, request, arg) != 0) return errno_status("perf ioctl");
   return Status::ok();
-}
-
-Expected<papi::PerfValue> LinuxBackend::perf_read(int fd) {
-  // Non-group read with both time fields.
-  std::uint64_t buffer[3] = {0, 0, 0};
-  ssize_t n = -1;
-  for (int attempt = 0; attempt < kSyscallEintrRetries; ++attempt) {
-    n = ::read(fd, buffer, sizeof(buffer));
-    if (n >= 0 || errno != EINTR) break;
-  }
-  if (n < 0) return errno_status("perf read");
-  papi::PerfValue value;
-  value.value = buffer[0];
-  if (n >= static_cast<ssize_t>(2 * sizeof(std::uint64_t))) {
-    value.time_enabled_ns = buffer[1];
-  }
-  if (n >= static_cast<ssize_t>(3 * sizeof(std::uint64_t))) {
-    value.time_running_ns = buffer[2];
-  }
-  return value;
 }
 
 Status LinuxBackend::perf_read_group_into(int fd,
                                           std::vector<papi::PerfValue>& out) {
   out.clear();
   GroupReadBuffer buffer;
-  ssize_t n = -1;
-  for (int attempt = 0; attempt < kSyscallEintrRetries; ++attempt) {
-    n = ::read(fd, &buffer, sizeof(buffer));
-    if (n >= 0 || errno != EINTR) break;
-  }
+  const ssize_t n = ::read(fd, &buffer, sizeof(buffer));
   if (n < 0) return errno_status("perf group read");
   // The layout is fixed by the read_format every group is opened with
   // (GROUP | TOTAL_TIME_ENABLED | TOTAL_TIME_RUNNING): a three-word
@@ -323,12 +289,6 @@ Status LinuxBackend::perf_read_group_into(int fd,
   return Status::ok();
 }
 
-Expected<std::uint64_t> LinuxBackend::perf_rdpmc(int fd) {
-  (void)fd;
-  return make_error(StatusCode::kNotSupported,
-                    "rdpmc fast path not wired on the real backend");
-}
-
 // Our mirror struct must line up with the live kernel header, not just
 // the documented offsets.
 static_assert(offsetof(simkernel::PerfUserPage, lock) ==
@@ -363,18 +323,17 @@ static_assert(offsetof(simkernel::PerfUserPage, data_tail) ==
               offsetof(perf_event_mmap_page, data_tail));
 
 Expected<simkernel::PerfRingView> LinuxBackend::perf_mmap_ring(int fd) {
-  const auto make_view = [this](int key, const RingMap& ring) {
+  const auto make_view = [](const RingMap& ring) {
     const long page_size = ::sysconf(_SC_PAGESIZE);
     simkernel::PerfRingView view;
     view.page = static_cast<simkernel::PerfUserPage*>(ring.base);
     view.data = static_cast<const std::uint8_t*>(ring.base) + page_size;
     view.size = ring.length - static_cast<std::size_t>(page_size);
     view.sample_type = ring.sample_type;
-    (void)key;
     return view;
   };
   if (const auto it = rings_.find(fd); it != rings_.end()) {
-    return make_view(fd, it->second);
+    return make_view(it->second);
   }
   const auto type_it = sample_types_.find(fd);
   if (type_it == sample_types_.end()) {
@@ -394,18 +353,14 @@ Expected<simkernel::PerfRingView> LinuxBackend::perf_mmap_ring(int fd) {
   ring.length = length;
   ring.sample_type = type_it->second;
   rings_[fd] = ring;
-  return make_view(fd, ring);
+  return make_view(ring);
 }
 
 Expected<bool> LinuxBackend::perf_ring_poll(int fd) {
   pollfd pfd{};
   pfd.fd = fd;
   pfd.events = POLLIN;
-  int rc = -1;
-  for (int attempt = 0; attempt < kSyscallEintrRetries; ++attempt) {
-    rc = ::poll(&pfd, 1, 0);
-    if (rc >= 0 || errno != EINTR) break;
-  }
+  const int rc = ::poll(&pfd, 1, 0);
   if (rc < 0) return errno_status("perf poll");
   return rc > 0 && (pfd.revents & POLLIN) != 0;
 }

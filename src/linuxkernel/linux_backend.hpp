@@ -7,8 +7,12 @@
 // (config = pmu_type << 32 | generic_id) that hybrid kernels accept so
 // a per-core-type PMU can be addressed through PERF_TYPE_HARDWARE.
 // Software events work everywhere (including PMU-less VMs, which is
-// what the gated tests exercise); rdpmc and RAPL translation are out of
-// scope and report kNotSupported.
+// what the gated tests exercise); RAPL translation is out of scope.
+// rdpmc goes through the real mmap'd user page (perf_mmap_user_page),
+// which papi::read_user_page reads; a page without cap_user_rdpmc or
+// with index 0 sends the library to the group read. Syscalls that fail
+// with EINTR/EAGAIN return kInterrupted at once: papi/retry.hpp is the
+// one retry loop, and close is never retried.
 #pragma once
 
 #include <map>
@@ -43,14 +47,12 @@ class LinuxBackend final : public papi::Backend {
                                 papi::Tid tid, int cpu, int group_fd,
                                 std::uint64_t flags) override;
   Status perf_ioctl(int fd, papi::PerfIoctl op, std::uint32_t flags) override;
-  Expected<papi::PerfValue> perf_read(int fd) override;
   /// One read(2) of the group layout every group is opened with
   /// (GROUP | TOTAL_TIME_ENABLED | TOTAL_TIME_RUNNING), decoded straight
   /// into `out`. A byte count that does not match the member count, or
   /// a group wider than the 64-value read buffer, is an error.
   Status perf_read_group_into(int fd,
                               std::vector<papi::PerfValue>& out) override;
-  Expected<std::uint64_t> perf_rdpmc(int fd) override;
   /// mmap the event's real perf_event_mmap_page (read-only, one page).
   /// simkernel::PerfUserPage mirrors the kernel struct bit-for-bit up
   /// to the reserved region, and the kernel zeroes that region, so the

@@ -6,6 +6,11 @@
 // only this interface changes. That mirrors the paper's claim that the
 // PAPI-side work is a client-protocol change over unchanged kernel
 // semantics.
+//
+// The seam holds only what the library calls: open, ioctl, close, one
+// counter read (the group read), the user page for rdpmc and the sample
+// ring with its poll. Backends return EINTR/EAGAIN as kInterrupted
+// without looping; papi/retry.hpp is the one retry layer.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +36,10 @@ class Backend {
                                         int cpu, int group_fd,
                                         std::uint64_t flags) = 0;
   virtual Status perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags) = 0;
-  virtual Expected<PerfValue> perf_read(int fd) = 0;
-  /// read(2) with PERF_FORMAT_GROUP on a leader fd: leader first, then
-  /// siblings in creation order. `out` is cleared but keeps its
-  /// capacity, so a reused buffer makes the read allocation-free. On
-  /// failure the contents of `out` are unspecified.
+  /// The seam's one counter read: read(2) with PERF_FORMAT_GROUP on a
+  /// leader fd, leader first, then siblings in creation order. `out` is
+  /// cleared but keeps its capacity, so a reused buffer makes the read
+  /// allocation-free. On failure the contents of `out` are unspecified.
   virtual Status perf_read_group_into(int fd,
                                       std::vector<PerfValue>& out) = 0;
   /// Convenience wrapper over perf_read_group_into (one allocation).
@@ -44,13 +48,13 @@ class Backend {
     HETPAPI_RETURN_IF_ERROR(perf_read_group_into(fd, out));
     return out;
   }
-  virtual Expected<std::uint64_t> perf_rdpmc(int fd) = 0;
   virtual Status perf_close(int fd) = 0;
 
-  /// mmap(2) the event's perf_event_mmap_page for userspace rdpmc read
-  /// plans (§V-5). The returned pointer must stay valid until
-  /// perf_close(fd); backends without a page report kNotSupported and
-  /// the read planner keeps the fd path. Default: no page.
+  /// mmap(2) the event's perf_event_mmap_page: the only rdpmc path.
+  /// papi::read_user_page reads it under its seqlock (§V-5). The
+  /// returned pointer must stay valid until perf_close(fd); backends
+  /// without a page report kNotSupported and the read planner keeps the
+  /// group read. Default: no page.
   virtual Expected<const simkernel::PerfUserPage*> perf_mmap_user_page(
       int fd) {
     (void)fd;

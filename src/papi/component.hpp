@@ -43,7 +43,6 @@ struct ComponentCaps {
 struct ComponentEnv {
   Backend* backend = nullptr;
   const pfm::PfmLibrary* pfm = nullptr;
-  const LibraryConfig* config = nullptr;
 };
 
 /// What an EventSet is bound to when a component opens or reads slots.

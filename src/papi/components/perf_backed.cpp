@@ -6,6 +6,22 @@ namespace hetpapi::papi {
 
 using simkernel::kIocFlagGroup;
 
+namespace {
+
+/// One group-wide ioctl on a leader, through the transient retry.
+Status group_ioctl(Backend& backend, int leader_fd, PerfIoctl op) {
+  return retry_transient(kTransientRetryAttempts, [&] {
+    return backend.perf_ioctl(leader_fd, op, kIocFlagGroup);
+  });
+}
+
+Expected<bool> poll_ring(Backend& backend, int fd) {
+  return retry_transient(kTransientRetryAttempts,
+                         [&] { return backend.perf_ring_poll(fd); });
+}
+
+}  // namespace
+
 std::unique_ptr<ComponentState> PerfBackedComponent::create_state() const {
   return std::make_unique<PerfState>();
 }
@@ -55,7 +71,6 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
                      simkernel::kFormatTotalTimeEnabled |
                      simkernel::kFormatTotalTimeRunning;
 
-  const int retries = env_.config->transient_retry_attempts;
   if (group == nullptr) {
     if (ps.groups.full() ||
         (!target.multiplexed && ps.groups.size() >= kMaxPmuGroups)) {
@@ -64,8 +79,10 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
                             std::to_string(kMaxPmuGroups) + " PMU groups)");
     }
     attr.disabled = true;  // leaders start disabled; PAPI_start enables
-    auto fd = open_with_retry(*env_.backend, attr, binding->tid, binding->cpu,
-                              -1, 0, retries);
+    auto fd = retry_transient(kTransientRetryAttempts, [&] {
+      return env_.backend->perf_event_open(attr, binding->tid, binding->cpu,
+                                           -1, 0);
+    });
     if (!fd) return fd.status();
     Group new_group;
     new_group.perf_type = request.enc.perf_type;
@@ -78,8 +95,10 @@ Status PerfBackedComponent::open_slot(ComponentState& state,
   }
 
   attr.disabled = false;  // siblings gate on their leader
-  auto fd = open_with_retry(*env_.backend, attr, binding->tid, binding->cpu,
-                            group->leader_fd, 0, retries);
+  auto fd = retry_transient(kTransientRetryAttempts, [&] {
+    return env_.backend->perf_event_open(attr, binding->tid, binding->cpu,
+                                         group->leader_fd, 0);
+  });
   if (!fd) return fd.status();
   if (group->members.full()) {
     (void)env_.backend->perf_close(*fd);
@@ -135,18 +154,15 @@ Status PerfBackedComponent::start(ComponentState& state) {
   // disables groups 0..k-1 again (best effort) so a failed start never
   // leaves counters silently running.
   PerfState& ps = perf_state(state);
-  const int retries = env_.config->transient_retry_attempts;
+  Backend& backend = *env_.backend;
   for (std::size_t g = 0; g < ps.groups.size(); ++g) {
-    Status s = ioctl_with_retry(*env_.backend, ps.groups[g].leader_fd,
-                                PerfIoctl::kReset, kIocFlagGroup, retries);
-    if (s.is_ok()) {
-      s = ioctl_with_retry(*env_.backend, ps.groups[g].leader_fd,
-                           PerfIoctl::kEnable, kIocFlagGroup, retries);
-    }
+    const int leader = ps.groups[g].leader_fd;
+    Status s = group_ioctl(backend, leader, PerfIoctl::kReset);
+    if (s.is_ok()) s = group_ioctl(backend, leader, PerfIoctl::kEnable);
     if (!s.is_ok()) {
       for (std::size_t k = g; k-- > 0;) {
-        (void)ioctl_with_retry(*env_.backend, ps.groups[k].leader_fd,
-                               PerfIoctl::kDisable, kIocFlagGroup, retries);
+        (void)group_ioctl(backend, ps.groups[k].leader_fd,
+                          PerfIoctl::kDisable);
       }
       return s;
     }
@@ -159,12 +175,10 @@ Status PerfBackedComponent::stop(ComponentState& state) {
   // Keep disabling the remaining groups after a failure — stop must
   // quiesce as much as it can; the first error is still reported.
   PerfState& ps = perf_state(state);
-  const int retries = env_.config->transient_retry_attempts;
   Status first_error = Status::ok();
   for (const Group& group : ps.groups) {
-    const Status s = ioctl_with_retry(*env_.backend, group.leader_fd,
-                                      PerfIoctl::kDisable, kIocFlagGroup,
-                                      retries);
+    const Status s =
+        group_ioctl(*env_.backend, group.leader_fd, PerfIoctl::kDisable);
     if (!s.is_ok() && first_error.is_ok()) first_error = s;
   }
   ps.enabled = false;
@@ -173,11 +187,9 @@ Status PerfBackedComponent::stop(ComponentState& state) {
 
 Status PerfBackedComponent::reset(ComponentState& state) {
   PerfState& ps = perf_state(state);
-  const int retries = env_.config->transient_retry_attempts;
   for (const Group& group : ps.groups) {
-    HETPAPI_RETURN_IF_ERROR(ioctl_with_retry(*env_.backend, group.leader_fd,
-                                             PerfIoctl::kReset, kIocFlagGroup,
-                                             retries));
+    HETPAPI_RETURN_IF_ERROR(
+        group_ioctl(*env_.backend, group.leader_fd, PerfIoctl::kReset));
   }
   return Status::ok();
 }
@@ -245,7 +257,6 @@ void PerfBackedComponent::drain_ring(const Slot& slot, SampleBatch& batch) {
 Status PerfBackedComponent::drain_samples(ComponentState& state,
                                           SampleBatch& batch) {
   PerfState& ps = perf_state(state);
-  const int retries = env_.config->transient_retry_attempts;
   for (Slot& slot : ps.slots) {
     if (slot.request.sample_period == 0 || slot.fd < 0) continue;
     if (slot.ring_denied || !slot.ring_mapped) {
@@ -261,7 +272,7 @@ Status PerfBackedComponent::drain_samples(ComponentState& state,
     // for this pass only — its records stay queued in the ring. A hard
     // poll failure (e.g. a backend without a poll surface) proceeds
     // straight to the ring, which is the source of truth.
-    const auto fired = poll_with_retry(*env_.backend, slot.fd, retries);
+    const auto fired = poll_ring(*env_.backend, slot.fd);
     if (!fired && fired.status().code() == StatusCode::kInterrupted) {
       ++batch.drains_stalled;
       continue;
@@ -291,7 +302,7 @@ Status PerfBackedComponent::drain_samples(ComponentState& state,
                 simkernel::perf_sample_record_size(slot.ring.sample_type);
     drain_ring(slot, batch);
     if (maybe_lost_pending) {
-      (void)poll_with_retry(*env_.backend, slot.fd, retries);
+      (void)poll_ring(*env_.backend, slot.fd);
       drain_ring(slot, batch);
     }
   }

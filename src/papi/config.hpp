@@ -35,10 +35,6 @@ struct LibraryConfig {
   /// the event is not resident (multiplexed out / migrated core types),
   /// or retries exhaust (§V-5).
   bool use_rdpmc = false;
-  /// Attempt budget for transient (EINTR/EAGAIN -> kInterrupted)
-  /// syscall failures: every backend call site retries up to this many
-  /// total attempts before surfacing the error.
-  int transient_retry_attempts = 4;
   /// Graceful degradation for multi-constituent (derived hybrid)
   /// events: when one core-type PMU refuses to open its constituent,
   /// keep the constituents that did open instead of failing the whole

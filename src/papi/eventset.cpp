@@ -610,15 +610,15 @@ bool EventSetCore::read_pages(const PlanEntry* group) const {
 
 template <typename Sink>
 Status EventSetCore::collect(Sink& sink) const {
-  const int retries = config_->transient_retry_attempts;
   const PlanEntry* const end = plan_.data() + plan_.size();
   for (const PlanEntry* group = plan_.data(); group != end;
        group += group->count) {
     const std::uint32_t count = group->count;
     const PerfValue* values = page_values_.data();
     if (!group->rdpmc || !read_pages(group)) {
-      Status read = read_group_with_retry(*backend_, group->leader_fd,
-                                          group_values_, retries);
+      Status read = retry_transient(kTransientRetryAttempts, [&] {
+        return backend_->perf_read_group_into(group->leader_fd, group_values_);
+      });
       if (read.is_ok() && group_values_.size() != count) {
         read = make_error(StatusCode::kBug, "group read size mismatch");
       }

@@ -149,12 +149,6 @@ Status FaultInjectingBackend::perf_ioctl(int fd, PerfIoctl op,
   return inner_->perf_ioctl(fd, op, flags);
 }
 
-Expected<PerfValue> FaultInjectingBackend::perf_read(int fd) {
-  ++stats_.reads_attempted;
-  HETPAPI_RETURN_IF_ERROR(read_fault(fd));
-  return inner_->perf_read(fd);
-}
-
 Status FaultInjectingBackend::perf_read_group_into(
     int fd, std::vector<PerfValue>& out) {
   ++stats_.reads_attempted;
@@ -162,20 +156,9 @@ Status FaultInjectingBackend::perf_read_group_into(
   return inner_->perf_read_group_into(fd, out);
 }
 
-Expected<std::uint64_t> FaultInjectingBackend::perf_rdpmc(int fd) {
-  if (profile_.rdpmc_unavailable) {
-    return make_error(StatusCode::kNotSupported, "injected: rdpmc disabled");
-  }
-  if (stale_fds_.count(fd) != 0) {
-    ++stats_.stale_fd_hits;
-    return make_error(StatusCode::kSystem, "injected stale fd");
-  }
-  return inner_->perf_rdpmc(fd);
-}
-
 Expected<const simkernel::PerfUserPage*>
 FaultInjectingBackend::perf_mmap_user_page(int fd) {
-  // Same availability model as perf_rdpmc: an rdpmc-less host refuses
+  // The user page is the only rdpmc path, so an rdpmc-less host refuses
   // the mapping outright (echoing a kernel with /sys/devices/cpu/rdpmc
   // = 0), and a stale fd can no longer be mapped.
   if (profile_.rdpmc_unavailable) {

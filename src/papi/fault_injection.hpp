@@ -42,10 +42,11 @@ struct FaultProfile {
   /// EMFILE (-1 = unlimited).
   int max_open_fds = -1;
 
-  /// Transient EINTR/EAGAIN (-> kInterrupted) on perf_read /
-  /// perf_read_group_into, delivered in bursts of `transient_burst`
-  /// consecutive failures per trigger so a bounded retry either rides
-  /// it out (burst < budget) or genuinely exhausts (burst >= budget).
+  /// Transient EINTR/EAGAIN (-> kInterrupted) on perf_read_group_into,
+  /// the seam's one counter read, delivered in bursts of
+  /// `transient_burst` consecutive failures per trigger so the library's
+  /// retry_transient loop either rides it out (burst < budget) or
+  /// genuinely exhausts (burst >= budget).
   double read_transient_prob = 0.0;
   /// Transient failures on perf_ioctl (enable/disable/reset).
   double ioctl_transient_prob = 0.0;
@@ -55,7 +56,8 @@ struct FaultProfile {
   /// the fd going stale; every later operation on it fails (kSystem).
   double stale_fd_prob = 0.0;
 
-  /// rdpmc reports kNotSupported (forces the read(2) fallback path).
+  /// No rdpmc: perf_mmap_user_page refuses with kNotSupported, so the
+  /// read planner keeps every group on the group read.
   bool rdpmc_unavailable = false;
 
   /// Sampling faults. Denying the sample-ring mmap models a kernel
@@ -116,9 +118,7 @@ class FaultInjectingBackend final : public Backend {
   Expected<int> perf_event_open(const PerfEventAttr& attr, Tid tid, int cpu,
                                 int group_fd, std::uint64_t flags) override;
   Status perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags) override;
-  Expected<PerfValue> perf_read(int fd) override;
   Status perf_read_group_into(int fd, std::vector<PerfValue>& out) override;
-  Expected<std::uint64_t> perf_rdpmc(int fd) override;
   Expected<const simkernel::PerfUserPage*> perf_mmap_user_page(
       int fd) override;
   Status perf_close(int fd) override;

@@ -39,7 +39,7 @@ Expected<std::unique_ptr<Library>> Library::init(Backend* backend,
 
   // Build the component table. The env pointers refer to the Library's
   // own members, which outlive the registry.
-  const ComponentEnv env{backend, &lib->pfm_, &lib->config_};
+  const ComponentEnv env{backend, &lib->pfm_};
   const Status registered = register_builtin_components(lib->registry_, env);
   if (!registered.is_ok()) {
     return make_error(StatusCode::kComponent,
@@ -394,12 +394,6 @@ Expected<Reading> Library::read_checked(int eventset) const {
   return out;
 }
 
-Expected<bool> Library::eventset_degraded(int eventset) const {
-  const EventSetCore* set = find_set(eventset);
-  if (set == nullptr) return no_such_set();
-  return set->degraded();
-}
-
 std::string Library::core_type_for_pmu(std::string_view pmu_name) const {
   const pfm::ActivePmu* pmu = pfm_.find_pmu(pmu_name);
   if (pmu == nullptr || !pmu->is_core) return "";
@@ -443,11 +437,6 @@ Expected<int> Library::eventset_group_count(int eventset) const {
   const EventSetCore* set = find_set(eventset);
   if (set == nullptr) return no_such_set();
   return set->group_count();
-}
-
-bool Library::eventset_running(int eventset) const {
-  const EventSetCore* set = find_set(eventset);
-  return set != nullptr && set->running();
 }
 
 }  // namespace hetpapi::papi

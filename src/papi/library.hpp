@@ -182,10 +182,6 @@ class Library {
   /// Allocation-free read_checked() into a reused Reading: the surface
   /// the telemetry sampler and the counter-service daemon tick through.
   Status read_checked_into(int eventset, Reading& out) const;
-  /// True when any event in the set opened on only a subset of its
-  /// constituent PMUs (LibraryConfig::degrade_partial_presets) — plain
-  /// read() values are partial sums for those slots.
-  Expected<bool> eventset_degraded(int eventset) const;
   /// PAPI_read_qualified: like read(), but each value slot carries the
   /// per-PMU breakdown a derived preset was transparently summed from,
   /// with every constituent labelled by its detected core type (§V-2's
@@ -215,8 +211,6 @@ class Library {
   /// one per PMU type with hybrid support) — exposed for tests and the
   /// overhead bench.
   Expected<int> eventset_group_count(int eventset) const;
-
-  bool eventset_running(int eventset) const;
 
  private:
   Library(Backend* backend, LibraryConfig config);

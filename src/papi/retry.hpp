@@ -1,72 +1,38 @@
 // Bounded retry of transient backend failures.
 //
 // Real perf_event syscalls fail with EINTR/EAGAIN under signal delivery
-// and scheduler pressure; the backend layer maps those onto
-// StatusCode::kInterrupted. Every library call site goes through these
-// helpers so a transient blip never surfaces to the user, while a
-// persistent failure (more than `max_attempts` consecutive transients)
-// still does — an unbounded loop would hang on a counter that keeps
-// getting interrupted.
+// and scheduler pressure; every backend maps those onto
+// StatusCode::kInterrupted and returns them without looping. This is
+// the one retry layer: every library call site wraps its backend call
+// in retry_transient, so a transient blip never surfaces to the user,
+// while a persistent failure (more than `max_attempts` consecutive
+// transients) still does — an unbounded loop would hang on a counter
+// that keeps getting interrupted. perf_close is never retried: Linux
+// releases the fd even when close reports EINTR.
 #pragma once
 
-#include "papi/backend.hpp"
+#include <type_traits>
+
+#include "base/status.hpp"
 
 namespace hetpapi::papi {
 
-inline Expected<int> open_with_retry(Backend& backend,
-                                     const PerfEventAttr& attr, Tid tid,
-                                     int cpu, int group_fd,
-                                     std::uint64_t flags, int max_attempts) {
-  for (int attempt = 1;; ++attempt) {
-    auto fd = backend.perf_event_open(attr, tid, cpu, group_fd, flags);
-    if (fd || fd.status().code() != StatusCode::kInterrupted ||
-        attempt >= max_attempts) {
-      return fd;
-    }
-  }
-}
+/// Attempts every library call site allows a backend call before a
+/// run of kInterrupted surfaces.
+inline constexpr int kTransientRetryAttempts = 4;
 
-inline Status ioctl_with_retry(Backend& backend, int fd, PerfIoctl op,
-                               std::uint32_t flags, int max_attempts) {
+/// Calls `call()` (returning Status or Expected<T>) until it succeeds,
+/// fails with anything but kInterrupted, or has been made
+/// `max_attempts` times; returns the last result.
+template <typename Call>
+auto retry_transient(int max_attempts, Call&& call) {
   for (int attempt = 1;; ++attempt) {
-    const Status s = backend.perf_ioctl(fd, op, flags);
-    if (s.is_ok() || s.code() != StatusCode::kInterrupted ||
-        attempt >= max_attempts) {
-      return s;
-    }
-  }
-}
-
-inline Expected<PerfValue> read_with_retry(Backend& backend, int fd,
-                                           int max_attempts) {
-  for (int attempt = 1;; ++attempt) {
-    auto value = backend.perf_read(fd);
-    if (value || value.status().code() != StatusCode::kInterrupted ||
-        attempt >= max_attempts) {
-      return value;
-    }
-  }
-}
-
-inline Expected<bool> poll_with_retry(Backend& backend, int fd,
-                                     int max_attempts) {
-  for (int attempt = 1;; ++attempt) {
-    auto fired = backend.perf_ring_poll(fd);
-    if (fired || fired.status().code() != StatusCode::kInterrupted ||
-        attempt >= max_attempts) {
-      return fired;
-    }
-  }
-}
-
-inline Status read_group_with_retry(Backend& backend, int fd,
-                                    std::vector<PerfValue>& out,
-                                    int max_attempts) {
-  for (int attempt = 1;; ++attempt) {
-    const Status s = backend.perf_read_group_into(fd, out);
-    if (s.is_ok() || s.code() != StatusCode::kInterrupted ||
-        attempt >= max_attempts) {
-      return s;
+    auto result = call();
+    if (result || attempt >= max_attempts) return result;
+    if constexpr (std::is_same_v<decltype(result), Status>) {
+      if (result.code() != StatusCode::kInterrupted) return result;
+    } else {
+      if (result.status().code() != StatusCode::kInterrupted) return result;
     }
   }
 }

@@ -19,14 +19,8 @@ class SimBackend final : public Backend {
   Status perf_ioctl(int fd, PerfIoctl op, std::uint32_t flags) override {
     return kernel_->perf_ioctl(fd, op, flags);
   }
-  Expected<PerfValue> perf_read(int fd) override {
-    return kernel_->perf_read(fd);
-  }
   Status perf_read_group_into(int fd, std::vector<PerfValue>& out) override {
     return kernel_->perf_read_group_into(fd, out);
-  }
-  Expected<std::uint64_t> perf_rdpmc(int fd) override {
-    return kernel_->perf_rdpmc(fd);
   }
   Expected<const simkernel::PerfUserPage*> perf_mmap_user_page(
       int fd) override {

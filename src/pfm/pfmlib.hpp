@@ -67,9 +67,6 @@ class PfmLibrary {
   /// add_event paths pay the string parsing once per distinct name.
   Expected<Encoding> encode(std::string_view name) const;
 
-  /// Distinct names resolved since the last initialize() (tests).
-  std::size_t encode_cache_size() const { return encode_cache_.size(); }
-
   /// All full event names one PMU offers (for papi_native_avail-style
   /// listings).
   std::vector<std::string> event_names(const ActivePmu& pmu) const;

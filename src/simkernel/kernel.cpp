@@ -311,10 +311,6 @@ Expected<PerfValue> SimKernel::perf_read(int fd) const {
   return perf_.read(fd, lazy_package_counters(), now_);
 }
 
-Expected<std::uint64_t> SimKernel::perf_rdpmc(int fd) const {
-  return perf_.rdpmc(fd);
-}
-
 Status SimKernel::perf_close(int fd) { return perf_.close(fd); }
 
 // --- CPUID -------------------------------------------------------------------

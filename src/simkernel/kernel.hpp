@@ -94,7 +94,6 @@ class SimKernel {
     HETPAPI_RETURN_IF_ERROR(perf_read_group_into(fd, out));
     return out;
   }
-  Expected<std::uint64_t> perf_rdpmc(int fd) const;
   Expected<const PerfUserPage*> perf_mmap_user_page(int fd) const {
     return perf_.mmap_user_page(fd);
   }

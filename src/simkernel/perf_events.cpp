@@ -384,23 +384,6 @@ Status PerfSubsystem::read_group_into(int fd,
   return Status::ok();
 }
 
-Expected<std::uint64_t> PerfSubsystem::rdpmc(int fd) const {
-  const EventObj* ev = find(fd);
-  if (ev == nullptr) return bad_fd();
-  if (ev->is_readthrough() ||
-      ev->pmu->pmu_class == PmuClass::kSoftware) {
-    return make_error(StatusCode::kNotSupported,
-                      "rdpmc only serves core PMU counters");
-  }
-  if (!ev->enabled || !ev->scheduled) {
-    // The mmap page publishes index 0 when the event is not resident;
-    // userspace must fall back to read(2).
-    return make_error(StatusCode::kNotRunning,
-                      "event not resident on a counter");
-  }
-  return ev->value;
-}
-
 Expected<const PerfUserPage*> PerfSubsystem::mmap_user_page(int fd) const {
   const EventObj* ev = find(fd);
   if (ev == nullptr) return bad_fd();
@@ -661,11 +644,5 @@ void PerfSubsystem::on_software(Tid tid, CountKind kind, std::uint64_t delta) {
     ev->value += delta;
   }
 }
-
-bool PerfSubsystem::is_scheduled(int fd) const {
-  const EventObj* ev = find(fd);
-  return ev != nullptr && ev->scheduled;
-}
-
 
 }  // namespace hetpapi::simkernel

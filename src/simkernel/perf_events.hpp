@@ -125,12 +125,6 @@ class PerfSubsystem {
 
   Status close(int fd);
 
-  /// rdpmc-style userspace read: succeeds only while the event is
-  /// resident on a hardware counter of the core its thread is currently
-  /// on; callers must fall back to read(2) otherwise — the exact contract
-  /// PAPI's fast-read path navigates (§V-5).
-  Expected<std::uint64_t> rdpmc(int fd) const;
-
   /// mmap(2) of the event's first perf page: the seqlock-published
   /// perf_event_mmap_page userspace read plans are built on (§V-5).
   /// Only core-PMU events carry one — software and read-through package
@@ -166,9 +160,6 @@ class PerfSubsystem {
 
   /// Number of live events (tests / leak checks).
   std::size_t open_event_count() const { return live_events_; }
-
-  /// True if the event is currently scheduled on a counter.
-  bool is_scheduled(int fd) const;
 
   /// Count of contexts currently multiplexing (diagnostics).
   int multiplexing_contexts() const { return rotating_contexts_; }

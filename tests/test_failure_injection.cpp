@@ -187,14 +187,8 @@ TEST(FailureInjection, LibraryInitFailsWhenSysfsIsGone) {
     Status perf_ioctl(int, papi::PerfIoctl, std::uint32_t) override {
       return make_error(StatusCode::kSystem, "dead");
     }
-    Expected<papi::PerfValue> perf_read(int) override {
-      return make_error(StatusCode::kSystem, "dead");
-    }
     Status perf_read_group_into(int,
                                 std::vector<papi::PerfValue>&) override {
-      return make_error(StatusCode::kSystem, "dead");
-    }
-    Expected<std::uint64_t> perf_rdpmc(int) override {
       return make_error(StatusCode::kSystem, "dead");
     }
     Status perf_close(int) override {

@@ -336,8 +336,9 @@ TEST(FaultInjection, GroupReadIntoCountsBurstsAndRetryAbsorbsThem) {
   std::vector<simkernel::PerfValue> truth;
   for (int i = 0; i < kReads; ++i) {
     kernel.run_for(std::chrono::microseconds(100));
-    const Status s =
-        papi::read_group_with_retry(injector, leader, values, /*attempts=*/8);
+    const Status s = papi::retry_transient(/*max_attempts=*/8, [&] {
+      return injector.perf_read_group_into(leader, values);
+    });
     ASSERT_TRUE(s.is_ok()) << "read " << i << ": " << s.to_string();
     ASSERT_TRUE(backend.perf_read_group_into(leader, truth).is_ok());
     ASSERT_EQ(values.size(), 2u);
@@ -351,8 +352,9 @@ TEST(FaultInjection, GroupReadIntoCountsBurstsAndRetryAbsorbsThem) {
   // A one-attempt budget surfaces the first transient it meets.
   bool surfaced = false;
   for (int i = 0; i < 400 && !surfaced; ++i) {
-    const Status s =
-        papi::read_group_with_retry(injector, leader, values, /*attempts=*/1);
+    const Status s = papi::retry_transient(/*max_attempts=*/1, [&] {
+      return injector.perf_read_group_into(leader, values);
+    });
     if (!s.is_ok()) {
       EXPECT_EQ(s.code(), StatusCode::kInterrupted);
       surfaced = true;

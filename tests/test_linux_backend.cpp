@@ -9,6 +9,7 @@
 
 #include "linuxkernel/linux_backend.hpp"
 #include "papi/library.hpp"
+#include "papi/user_page_read.hpp"
 
 namespace hetpapi {
 namespace {
@@ -35,6 +36,29 @@ void burn_cpu_ms(int ms) {
     for (int i = 0; i < 10000; ++i) x = x * 6364136223846793005ULL + 1;
     g_sink = x;
   }
+}
+
+/// A task-clock event in the group read format the library opens every
+/// group with, so tests read it the way the library does.
+PerfEventAttr task_clock_group_attr(bool disabled) {
+  PerfEventAttr attr;
+  attr.type = simkernel::kPerfTypeSoftware;
+  attr.config = static_cast<std::uint64_t>(CountKind::kTaskClockNs);
+  attr.read_format = simkernel::kFormatGroup |
+                     simkernel::kFormatTotalTimeEnabled |
+                     simkernel::kFormatTotalTimeRunning;
+  attr.disabled = disabled;
+  return attr;
+}
+
+/// The leader's count through perf_read_group_into, the seam's one read.
+Expected<std::uint64_t> read_leader(LinuxBackend& backend, int fd) {
+  std::vector<simkernel::PerfValue> values;
+  HETPAPI_RETURN_IF_ERROR(backend.perf_read_group_into(fd, values));
+  if (values.size() != 1) {
+    return make_error(StatusCode::kBug, "expected a one-member group");
+  }
+  return values[0].value;
 }
 
 TEST(LinuxHost, ReadsRealProcAndSys) {
@@ -67,11 +91,8 @@ TEST(LinuxHost, CpuidBehavesByArchitecture) {
 TEST(LinuxBackend, TaskClockCountsWhileBurningCpu) {
   SKIP_WITHOUT_PERF();
   LinuxBackend backend;
-  PerfEventAttr attr;
-  attr.type = simkernel::kPerfTypeSoftware;
-  attr.config = static_cast<std::uint64_t>(CountKind::kTaskClockNs);
-  attr.disabled = true;
-  auto fd = backend.perf_event_open(attr, 0, -1, -1, 0);
+  auto fd = backend.perf_event_open(task_clock_group_attr(/*disabled=*/true),
+                                    0, -1, -1, 0);
   ASSERT_TRUE(fd.has_value()) << fd.status().to_string();
   ASSERT_TRUE(backend.perf_ioctl(*fd, PerfIoctl::kEnable, 0).is_ok());
   // Burn wall time in slices until the *task clock* crosses the
@@ -85,36 +106,30 @@ TEST(LinuxBackend, TaskClockCountsWhileBurningCpu) {
   std::uint64_t counted = 0;
   while (std::chrono::steady_clock::now() < wall_deadline) {
     burn_cpu_ms(10);
-    auto progress = backend.perf_read(*fd);
-    ASSERT_TRUE(progress.has_value());
-    counted = progress->value;
+    auto progress = read_leader(backend, *fd);
+    ASSERT_TRUE(progress.has_value()) << progress.status().to_string();
+    counted = *progress;
     if (counted > kWantTaskClockNs) break;
   }
   ASSERT_TRUE(backend.perf_ioctl(*fd, PerfIoctl::kDisable, 0).is_ok());
-  auto value = backend.perf_read(*fd);
-  ASSERT_TRUE(value.has_value());
+  auto value = read_leader(backend, *fd);
+  ASSERT_TRUE(value.has_value()) << value.status().to_string();
   EXPECT_TRUE(backend.perf_close(*fd).is_ok());
-  if (value->value <= kWantTaskClockNs) {
+  if (*value <= kWantTaskClockNs) {
     // Even the 20 s deadline was not enough cpu share: on a loaded
     // single-core host (ctest -j alongside sanitizer legs) the
     // scheduler can legitimately starve us below 10 ms of task clock.
     // That tells us nothing about the backend — skip, don't flake.
-    GTEST_SKIP() << "scheduler-starved: only " << value->value
+    GTEST_SKIP() << "scheduler-starved: only " << *value
                  << " ns of task clock accrued before the wall deadline";
   }
-  EXPECT_GT(value->value, kWantTaskClockNs);
+  EXPECT_GT(*value, kWantTaskClockNs);
 }
 
 TEST(LinuxBackend, GroupReadReturnsAllMembers) {
   SKIP_WITHOUT_PERF();
   LinuxBackend backend;
-  PerfEventAttr attr;
-  attr.type = simkernel::kPerfTypeSoftware;
-  attr.config = static_cast<std::uint64_t>(CountKind::kTaskClockNs);
-  attr.read_format = simkernel::kFormatGroup |
-                     simkernel::kFormatTotalTimeEnabled |
-                     simkernel::kFormatTotalTimeRunning;
-  attr.disabled = true;
+  PerfEventAttr attr = task_clock_group_attr(/*disabled=*/true);
   auto leader = backend.perf_event_open(attr, 0, -1, -1, 0);
   ASSERT_TRUE(leader.has_value());
   attr.config = static_cast<std::uint64_t>(CountKind::kContextSwitches);
@@ -138,12 +153,7 @@ TEST(LinuxBackend, GroupReadReturnsAllMembers) {
 TEST(LinuxBackend, GroupReadIntoReusesOneBuffer) {
   SKIP_WITHOUT_PERF();
   LinuxBackend backend;
-  PerfEventAttr attr;
-  attr.type = simkernel::kPerfTypeSoftware;
-  attr.config = static_cast<std::uint64_t>(CountKind::kTaskClockNs);
-  attr.read_format = simkernel::kFormatGroup |
-                     simkernel::kFormatTotalTimeEnabled |
-                     simkernel::kFormatTotalTimeRunning;
+  const PerfEventAttr attr = task_clock_group_attr(/*disabled=*/false);
   auto leader = backend.perf_event_open(attr, 0, -1, -1, 0);
   ASSERT_TRUE(leader.has_value()) << leader.status().to_string();
   auto sibling = backend.perf_event_open(attr, 0, -1, *leader, 0);
@@ -174,25 +184,52 @@ TEST(LinuxBackend, GroupReadIntoReusesOneBuffer) {
 TEST(LinuxBackend, ResetZeroesTheCount) {
   SKIP_WITHOUT_PERF();
   LinuxBackend backend;
-  PerfEventAttr attr;
-  attr.type = simkernel::kPerfTypeSoftware;
-  attr.config = static_cast<std::uint64_t>(CountKind::kTaskClockNs);
-  attr.disabled = false;
-  auto fd = backend.perf_event_open(attr, 0, -1, -1, 0);
-  ASSERT_TRUE(fd.has_value());
+  auto fd = backend.perf_event_open(task_clock_group_attr(/*disabled=*/false),
+                                    0, -1, -1, 0);
+  ASSERT_TRUE(fd.has_value()) << fd.status().to_string();
   burn_cpu_ms(10);
-  ASSERT_GT(backend.perf_read(*fd)->value, 0u);
+  const auto before = read_leader(backend, *fd);
+  ASSERT_TRUE(before.has_value()) << before.status().to_string();
+  ASSERT_GT(*before, 0u);
   ASSERT_TRUE(backend.perf_ioctl(*fd, PerfIoctl::kReset, 0).is_ok());
   // Immediately after reset the count restarts near zero (well under
   // what was accumulated).
-  EXPECT_LT(backend.perf_read(*fd)->value, 5'000'000u);
+  const auto after = read_leader(backend, *fd);
+  ASSERT_TRUE(after.has_value()) << after.status().to_string();
+  EXPECT_LT(*after, 5'000'000u);
   (void)backend.perf_close(*fd);
 }
 
+// The real user page of a software event: the kernel never lets rdpmc
+// serve it (cap_user_rdpmc 0, index 0), so the seqlock reader must not
+// report a value and the group read stays the path that counts.
 TEST(LinuxBackend, RdpmcIsNotSupported) {
+  SKIP_WITHOUT_PERF();
   LinuxBackend backend;
-  EXPECT_EQ(backend.perf_rdpmc(3).status().code(),
-            StatusCode::kNotSupported);
+  auto fd = backend.perf_event_open(task_clock_group_attr(/*disabled=*/false),
+                                    0, -1, -1, 0);
+  ASSERT_TRUE(fd.has_value()) << fd.status().to_string();
+  auto page = backend.perf_mmap_user_page(*fd);
+  if (!page.has_value()) {
+    (void)backend.perf_close(*fd);
+    GTEST_SKIP() << "perf user page mmap denied: "
+                 << page.status().to_string();
+  }
+
+  burn_cpu_ms(5);
+  papi::UserPageSample sample;
+  const papi::UserPageReadResult result = papi::read_user_page(**page, sample);
+  EXPECT_NE(result, papi::UserPageReadResult::kOk)
+      << "cap_user_rdpmc=" << ((*page)->capabilities & simkernel::kCapUserRdpmc)
+      << " index=" << (*page)->index;
+
+  const auto first = read_leader(backend, *fd);
+  ASSERT_TRUE(first.has_value()) << first.status().to_string();
+  burn_cpu_ms(5);
+  const auto second = read_leader(backend, *fd);
+  ASSERT_TRUE(second.has_value()) << second.status().to_string();
+  EXPECT_GT(*second, *first);
+  EXPECT_TRUE(backend.perf_close(*fd).is_ok());
 }
 
 TEST(LinuxBackend, UnknownKindMappingsAreRejected) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cpumodel/machine.hpp"
+#include "papi/user_page_read.hpp"
 #include "simkernel/kernel.hpp"
 #include "workload/programs.hpp"
 
@@ -300,15 +301,17 @@ TEST_F(PerfEventsTest, RdpmcWorksOnlyWhileResident) {
   auto fd = kernel_.perf_event_open(
       attr_for(p_type_, CountKind::kInstructions), tid, -1, -1);
   ASSERT_TRUE(fd.has_value());
+  auto page = kernel_.perf_mmap_user_page(*fd);
+  ASSERT_TRUE(page.has_value());
   kernel_.run_for(std::chrono::milliseconds(10));
-  auto fast = kernel_.perf_rdpmc(*fd);
-  ASSERT_TRUE(fast.has_value());
-  EXPECT_EQ(*fast, kernel_.perf_read(*fd)->value);
+  papi::UserPageSample fast;
+  ASSERT_EQ(papi::read_user_page(**page, fast), papi::UserPageReadResult::kOk);
+  EXPECT_EQ(fast.value, kernel_.perf_read(*fd)->value);
 
+  // Disabled, the page publishes index 0: userspace must use read(2).
   ASSERT_TRUE(kernel_.perf_ioctl(*fd, PerfIoctl::kDisable).is_ok());
-  auto disabled = kernel_.perf_rdpmc(*fd);
-  ASSERT_FALSE(disabled.has_value());
-  EXPECT_EQ(disabled.status().code(), StatusCode::kNotRunning);
+  EXPECT_EQ(papi::read_user_page(**page, fast),
+            papi::UserPageReadResult::kNotResident);
 }
 
 TEST_F(PerfEventsTest, RdpmcRejectsRaplEvents) {
@@ -316,9 +319,10 @@ TEST_F(PerfEventsTest, RdpmcRejectsRaplEvents) {
   auto fd = kernel_.perf_event_open(
       attr_for(rapl->type_id, CountKind::kEnergyPkgUj), -1, 0, -1);
   ASSERT_TRUE(fd.has_value());
-  auto fast = kernel_.perf_rdpmc(*fd);
-  ASSERT_FALSE(fast.has_value());
-  EXPECT_EQ(fast.status().code(), StatusCode::kNotSupported);
+  // Only core-PMU counters carry a user page, so RAPL has no rdpmc.
+  auto page = kernel_.perf_mmap_user_page(*fd);
+  ASSERT_FALSE(page.has_value());
+  EXPECT_EQ(page.status().code(), StatusCode::kNotSupported);
 }
 
 TEST_F(PerfEventsTest, ClosingLeaderPromotesSiblings) {

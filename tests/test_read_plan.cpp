@@ -361,18 +361,12 @@ class DeadGroupBackend final : public papi::Backend {
   Status perf_ioctl(int fd, papi::PerfIoctl op, std::uint32_t flags) override {
     return inner_->perf_ioctl(fd, op, flags);
   }
-  Expected<papi::PerfValue> perf_read(int fd) override {
-    return inner_->perf_read(fd);
-  }
   Status perf_read_group_into(int fd,
                               std::vector<papi::PerfValue>& out) override {
     if (dead_.count(fd) != 0) {
       return make_error(StatusCode::kSystem, "counter died");
     }
     return inner_->perf_read_group_into(fd, out);
-  }
-  Expected<std::uint64_t> perf_rdpmc(int fd) override {
-    return inner_->perf_rdpmc(fd);
   }
   Status perf_close(int fd) override { return inner_->perf_close(fd); }
   const pfm::Host& host() const override { return inner_->host(); }

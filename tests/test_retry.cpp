@@ -1,4 +1,4 @@
-// The bounded-retry helpers (papi/retry.hpp) against a scripted fake
+// The one retry loop (papi::retry_transient) against a scripted fake
 // backend: transient (kInterrupted) failures are retried up to the
 // budget and no further, non-transient failures pass through on the
 // first attempt, and a success mid-burst stops the retrying.
@@ -15,6 +15,7 @@ namespace hetpapi {
 namespace {
 
 using papi::Backend;
+using papi::retry_transient;
 using simkernel::PerfEventAttr;
 using simkernel::PerfIoctl;
 using simkernel::PerfValue;
@@ -41,7 +42,6 @@ class ScriptedBackend final : public Backend {
   std::deque<StatusCode> script;
   int open_calls = 0;
   int ioctl_calls = 0;
-  int read_calls = 0;
   int read_group_calls = 0;
 
   Expected<int> perf_event_open(const PerfEventAttr&, Tid, int, int,
@@ -54,22 +54,14 @@ class ScriptedBackend final : public Backend {
     ++ioctl_calls;
     return next();
   }
-  Expected<PerfValue> perf_read(int) override {
-    ++read_calls;
-    if (const Status s = next(); !s.is_ok()) return s;
-    PerfValue v;
-    v.value = 7;
-    return v;
-  }
   Status perf_read_group_into(int, std::vector<PerfValue>& out) override {
     ++read_group_calls;
     out.clear();
     if (const Status s = next(); !s.is_ok()) return s;
-    out.assign(2, PerfValue{});
+    PerfValue v;
+    v.value = 7;
+    out.assign(2, v);
     return Status::ok();
-  }
-  Expected<std::uint64_t> perf_rdpmc(int) override {
-    return make_error(StatusCode::kNotSupported, "scripted");
   }
   Status perf_close(int) override { return Status::ok(); }
   const pfm::Host& host() const override { return host_; }
@@ -91,11 +83,28 @@ class ScriptedBackend final : public Backend {
 
 PerfEventAttr any_attr() { return PerfEventAttr{}; }
 
+Expected<int> retried_open(ScriptedBackend& backend, int max_attempts) {
+  return retry_transient(max_attempts, [&] {
+    return backend.perf_event_open(any_attr(), 0, -1, -1, 0);
+  });
+}
+
+Status retried_group_read(ScriptedBackend& backend,
+                          std::vector<PerfValue>& out, int max_attempts) {
+  return retry_transient(max_attempts,
+                         [&] { return backend.perf_read_group_into(1, out); });
+}
+
+Status retried_ioctl(ScriptedBackend& backend, int max_attempts) {
+  return retry_transient(max_attempts, [&] {
+    return backend.perf_ioctl(42, PerfIoctl::kEnable, 0);
+  });
+}
+
 TEST(Retry, TransientBurstShorterThanBudgetSucceeds) {
   ScriptedBackend backend;
   backend.script = {StatusCode::kInterrupted, StatusCode::kInterrupted};
-  auto fd = papi::open_with_retry(backend, any_attr(), 0, -1, -1, 0,
-                                  /*max_attempts=*/4);
+  auto fd = retried_open(backend, /*max_attempts=*/4);
   ASSERT_TRUE(fd.has_value());
   EXPECT_EQ(*fd, 42);
   EXPECT_EQ(backend.open_calls, 3);  // two transients + the success
@@ -105,8 +114,7 @@ TEST(Retry, BudgetExhaustionSurfacesTheTransient) {
   ScriptedBackend backend;
   backend.script = {StatusCode::kInterrupted, StatusCode::kInterrupted,
                     StatusCode::kInterrupted, StatusCode::kInterrupted};
-  auto fd = papi::open_with_retry(backend, any_attr(), 0, -1, -1, 0,
-                                  /*max_attempts=*/3);
+  auto fd = retried_open(backend, /*max_attempts=*/3);
   ASSERT_FALSE(fd.has_value());
   EXPECT_EQ(fd.status().code(), StatusCode::kInterrupted);
   EXPECT_EQ(backend.open_calls, 3);  // exactly the budget, never more
@@ -115,26 +123,25 @@ TEST(Retry, BudgetExhaustionSurfacesTheTransient) {
 TEST(Retry, NonTransientFailurePassesThroughImmediately) {
   ScriptedBackend backend;
   backend.script = {StatusCode::kPermission};
-  auto fd = papi::open_with_retry(backend, any_attr(), 0, -1, -1, 0,
-                                  /*max_attempts=*/10);
+  auto fd = retried_open(backend, /*max_attempts=*/10);
   ASSERT_FALSE(fd.has_value());
   EXPECT_EQ(fd.status().code(), StatusCode::kPermission);
   EXPECT_EQ(backend.open_calls, 1);
 
   backend.script = {StatusCode::kInterrupted, StatusCode::kNotFound};
-  auto read = papi::read_with_retry(backend, 42, /*max_attempts=*/10);
-  ASSERT_FALSE(read.has_value());
+  std::vector<PerfValue> group;
+  const Status read =
+      retried_group_read(backend, group, /*max_attempts=*/10);
   // The retry rode out the transient, then hit (and surfaced) the real
   // failure behind it.
-  EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(backend.read_calls, 2);
+  EXPECT_EQ(read.code(), StatusCode::kNotFound);
+  EXPECT_EQ(backend.read_group_calls, 2);
 }
 
 TEST(Retry, SingleAttemptBudgetMeansOneCall) {
   ScriptedBackend backend;
   backend.script = {StatusCode::kInterrupted};
-  const Status s = papi::ioctl_with_retry(backend, 42, PerfIoctl::kEnable, 0,
-                                          /*max_attempts=*/1);
+  const Status s = retried_ioctl(backend, /*max_attempts=*/1);
   EXPECT_EQ(s.code(), StatusCode::kInterrupted);
   EXPECT_EQ(backend.ioctl_calls, 1);
 }
@@ -142,25 +149,23 @@ TEST(Retry, SingleAttemptBudgetMeansOneCall) {
 TEST(Retry, IoctlAndGroupReadRetryLikeTheRest) {
   ScriptedBackend backend;
   backend.script = {StatusCode::kInterrupted, StatusCode::kOk};
-  EXPECT_TRUE(
-      papi::ioctl_with_retry(backend, 1, PerfIoctl::kEnable, 0, 3).is_ok());
+  EXPECT_TRUE(retried_ioctl(backend, 3).is_ok());
   EXPECT_EQ(backend.ioctl_calls, 2);
 
   backend.script = {StatusCode::kInterrupted, StatusCode::kInterrupted};
   std::vector<PerfValue> group;
-  ASSERT_TRUE(
-      papi::read_group_with_retry(backend, 1, group, /*max_attempts=*/3)
-          .is_ok());
+  ASSERT_TRUE(retried_group_read(backend, group, /*max_attempts=*/3).is_ok());
   EXPECT_EQ(group.size(), 2u);
   EXPECT_EQ(backend.read_group_calls, 3);
 }
 
 TEST(Retry, ImmediateSuccessNeverRetries) {
   ScriptedBackend backend;
-  auto value = papi::read_with_retry(backend, 1, /*max_attempts=*/5);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(value->value, 7u);
-  EXPECT_EQ(backend.read_calls, 1);
+  std::vector<PerfValue> group;
+  ASSERT_TRUE(retried_group_read(backend, group, /*max_attempts=*/5).is_ok());
+  ASSERT_EQ(group.size(), 2u);
+  EXPECT_EQ(group[0].value, 7u);
+  EXPECT_EQ(backend.read_group_calls, 1);
 }
 
 }  // namespace

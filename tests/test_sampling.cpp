@@ -273,15 +273,9 @@ class RingOnlyBackend final : public papi::Backend {
   Status perf_ioctl(int fd, papi::PerfIoctl op, std::uint32_t flags) override {
     return inner_->perf_ioctl(fd, op, flags);
   }
-  Expected<papi::PerfValue> perf_read(int fd) override {
-    return inner_->perf_read(fd);
-  }
   Status perf_read_group_into(int fd,
                               std::vector<papi::PerfValue>& out) override {
     return inner_->perf_read_group_into(fd, out);
-  }
-  Expected<std::uint64_t> perf_rdpmc(int fd) override {
-    return inner_->perf_rdpmc(fd);
   }
   Status perf_close(int fd) override { return inner_->perf_close(fd); }
   Expected<const simkernel::PerfUserPage*> perf_mmap_user_page(
