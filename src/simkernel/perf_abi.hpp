@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -309,76 +310,133 @@ inline bool perf_ring_write(PerfUserPage& page, std::uint8_t* data,
   return true;
 }
 
+/// data_head with acquire ordering: every record byte below the value
+/// returned is visible to the caller. The kernel publishes data_head
+/// with a release store after writing the records (perf_event_mmap_page's
+/// contract), so a plain load could let the compiler or a weakly ordered
+/// core read record bytes from before the head that published them.
+inline std::uint64_t perf_ring_head(PerfUserPage& page) {
+  return std::atomic_ref<std::uint64_t>(page.data_head)
+      .load(std::memory_order_acquire);
+}
+
+/// Unread bytes in the ring: [data_tail, data_head), head acquire-loaded.
+/// Only the reader writes data_tail, so it reads its own value plainly.
+inline std::uint64_t perf_ring_queued(PerfUserPage& page) {
+  return perf_ring_head(page) - page.data_tail;
+}
+
+/// Largest record the cursor accepts: the header plus a 64-byte body,
+/// room for every SAMPLE layout this ABI implements (40 bytes) and a
+/// LOST body (16). A longer header.size is malformed wherever the record
+/// lies in the ring.
+inline constexpr std::size_t kPerfMaxRecordSize = sizeof(PerfEventHeader) + 64;
+
+/// Caller-owned bytes the cursor reassembles a record into when it
+/// straddles the end of the data area.
+struct PerfRecordScratch {
+  alignas(8) std::uint8_t bytes[kPerfMaxRecordSize];
+};
+
 /// The safe drain loop over a PerfRingView, shared by every reader (the
-/// PAPI drain, tools, tests): walks
-/// [data_tail, data_head), handles wrap-around, bounds-checks every
-/// header before trusting header.size, and only advances data_tail on
-/// commit() — the reader half of the ring protocol.
+/// PAPI drain, tools, tests): walks [data_tail, data_head) in place,
+/// handles wrap-around, bounds-checks every header before trusting
+/// header.size, and only advances data_tail on commit() — the reader
+/// half of the ring protocol.
+///
+/// The cursor keeps the data-area offset beside the free-running
+/// position: the one `%` is in the constructor, and each record wraps
+/// the offset by at most one subtract (header.size never exceeds the
+/// area). A record that lies in one piece is never copied.
 class PerfRingCursor {
  public:
-  explicit PerfRingCursor(const PerfRingView& view)
-      : view_(view),
-        head_(view.page != nullptr ? view.page->data_head : 0),
-        pos_(view.page != nullptr ? view.page->data_tail : 0) {}
-
-  /// Copy the next record (header + body) into `header`/`body`; returns
-  /// false at the end of the ring. A header that is malformed (size
-  /// smaller than the header itself, or larger than the unread span)
-  /// stops the walk and marks the cursor malformed; commit() then
-  /// resynchronizes the reader to data_head so one corrupt record
-  /// cannot wedge the ring forever.
-  bool next(PerfEventHeader* header, std::uint8_t* body,
-            std::size_t body_capacity) {
+  explicit PerfRingCursor(const PerfRingView& view) : view_(view) {
     if (view_.page == nullptr || view_.data == nullptr ||
         view_.size < sizeof(PerfEventHeader)) {
-      return false;
+      view_.page = nullptr;
+      return;
     }
-    if (malformed_ || head_ - pos_ < sizeof(PerfEventHeader)) return false;
-    PerfEventHeader hdr;
-    copy_wrapped(pos_, reinterpret_cast<std::uint8_t*>(&hdr), sizeof(hdr));
-    if (hdr.size < sizeof(PerfEventHeader) || hdr.size > head_ - pos_ ||
-        hdr.size > view_.size) {
+    head_ = perf_ring_head(*view_.page);
+    pos_ = view_.page->data_tail;
+    offset_ = pos_ % view_.size;
+  }
+
+  /// Read the next record's header into `header` and return its body
+  /// (header->size - sizeof(PerfEventHeader) bytes), or nullptr at the
+  /// end of the ring. The body lies in the ring when the record is in
+  /// one piece, and in `scratch` when it straddles the end of the data
+  /// area; either way it stays valid until the next call or commit().
+  /// A header that is malformed (size smaller than the header itself,
+  /// larger than the unread span, the data area or kPerfMaxRecordSize)
+  /// stops the walk and marks the cursor malformed; commit() then
+  /// resynchronizes the reader to data_head so one corrupt record cannot
+  /// wedge the ring forever.
+  const std::uint8_t* next(PerfEventHeader* header,
+                           PerfRecordScratch& scratch) {
+    if (view_.page == nullptr || malformed_ ||
+        head_ - pos_ < sizeof(PerfEventHeader)) {
+      return nullptr;
+    }
+    const std::uint8_t* at = view_.data + offset_;
+    const std::uint64_t room = view_.size - offset_;  // bytes to the end
+    if (room >= sizeof(PerfEventHeader)) {
+      std::memcpy(header, at, sizeof(PerfEventHeader));
+    } else {
+      // The header itself splits across the end (byte-sized rings only:
+      // kernel rings are a multiple of the 8-byte record alignment).
+      auto* out = reinterpret_cast<std::uint8_t*>(header);
+      std::memcpy(out, at, room);
+      std::memcpy(out + room, view_.data, sizeof(PerfEventHeader) - room);
+    }
+    const std::uint64_t size = header->size;
+    if (size < sizeof(PerfEventHeader) || size > head_ - pos_ ||
+        size > view_.size || size > kPerfMaxRecordSize) {
       malformed_ = true;
-      return false;
+      return nullptr;
     }
-    const std::size_t body_size = hdr.size - sizeof(PerfEventHeader);
-    if (body_size > body_capacity) {
-      malformed_ = true;
-      return false;
+    const std::uint8_t* record = at;
+    if (size > room) {
+      std::memcpy(scratch.bytes, at, room);
+      std::memcpy(scratch.bytes + room, view_.data, size - room);
+      record = scratch.bytes;
     }
-    copy_wrapped(pos_ + sizeof(PerfEventHeader), body, body_size);
-    pos_ += hdr.size;
-    *header = hdr;
-    return true;
+    pos_ += size;
+    offset_ += size;
+    if (offset_ >= view_.size) offset_ -= view_.size;
+    return record + sizeof(PerfEventHeader);
   }
 
   bool malformed() const { return malformed_; }
 
-  /// Publish the reader position: everything consumed (or, after a
-  /// malformed header, the whole ring) is handed back to the writer.
+  /// Publish the reader position with release ordering, so the kernel
+  /// sees the tail only after every read of the records it frees:
+  /// everything consumed (or, after a malformed header, the whole ring)
+  /// is handed back to the writer.
   void commit() {
     if (view_.page == nullptr) return;
-    view_.page->data_tail = malformed_ ? head_ : pos_;
+    std::atomic_ref<std::uint64_t>(view_.page->data_tail)
+        .store(malformed_ ? head_ : pos_, std::memory_order_release);
   }
 
  private:
-  /// Copy `n` bytes starting at free-running position `from`: at most
-  /// two memcpys, split where the span wraps past the end of the data
-  /// area (records may straddle it).
-  void copy_wrapped(std::uint64_t from, std::uint8_t* out,
-                    std::size_t n) const {
-    const std::uint64_t at = from % view_.size;
-    const std::size_t first =
-        static_cast<std::size_t>(std::min<std::uint64_t>(n, view_.size - at));
-    std::memcpy(out, view_.data + at, first);
-    std::memcpy(out + first, view_.data, n - first);
-  }
-
   PerfRingView view_;
   std::uint64_t head_ = 0;
-  std::uint64_t pos_ = 0;
+  std::uint64_t pos_ = 0;     // free-running reader position
+  std::uint64_t offset_ = 0;  // pos_ % view_.size, kept without dividing
   bool malformed_ = false;
 };
+
+/// One field of a record body: an 8-byte load in host byte order, the
+/// order the kernel writes records in.
+inline std::uint64_t perf_load_u64(const std::uint8_t* at) {
+  std::uint64_t v;
+  std::memcpy(&v, at, sizeof v);
+  return v;
+}
+
+// The packed u32 pairs (pid/tid, cpu/res) are split from one u64 load,
+// low half first: the layout of a little-endian kernel's records.
+static_assert(std::endian::native == std::endian::little);
 
 /// Decode a SAMPLE body laid out per `sample_type`. Returns false when
 /// the body is shorter than the mask requires.
@@ -386,27 +444,25 @@ inline bool perf_parse_sample(std::uint64_t sample_type,
                               const std::uint8_t* body, std::size_t size,
                               PerfSampleParsed* out) {
   if (size < perf_sample_body_size(sample_type)) return false;
-  std::size_t at = 0;
-  const auto take64 = [&] {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(body[at + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    at += 8;
-    return v;
-  };
-  if (sample_type & kSampleIp) out->ip = take64();
+  if (sample_type & kSampleIp) {
+    out->ip = perf_load_u64(body);
+    body += 8;
+  }
   if (sample_type & kSampleTid) {
-    const std::uint64_t packed = take64();
-    out->pid = static_cast<std::uint32_t>(packed & 0xffffffffu);
+    const std::uint64_t packed = perf_load_u64(body);
+    out->pid = static_cast<std::uint32_t>(packed);
     out->tid = static_cast<std::uint32_t>(packed >> 32);
+    body += 8;
   }
-  if (sample_type & kSampleTime) out->time = take64();
+  if (sample_type & kSampleTime) {
+    out->time = perf_load_u64(body);
+    body += 8;
+  }
   if (sample_type & kSampleCpu) {
-    out->cpu = static_cast<std::uint32_t>(take64() & 0xffffffffu);
+    out->cpu = static_cast<std::uint32_t>(perf_load_u64(body));
+    body += 8;
   }
-  if (sample_type & kSamplePeriod) out->period = take64();
+  if (sample_type & kSamplePeriod) out->period = perf_load_u64(body);
   return true;
 }
 
@@ -414,16 +470,8 @@ inline bool perf_parse_sample(std::uint64_t sample_type,
 inline bool perf_parse_lost(const std::uint8_t* body, std::size_t size,
                             PerfLostParsed* out) {
   if (size < 16) return false;
-  std::uint64_t v[2] = {0, 0};
-  for (int w = 0; w < 2; ++w) {
-    for (int i = 0; i < 8; ++i) {
-      v[w] |= static_cast<std::uint64_t>(
-                  body[static_cast<std::size_t>(w * 8 + i)])
-              << (8 * i);
-    }
-  }
-  out->id = v[0];
-  out->lost = v[1];
+  out->id = perf_load_u64(body);
+  out->lost = perf_load_u64(body + 8);
   return true;
 }
 

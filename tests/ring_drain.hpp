@@ -29,8 +29,8 @@ inline RingDrain drain_ring(simkernel::SimKernel& kernel, int fd) {
   if (!view) return out;
   simkernel::PerfRingCursor cursor(*view);
   simkernel::PerfEventHeader header;
-  std::uint8_t body[64];
-  while (cursor.next(&header, body, sizeof body)) {
+  simkernel::PerfRecordScratch scratch;
+  while (const std::uint8_t* body = cursor.next(&header, scratch)) {
     const std::size_t body_size = header.size - sizeof header;
     if (header.type == simkernel::kPerfRecordLost) {
       simkernel::PerfLostParsed lost;

@@ -2,6 +2,8 @@
 // availability (only software events are assumed; this VM has no
 // hardware PMU, which is itself asserted where meaningful).
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <string>
@@ -230,6 +232,73 @@ TEST(LinuxBackend, RdpmcIsNotSupported) {
   ASSERT_TRUE(second.has_value()) << second.status().to_string();
   EXPECT_GT(*second, *first);
   EXPECT_TRUE(backend.perf_close(*fd).is_ok());
+}
+
+// The cursor against the real kernel's ring writer: a user-only
+// task-clock sampling event on this thread, walked with nothing but the
+// ABI rules the PAPI drain uses.
+TEST(LinuxBackend, SampleRingDecodesRealKernelRecords) {
+  SKIP_WITHOUT_PERF();
+  LinuxBackend backend;
+  PerfEventAttr attr;
+  attr.type = simkernel::kPerfTypeSoftware;
+  attr.config = static_cast<std::uint64_t>(CountKind::kTaskClockNs);
+  attr.sample_period = 100'000;  // one record per 100 us of task clock
+  attr.disabled = true;
+  auto fd = backend.perf_event_open(attr, 0, -1, -1, 0);
+  if (!fd.has_value()) {
+    GTEST_SKIP() << "sampling perf_event_open denied: "
+                 << fd.status().to_string();
+  }
+  auto ring = backend.perf_mmap_ring(*fd);
+  if (!ring.has_value()) {
+    (void)backend.perf_close(*fd);
+    GTEST_SKIP() << "perf ring mmap denied: " << ring.status().to_string();
+  }
+  ASSERT_EQ(ring->sample_type, simkernel::kSampleTypeDefault);
+
+  // About 200 records: well inside the 8-page ring, so LOST records
+  // only appear if this thread was descheduled mid-burst and the kernel
+  // throttled; they are counted, not assumed away.
+  ASSERT_TRUE(backend.perf_ioctl(*fd, PerfIoctl::kEnable, 0).is_ok());
+  burn_cpu_ms(20);
+  ASSERT_TRUE(backend.perf_ioctl(*fd, PerfIoctl::kDisable, 0).is_ok());
+
+  const auto tid = static_cast<std::uint32_t>(::syscall(SYS_gettid));
+  simkernel::PerfRingCursor cursor(*ring);
+  simkernel::PerfEventHeader header;
+  simkernel::PerfRecordScratch scratch;
+  std::uint64_t samples = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t last_time = 0;
+  while (const std::uint8_t* body = cursor.next(&header, scratch)) {
+    const std::size_t body_size = header.size - sizeof header;
+    if (header.type == simkernel::kPerfRecordLost) {
+      simkernel::PerfLostParsed parsed;
+      ASSERT_TRUE(simkernel::perf_parse_lost(body, body_size, &parsed));
+      lost += parsed.lost;
+      continue;
+    }
+    if (header.type != simkernel::kPerfRecordSample) continue;
+    ASSERT_EQ(header.size,
+              simkernel::perf_sample_record_size(ring->sample_type));
+    simkernel::PerfSampleParsed parsed;
+    ASSERT_TRUE(simkernel::perf_parse_sample(ring->sample_type, body,
+                                             body_size, &parsed));
+    EXPECT_EQ(parsed.tid, tid);
+    EXPECT_GE(parsed.time, last_time) << "record " << samples;
+    last_time = parsed.time;
+    ++samples;
+  }
+  EXPECT_FALSE(cursor.malformed());
+  cursor.commit();
+  EXPECT_EQ(ring->page->data_tail, ring->page->data_head)
+      << "the walk hands the whole span back to the kernel";
+  EXPECT_TRUE(backend.perf_close(*fd).is_ok());
+  if (samples + lost == 0) {
+    GTEST_SKIP() << "scheduler-starved: no task-clock period elapsed";
+  }
+  EXPECT_GT(samples, 0u) << lost << " records lost, none delivered";
 }
 
 TEST(LinuxBackend, UnknownKindMappingsAreRejected) {

@@ -2,6 +2,7 @@
 // behaviour, capacity/lost accounting, interaction with core types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -17,6 +18,7 @@ using simkernel::CountKind;
 using simkernel::CpuSet;
 using simkernel::PerfEventAttr;
 using simkernel::PerfEventHeader;
+using simkernel::PerfRecordScratch;
 using simkernel::PerfRingCursor;
 using simkernel::SimKernel;
 using simkernel::Tid;
@@ -149,9 +151,10 @@ TEST(SampleRing, MigratingThreadProducesSamplesFromBothCoreTypes) {
 }
 
 // ---------------------------------------------------------------------
-// Records straddling the end of the data area. The writer and the
-// cursor split their copies at the wrap point; a hand-sized ring driven
-// through both halves of the protocol must round-trip every byte.
+// Records straddling the end of the data area. The writer splits its
+// copy at the wrap point and the cursor reassembles such a record in
+// the caller's scratch; a hand-sized ring driven through both halves of
+// the protocol must round-trip every byte.
 // ---------------------------------------------------------------------
 
 using Record = std::vector<std::uint8_t>;
@@ -178,6 +181,16 @@ Record lost_record(std::uint64_t lost) {
   return make_record(simkernel::kPerfRecordLost, {7, lost});
 }
 
+// A walked record's bytes (header + body), wherever the body lies.
+Record bytes_of(const PerfEventHeader& header, const std::uint8_t* body) {
+  // The cursor never returns a header shorter than itself; the max()
+  // only tells the compiler so.
+  Record out(std::max<std::size_t>(header.size, sizeof header));
+  std::memcpy(out.data(), &header, sizeof header);
+  std::memcpy(out.data() + sizeof header, body, out.size() - sizeof header);
+  return out;
+}
+
 struct HandRing {
   explicit HandRing(std::size_t size) : data(size, 0) {
     page.data_size = size;
@@ -197,13 +210,11 @@ struct HandRing {
   Record read_one() {
     PerfRingCursor cursor(view());
     PerfEventHeader hdr;
-    std::uint8_t body[64];
-    if (!cursor.next(&hdr, body, sizeof body)) return {};
+    PerfRecordScratch scratch;
+    const std::uint8_t* body = cursor.next(&hdr, scratch);
+    if (body == nullptr) return {};
     cursor.commit();
-    Record out(hdr.size);
-    std::memcpy(out.data(), &hdr, sizeof hdr);
-    std::memcpy(out.data() + sizeof hdr, body, hdr.size - sizeof hdr);
-    return out;
+    return bytes_of(hdr, body);
   }
   std::uint64_t offset() const { return page.data_head % data.size(); }
 
@@ -253,6 +264,60 @@ TEST(SampleRing, SampleBodyStraddlingTheEndRoundTrips) {
   EXPECT_EQ(ring.read_one(), sample_record(4));
 }
 
+TEST(SampleRing, EveryStartOffsetDecodesInPlaceOrFromScratch) {
+  // The sim's layout (capacity x 48-byte SAMPLE records, not a power of
+  // two) and the kernel's (a power-of-two data area). A mix of SAMPLE
+  // and LOST records written from every 8-byte start offset puts each
+  // record across the end of the area at every split the alignment
+  // allows; the 192-byte mix also fills the smaller ring exactly.
+  const std::vector<Record> mix = {sample_record(1), lost_record(5),
+                                   sample_record(2), sample_record(3),
+                                   lost_record(6)};
+  for (const std::size_t size :
+       {std::size_t{4 * simkernel::perf_sample_record_size(
+            simkernel::kSampleTypeDefault)},
+        std::size_t{8192}}) {
+    SCOPED_TRACE(size);
+    int in_place = 0;
+    int from_scratch = 0;
+    for (std::uint64_t start = 0; start < size; start += 8) {
+      SCOPED_TRACE(start);
+      HandRing ring(size);
+      // Free-running positions a few laps in: the cursor reduces the
+      // tail to an offset once and must agree with the writer's `%`.
+      ring.page.data_head = ring.page.data_tail = 3 * size + start;
+      for (const Record& r : mix) ASSERT_TRUE(ring.write(r));
+
+      PerfRingCursor cursor(ring.view());
+      PerfEventHeader hdr;
+      PerfRecordScratch scratch;
+      std::uint64_t offset = start;
+      std::size_t walked = 0;
+      while (const std::uint8_t* body = cursor.next(&hdr, scratch)) {
+        ASSERT_LT(walked, mix.size());
+        EXPECT_EQ(bytes_of(hdr, body), mix[walked]) << "record " << walked;
+        if (offset + hdr.size > size) {
+          EXPECT_EQ(body, scratch.bytes + sizeof hdr)
+              << "a straddling record comes back through scratch";
+          ++from_scratch;
+        } else {
+          EXPECT_EQ(body, ring.data.data() + offset + sizeof hdr)
+              << "a record in one piece comes back in place";
+          ++in_place;
+        }
+        offset = (offset + hdr.size) % size;
+        ++walked;
+      }
+      EXPECT_EQ(walked, mix.size());
+      EXPECT_FALSE(cursor.malformed());
+      cursor.commit();
+      EXPECT_EQ(ring.page.data_tail, ring.page.data_head);
+    }
+    EXPECT_GT(in_place, 0);
+    EXPECT_GT(from_scratch, 0);
+  }
+}
+
 TEST(SampleRing, MalformedStraddlingHeaderResynchronizesOnCommit) {
   // Header sizes below the header itself and beyond the unread span,
   // each written so the header splits across the end of the area.
@@ -274,8 +339,8 @@ TEST(SampleRing, MalformedStraddlingHeaderResynchronizesOnCommit) {
 
     PerfRingCursor cursor(ring.view());
     PerfEventHeader hdr;
-    std::uint8_t body[64];
-    EXPECT_FALSE(cursor.next(&hdr, body, sizeof body));
+    PerfRecordScratch scratch;
+    EXPECT_EQ(cursor.next(&hdr, scratch), nullptr);
     EXPECT_TRUE(cursor.malformed());
     cursor.commit();
     EXPECT_EQ(ring.page.data_tail, ring.page.data_head)
@@ -315,11 +380,13 @@ TEST(SampleRing, KernelWrittenRecordsStraddleAfterALostRecord) {
     ASSERT_TRUE(kernel.perf_ring_poll(*fd).has_value());
     PerfRingCursor cursor(*view);
     PerfEventHeader hdr;
+    PerfRecordScratch scratch;
     std::uint64_t pos = view->page->data_tail;
     while (true) {
-      std::uint8_t body[64];
-      std::memset(body, 0xff, sizeof body);  // a short copy leaves poison
-      if (!cursor.next(&hdr, body, sizeof body)) break;
+      // A short copy leaves poison.
+      std::memset(scratch.bytes, 0xff, sizeof scratch.bytes);
+      const std::uint8_t* body = cursor.next(&hdr, scratch);
+      if (body == nullptr) break;
       if (pos % view->size + hdr.size > view->size) ++straddled;
       pos += hdr.size;
       if (hdr.type == simkernel::kPerfRecordLost) {

@@ -408,10 +408,10 @@ TEST(SamplingRing, MappedRingDecodesWithPlainAbiRules) {
   // and leave the tail untouched.
   simkernel::PerfRingCursor cursor(*view);
   simkernel::PerfEventHeader header;
-  std::uint8_t body[64];
+  simkernel::PerfRecordScratch scratch;
   std::vector<simkernel::PerfSampleParsed> decoded;
   std::uint64_t last_time = 0;
-  while (cursor.next(&header, body, sizeof body)) {
+  while (const std::uint8_t* body = cursor.next(&header, scratch)) {
     ASSERT_EQ(header.type, simkernel::kPerfRecordSample);
     EXPECT_EQ(header.misc, simkernel::kPerfRecordMiscUser);
     EXPECT_EQ(header.size,
@@ -469,8 +469,9 @@ TEST(SamplingRing, LostRecordsAppearInBandBeforeLaterSamples) {
   ASSERT_TRUE(view.has_value());
   simkernel::PerfRingCursor cursor(*view);
   simkernel::PerfEventHeader header;
-  std::uint8_t body[64];
-  ASSERT_TRUE(cursor.next(&header, body, sizeof body));
+  simkernel::PerfRecordScratch scratch;
+  const std::uint8_t* body = cursor.next(&header, scratch);
+  ASSERT_NE(body, nullptr);
   EXPECT_EQ(header.type, simkernel::kPerfRecordLost)
       << "drops are announced in-band, ahead of newer samples";
   simkernel::PerfLostParsed lost_record;

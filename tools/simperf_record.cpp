@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
       if (pass == 1) (void)kernel.perf_ring_poll(fd);
       simkernel::PerfRingCursor cursor(*ring);
       simkernel::PerfEventHeader header;
-      std::uint8_t body[64];
-      while (cursor.next(&header, body, sizeof body)) {
+      simkernel::PerfRecordScratch scratch;
+      while (const std::uint8_t* body = cursor.next(&header, scratch)) {
         const std::size_t body_size = header.size - sizeof header;
         simkernel::PerfSampleParsed parsed;
         simkernel::PerfLostParsed dropped;
