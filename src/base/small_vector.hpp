@@ -6,7 +6,8 @@
 // whatever capacity the vector has: one refilled in a loop stops
 // allocating once it has held its largest size. A moved-from vector is
 // empty and back on its inline buffer (a spilled source hands its heap
-// block to the destination).
+// block to the destination). The inline buffer is left unset: size()
+// bounds every read.
 #pragma once
 
 #include <algorithm>
@@ -34,7 +35,8 @@ class SmallVector {
   using iterator = T*;
   using const_iterator = const T*;
 
-  SmallVector() noexcept = default;
+  /// User-provided, so no value-initialization zero-fills inline_.
+  SmallVector() noexcept {}
   SmallVector(std::initializer_list<T> init) { assign(init.begin(), init.end()); }
   SmallVector(const SmallVector& other) { assign(other.begin(), other.end()); }
   SmallVector(SmallVector&& other) noexcept { take(other); }
@@ -107,6 +109,11 @@ class SmallVector {
     if (n > size_) std::fill(data_ + size_, data_ + n, T{});
     size_ = static_cast<std::uint32_t>(n);
   }
+  /// resize() that leaves new elements unset, for a caller writing them.
+  void resize_for_overwrite(std::size_t n) {
+    reserve(n);
+    size_ = static_cast<std::uint32_t>(n);
+  }
 
   void push_back(const T& value) {
     const T copy = value;  // `value` may live in the block reserve() frees
@@ -151,7 +158,7 @@ class SmallVector {
   T* data_ = inline_;
   std::uint32_t size_ = 0;
   std::uint32_t capacity_ = N;
-  T inline_[N]{};
+  T inline_[N];
 };
 
 }  // namespace hetpapi

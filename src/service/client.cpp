@@ -31,20 +31,6 @@ bool worth_retrying(const Status& s) {
          s.code() != StatusCode::kNotSupported;
 }
 
-/// A Sample fits its subscription's schema when it carries one value
-/// and the schema's part count per slot. A failed read carries no slots
-/// at all (counters_ok = 0).
-bool fits_schema(const WireSample& s,
-                 const std::vector<std::uint32_t>& part_counts) {
-  if (s.values.empty()) return s.counters_ok == 0;
-  if (s.values.size() != part_counts.size()) return false;
-  for (std::size_t i = 0; i < part_counts.size(); ++i) {
-    const std::size_t parts = s.parts.empty() ? 0 : s.parts[i].size();
-    if (parts != part_counts[i]) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void Client::enable_reconnect(ConnectionFactory factory,
@@ -179,14 +165,20 @@ void Client::reindex_recorded() {
 
 void Client::stash_frame(const FrameView& view) {
   if (view.type == MsgType::kSample) {
+    // The subscription id leads the payload: a sample of a subscription
+    // this client does not hold, or one that does not fit its schema,
+    // is dropped on its wire bytes and takes no stash slot.
+    if (view.size < 4) return;
+    const auto it = live_subs_.find(load_le<std::uint32_t>(view.payload));
+    if (it == live_subs_.end() ||
+        !WireSample::fits_schema(view.payload, view.size,
+                                 it->second.part_counts)) {
+      return;
+    }
     // Decode straight into the next stash slot, reusing its buffers.
     if (stashed_ == samples_.size()) samples_.emplace_back();
     WireSample& s = samples_[stashed_];
     if (!WireSample::decode_into(view.payload, view.size, s).is_ok()) return;
-    const auto it = live_subs_.find(s.subscription_id);
-    if (it == live_subs_.end() || !fits_schema(s, it->second.part_counts)) {
-      return;
-    }
     note_sample(it->second, s.tick, s.seq);
     ++stashed_;
     return;

@@ -171,8 +171,8 @@ class Client {
   /// What the client knows about one subscription it currently holds,
   /// keyed by its current id.
   struct LiveSub {
-    /// Parts per slot from the SubscribeAck schema.
-    std::vector<std::uint32_t> part_counts;
+    /// Parts per slot from the SubscribeAck schema (inline to 8 slots).
+    SmallVector<std::uint32_t, 8> part_counts;
     /// Index into recorded_subs_, or kNotRecorded.
     std::size_t recorded = kNotRecorded;
   };
@@ -189,7 +189,7 @@ class Client {
   Status send_all(const std::vector<std::uint8_t>& bytes);
   /// Receive once into the reader; false = nothing arrived.
   Expected<bool> receive_some();
-  /// Decode-and-stash shared by pump_once and the rpc wait loop.
+  /// Check-decode-and-stash shared by pump_once and the rpc wait loop.
   void stash_frame(const FrameView& frame);
   /// Gap/sequence accounting for one delivered sample.
   void note_sample(const LiveSub& live, std::uint64_t tick, std::uint64_t seq);

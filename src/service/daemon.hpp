@@ -61,7 +61,7 @@ struct DaemonConfig {
   std::uint64_t idle_timeout_ticks = 0;
   /// Inert: the fan-out runs on the ticking thread and nothing reads
   /// these two fields. They stay only because existing benchmark
-  /// drivers still set them; ROADMAP item 2(a) removes them.
+  /// drivers still set them; ROADMAP item 1(a), then item 5, removes them.
   std::size_t encode_threads = 1;
   std::size_t shards = 1;
   /// Session epoch advertised in every HelloAck. A reconnecting

@@ -229,7 +229,7 @@ Status WireSample::decode_into(const std::uint8_t* p, std::size_t size,
   m.subscription_id = load_le<U32>(p);
   m.tick = load_le<U64>(p + 4);
   m.t_seconds = std::bit_cast<double>(load_le<U64>(p + 12));
-  m.values.resize(n);
+  m.values.resize_for_overwrite(n);
   const std::uint8_t* at = p + 24;
   for (long long& v : m.values) {
     v = static_cast<long long>(load_le<U64>(at));
@@ -246,16 +246,35 @@ Status WireSample::decode_into(const std::uint8_t* p, std::size_t size,
   m.package_temp_c = std::bit_cast<double>(load_le<U64>(at));
   m.package_power_w = std::bit_cast<double>(load_le<U64>(at + 8));
   at = counts + 4 * static_cast<std::size_t>(n);
-  // A plain stream carries no part at all and decodes to no slots.
+  // A plain stream carries no part at all and decodes to no slots; a
+  // qualified one is reshaped once, from the wire's part counts.
   m.parts.clear();
-  for (U32 i = 0; i < n && part_total != 0; ++i) {
-    for (long long& v : m.parts.add_slot(load_le<U32>(counts + 4 * i))) {
+  if (part_total != 0) {
+    for (long long& v : m.parts.reshape(counts, n, part_total)) {
       v = static_cast<long long>(load_le<U64>(at));
       at += 8;
     }
   }
   m.seq = load_le<U64>(at);
   return Status::ok();
+}
+
+bool WireSample::fits_schema(const std::uint8_t* p, std::size_t size,
+                             std::span<const std::uint32_t> part_counts) {
+  if (size < kFixedBytes) return false;
+  const U32 n = load_le<U32>(p + 20);
+  // A failed read carries no slots, whatever the schema says.
+  if (n == 0) return size == kFixedBytes && p[24] == 0;
+  if (n != part_counts.size() || size < kFixedBytes + kSlotBytes * n) {
+    return false;
+  }
+  const std::uint8_t* counts = p + 41 + 9 * static_cast<std::size_t>(n);
+  std::size_t part_total = 0;
+  for (U32 i = 0; i < n; ++i) {
+    if (load_le<U32>(counts + 4 * i) != part_counts[i]) return false;
+    part_total += part_counts[i];
+  }
+  return size == kFixedBytes + kSlotBytes * n + 8 * part_total;
 }
 
 }  // namespace hetpapi::service

@@ -598,6 +598,19 @@ class SampleParts {
     ends_.push_back(static_cast<std::uint32_t>(values_.size()));
     return {values_.data() + begin, count};
   }
+  /// Replace the table with `slots` slots whose part counts are the
+  /// little-endian u32s at `counts` (a Sample's wire run, summing to
+  /// `total`) and return all `total` values, flat, for filling.
+  std::span<long long> reshape(const std::uint8_t* counts, std::size_t slots,
+                               std::size_t total) {
+    ends_.resize_for_overwrite(slots);
+    std::uint32_t end = 0;
+    for (std::size_t i = 0; i < slots; ++i) {
+      ends_[i] = end += load_le<std::uint32_t>(counts + 4 * i);
+    }
+    values_.resize_for_overwrite(total);
+    return {values_.data(), total};
+  }
 
   friend bool operator==(const SampleParts&, const SampleParts&) = default;
 
@@ -625,6 +638,9 @@ class SampleParts {
 /// kSampleInlineParts parts owns no heap block, so decoding one, or
 /// moving one out of the client's stash, allocates nothing.
 struct WireSample {
+  /// User-provided, so a value-initialized sample (the client stash's
+  /// emplace_back()) is not zero-filled before its member initializers.
+  WireSample() noexcept {}
   std::uint32_t subscription_id = 0;
   std::uint64_t tick = 0;
   double t_seconds = 0.0;
@@ -656,6 +672,11 @@ struct WireSample {
   /// payload; `out` is unspecified on failure.
   static Status decode_into(const std::uint8_t* payload, std::size_t size,
                             WireSample& out);
+  /// True when `payload` is a whole Sample whose slots carry exactly
+  /// `part_counts` parts (its subscription's schema) or a failed read
+  /// (counters_ok = 0, no slots); reads no byte past `size`.
+  static bool fits_schema(const std::uint8_t* payload, std::size_t size,
+                          std::span<const std::uint32_t> part_counts);
 };
 
 }  // namespace hetpapi::service

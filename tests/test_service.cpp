@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -278,6 +279,127 @@ TEST(ServiceProto, SampleLargerThanItsInlineBuffersRoundTripsAndReusesThem) {
   EXPECT_TRUE(out.degraded.empty());
   EXPECT_EQ(out.values.data(), values_block);
   EXPECT_EQ(out.encode(), plain_bytes);
+}
+
+/// Every field of `got` equals `want`'s, doubles compared by their bits.
+void expect_same_sample(const WireSample& got, const WireSample& want) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  EXPECT_EQ(got.subscription_id, want.subscription_id);
+  EXPECT_EQ(got.tick, want.tick);
+  EXPECT_EQ(bits(got.t_seconds), bits(want.t_seconds));
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.degraded, want.degraded);
+  EXPECT_EQ(got.counters_ok, want.counters_ok);
+  EXPECT_EQ(bits(got.package_temp_c), bits(want.package_temp_c));
+  EXPECT_EQ(bits(got.package_power_w), bits(want.package_power_w));
+  EXPECT_EQ(got.parts, want.parts);
+  EXPECT_EQ(got.seq, want.seq);
+}
+
+/// The shapes a decoder meets in turn: plain, qualified 2x2, spilled
+/// (12 slots whose part counts run 0..5), a failed read, and plain
+/// again straight after qualified.
+std::vector<WireSample> sample_shapes() {
+  WireSample plain;
+  plain.subscription_id = 3;
+  plain.tick = 40;
+  plain.t_seconds = 0.04;
+  plain.values = {1000, 2000};
+  plain.degraded = {0, 1};
+  plain.package_temp_c = std::nan("");
+  plain.package_power_w = 12.5;
+  plain.seq = 1;
+  WireSample qualified;
+  qualified.subscription_id = 4;
+  qualified.tick = 41;
+  qualified.t_seconds = 0.041;
+  qualified.values = {300, 55};
+  qualified.parts = {{180, 120}, {50, 5}};
+  qualified.seq = 2;
+  WireSample spilled;
+  spilled.subscription_id = 5;
+  spilled.tick = 42;
+  spilled.seq = 3;
+  for (std::size_t i = 0; i < 12; ++i) {
+    spilled.values.push_back(static_cast<long long>(7 * i));
+    spilled.degraded.push_back(i == 11 ? 1 : 0);
+    std::span<long long> parts = spilled.parts.add_slot(i % 6);
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      parts[p] = -static_cast<long long>(100 * i + p);
+    }
+  }
+  WireSample failed;
+  failed.subscription_id = 6;
+  failed.tick = 43;
+  failed.counters_ok = 0;
+  failed.seq = 4;
+  WireSample qualified_again = qualified;
+  qualified_again.seq = 5;
+  WireSample plain_after = plain;
+  plain_after.degraded.clear();
+  plain_after.seq = 6;
+  return {plain, qualified, spilled, failed, qualified_again, plain_after};
+}
+
+TEST(ServiceProto, OneReusedSampleDecodesEveryShapeInTurn) {
+  // One object decoded into again and again (the client's stash slot)
+  // and a fresh one per frame both come out equal to what was sent and
+  // re-encode to the same bytes: a reshape that kept a stale slot end,
+  // or a read of an inline buffer past its size, shows here (and under
+  // ASan+UBSan in the chaos shard).
+  WireSample reused;
+  for (const WireSample& want : sample_shapes()) {
+    SCOPED_TRACE(testing::Message() << "seq " << want.seq);
+    const std::vector<std::uint8_t> bytes = want.encode();
+    ASSERT_TRUE(WireSample::decode_into(bytes.data(), bytes.size(), reused).is_ok());
+    expect_same_sample(reused, want);
+    EXPECT_EQ(reused.encode(), bytes);
+    WireSample fresh;
+    ASSERT_TRUE(WireSample::decode_into(bytes.data(), bytes.size(), fresh).is_ok());
+    expect_same_sample(fresh, want);
+    EXPECT_EQ(fresh.encode(), bytes);
+    const auto decoded = WireSample::decode(Frame{MsgType::kSample, bytes});
+    ASSERT_TRUE(decoded.has_value());
+    expect_same_sample(*decoded, want);
+  }
+}
+
+TEST(ServiceProto, SchemaCheckReadsOnlyTheWireBytes) {
+  // The client checks a Sample against its subscription's schema on the
+  // raw payload, before any decode. Every proper prefix of every shape
+  // fails, each in a buffer of exactly its size (ASan catches a read
+  // past it); the whole payload fits its own part counts and no count
+  // one off. A failed read fits any schema.
+  for (const WireSample& shape : sample_shapes()) {
+    SCOPED_TRACE(testing::Message() << "seq " << shape.seq);
+    const std::vector<std::uint8_t> bytes = shape.encode();
+    std::vector<std::uint32_t> schema;
+    for (std::size_t i = 0; i < shape.values.size(); ++i) {
+      schema.push_back(shape.parts.empty()
+                           ? 0u
+                           : static_cast<std::uint32_t>(shape.parts[i].size()));
+    }
+    for (std::size_t size = 0; size < bytes.size(); ++size) {
+      const std::vector<std::uint8_t> cut(bytes.data(), bytes.data() + size);
+      EXPECT_FALSE(WireSample::fits_schema(cut.data(), cut.size(), schema)) << size;
+    }
+    EXPECT_TRUE(WireSample::fits_schema(bytes.data(), bytes.size(), schema));
+    if (shape.counters_ok == 0) {
+      const std::vector<std::uint32_t> any{2, 2};
+      EXPECT_TRUE(WireSample::fits_schema(bytes.data(), bytes.size(), any));
+      continue;
+    }
+    for (std::size_t i = 0; i < schema.size(); ++i) {
+      for (const int off : {1, -1}) {
+        if (schema[i] == 0 && off < 0) continue;
+        std::vector<std::uint32_t> wrong = schema;
+        wrong[i] += static_cast<std::uint32_t>(off);
+        EXPECT_FALSE(WireSample::fits_schema(bytes.data(), bytes.size(), wrong));
+      }
+    }
+    schema.push_back(0);
+    EXPECT_FALSE(WireSample::fits_schema(bytes.data(), bytes.size(), schema));
+  }
 }
 
 TEST(ServiceProto, SampleFrameSizeIsTheFixedWidthFormula) {
@@ -1044,10 +1166,13 @@ TEST(ServiceCoalescing, CoalescedRidersShareOnePartNameSchema) {
 }
 
 TEST(ServiceClient, SamplesThatDoNotFitTheSchemaAreDropped) {
-  // The client checks every Sample's shape against its SubscribeAck:
-  // the right slot count and part counts pass, anything else (or a
-  // subscription it does not hold) is dropped. The daemon side here is
-  // a hand-driven loopback endpoint.
+  // The client checks every Sample's wire bytes against its
+  // SubscribeAck before decoding: the right slot count and part counts
+  // pass, and so does a failed read (no slots). A subscription it does
+  // not hold, a truncated payload, or a slot count or one slot's part
+  // count off by one is dropped without taking a stash slot, so
+  // take_samples() returns exactly the kept samples, in order. The
+  // daemon side here is a hand-driven loopback endpoint.
   LoopbackTransport transport;
   Client client(transport.connect());
   auto server = transport.listener()->accept();
@@ -1069,24 +1194,46 @@ TEST(ServiceClient, SamplesThatDoNotFitTheSchemaAreDropped) {
   fits.subscription_id = 7;
   fits.values = {10, 20};
   fits.parts = {{6, 4}, {}};
-  WireSample wrong_parts = fits;
-  wrong_parts.parts = {{10}, {}};
+  WireSample unknown_sub = fits;
+  unknown_sub.subscription_id = 8;
   WireSample wrong_slots = fits;
   wrong_slots.values = {10};
   wrong_slots.parts = {{6, 4}};
-  WireSample unknown_sub = fits;
-  unknown_sub.subscription_id = 8;
   WireSample failed_read;
   failed_read.subscription_id = 7;
   failed_read.counters_ok = 0;
-  for (const WireSample* s :
-       {&fits, &wrong_parts, &wrong_slots, &unknown_sub, &failed_read}) {
-    send(MsgType::kSample, s->encode());
+  std::vector<std::vector<std::uint8_t>> bad = {unknown_sub.encode(),
+                                                wrong_slots.encode()};
+  for (const SampleParts& parts :
+       {SampleParts{{10}, {}}, SampleParts{{6, 4, 1}, {}},
+        SampleParts{{6, 4}, {1}}}) {
+    WireSample wrong_parts = fits;
+    wrong_parts.parts = parts;
+    bad.push_back(wrong_parts.encode());
+  }
+  // Cut inside the id, the fixed fields, the part counts, the part
+  // values and the trailing seq.
+  const std::vector<std::uint8_t> whole = fits.encode();
+  for (const std::size_t size : {2u, 30u, 62u, 75u, 90u}) {
+    ASSERT_LT(size, whole.size());
+    bad.emplace_back(whole.data(), whole.data() + size);
+  }
+
+  std::vector<std::vector<std::uint8_t>> kept;
+  std::uint64_t seq = 0;
+  for (const std::vector<std::uint8_t>& payload : bad) {
+    WireSample good = ++seq % 3 == 0 ? failed_read : fits;
+    good.seq = seq;
+    kept.push_back(good.encode());
+    send(MsgType::kSample, kept.back());
+    send(MsgType::kSample, payload);
   }
   const auto samples = client.take_samples();
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].parts, fits.parts);
-  EXPECT_EQ(samples[1].counters_ok, 0);
+  ASSERT_EQ(samples.size(), kept.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].seq, i + 1);
+    EXPECT_EQ(samples[i].encode(), kept[i]);
+  }
 }
 
 TEST(ServiceClient, TakeSamplesIntoKeepsCapacityAcrossCalls) {
